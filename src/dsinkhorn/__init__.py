@@ -4,8 +4,9 @@ Agents holding private histograms on a shared support cooperate to
 compute the entropic barycenter without a coordinator: each runs local
 Sinkhorn-style scaling steps and the network averages the per-agent
 log-messages by event-triggered, quantized gossip. The package bundles
-the core numerics, the per-agent protocol, a deterministic network
-simulator, an experiment harness, and a CLI.
+the core numerics, the transmission rules, a deterministic network
+simulator with the vectorized round engine, an experiment harness, and
+a CLI.
 """
 
 from .config import (
@@ -32,7 +33,6 @@ from .netsim import (
     ActivationModel,
     ChannelModel,
     GossipWeights,
-    RoundScheduler,
     Topology,
     TopologyError,
     build_topology,
@@ -56,24 +56,7 @@ from .otcore import (
     hilbert_distance,
     theory_constants,
 )
-from .protocol import (
-    AgentState,
-    ClipRangeError,
-    CommsConfig,
-    Packet,
-    clip_log,
-    gossip_step,
-    inner_converged,
-    local_scaling_update,
-    maybe_transmit,
-    normalize_scale,
-    outer_converged,
-    pack_packet,
-    packet_wire_size,
-    quantize,
-    reseed_inner,
-    unpack_packet,
-)
+from .protocol import ClipRangeError, CommsConfig, clip_log, packet_wire_size, quantize
 
 __version__ = "0.1.0"
 
@@ -85,15 +68,11 @@ __all__ = [
     "DegenerateStateError", "grid_cost", "build_gibbs_kernel",
     "centralized_barycenter", "hilbert_distance", "theory_constants",
     # protocol
-    "CommsConfig", "AgentState", "Packet", "ClipRangeError", "clip_log",
-    "quantize", "pack_packet", "unpack_packet",
-    "packet_wire_size", "local_scaling_update", "reseed_inner",
-    "normalize_scale", "maybe_transmit", "gossip_step", "inner_converged",
-    "outer_converged",
+    "CommsConfig", "ClipRangeError", "clip_log", "quantize", "packet_wire_size",
     # network simulation
     "Topology", "TopologyError", "build_topology", "GossipWeights",
     "metropolis_weights", "spectral_gap", "consensus_residual",
-    "ChannelModel", "ActivationModel", "expected_weights", "RoundScheduler",
+    "ChannelModel", "ActivationModel", "expected_weights",
     "RunRecord", "simulate_decentralized", "consensus_trace",
     # experiments & config
     "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",

@@ -1,18 +1,19 @@
 """Vectorized whole-network simulation loop.
 
-This is the runner behind the experiment harness. It keeps the network
-state as (N, d) arrays and per-directed-edge caches so that one gossip
-round costs a handful of numpy calls instead of a Python loop over agents.
-The semantics are exactly those of :class:`dsinkhorn.netsim.RoundScheduler`
-driving the per-agent protocol ops (same trigger, same channel draws, same
-delivery order); a regression test pins the two trajectories together.
+This is the one implementation of the protocol round behind the
+experiment harness and the CLI. It keeps the network state as (N, d)
+arrays and per-directed-edge caches so that one gossip round costs a
+handful of numpy calls instead of a Python loop over agents: trigger
+evaluation on the activated nodes, clip + quantize of the fired payloads,
+per-edge drops and delays, freshest-wins cache delivery, then cached
+gossip with the round's effective weights. The test suite pins it, step
+for step, to a deliberately literal per-agent oracle.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import netsim, otcore, protocol
 
@@ -34,7 +35,6 @@ class RunRecord:
     clip_active: bool
     per_outer: list  # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_trace
     wall_clock_seconds: float
-    packet_log: list  # (round, sender, outer_iter, inner_step) per broadcast
     round_log_v: list = field(default_factory=list)  # optional per-round Z copies
 
 
@@ -68,7 +68,6 @@ class NetworkEngine:
         w_sync = netsim.metropolis_weights(topology).w if self.n > 1 else np.ones((1, 1))
         self.w_sync_edges = w_sync[self.rcv, self.snd] if self.n_edges else np.zeros(0)
         self.w_sync_diag = np.diag(w_sync).copy()
-        self.adj = topology.adjacency()
 
     # -- state ------------------------------------------------------------
 
@@ -91,12 +90,13 @@ class NetworkEngine:
         self.clip_active = bool(np.any((self.z < self.comms.s_min) | (self.z > self.comms.s_max)))
         self.send_counter = 1
         self.pending = {}  # arrival_round -> list of (edge_idx, send_time, payload_row)
-        self.packet_log = [(0, i, 0, 0) for i in range(self.n)]
         self._last_gaps_max = np.inf
 
     # -- one round ---------------------------------------------------------
 
-    def step_round(self, round_index: int, outer_iter: int, inner_step: int) -> None:
+    def step_round(self) -> None:
+        """One round; rounds are numbered 1, 2, ... after the bootstrap, and
+        a packet's send time is the round it left in."""
         cm = self.comms
         active = netsim.draw_active(self.rng_act, self.activation, self.topology)
         drops = self.rng_drop.random(self.n_edges) if self.channel.drop_prob > 0.0 else None
@@ -105,7 +105,7 @@ class NetworkEngine:
             if self.channel.max_staleness > 0
             else None
         )
-        send_time = self.send_counter
+        now = self.send_counter
         self.send_counter += 1
 
         # trigger evaluation on activated nodes
@@ -128,36 +128,25 @@ class NetworkEngine:
             self.anchor[fired] = payload
             self.messages[fired] += 1
             self.bytes_total += fired.size * protocol.packet_wire_size(self.d, cm.bits)
-            for i in fired:
-                self.packet_log.append((round_index, int(i), outer_iter, inner_step))
-            self._route(fired, payload, drops, delays, round_index, send_time)
+            self._route(fired, payload, drops, delays, now)
 
-        self._deliver(round_index)
+        self._deliver(now)
         self._gossip(active)
 
-    def _route(self, fired, payload, drops, delays, round_index, send_time):
+    def _route(self, fired, payload, drops, delays, now):
         for row, i in enumerate(fired):
             edges = self.out_edges[i]
             if drops is not None:
                 edges = edges[drops[edges] >= self.channel.drop_prob]
-            if delays is None:
-                for e in edges:
-                    self.pending.setdefault(round_index, []).append((int(e), send_time, payload[row]))
-            else:
-                for e in edges:
-                    arrival = round_index + int(delays[e])
-                    self.pending.setdefault(arrival, []).append((int(e), send_time, payload[row]))
+            for e in edges:
+                arrival = now if delays is None else now + int(delays[e])
+                self.pending.setdefault(arrival, []).append((int(e), now, payload[row]))
 
-    def _deliver(self, round_index: int) -> None:
-        due = self.pending.pop(round_index, [])
-        # sweep anything that may have been due earlier (possible only if a
-        # round was skipped, which the runner never does; kept for safety)
-        for r in [r for r in self.pending if r < round_index]:
-            due.extend(self.pending.pop(r))
-        if not due:
-            return
-        due.sort(key=lambda p: (self.snd[p[0]], p[1], self.rcv[p[0]]))
-        for e, stime, payload in due:
+    def _deliver(self, now: int) -> None:
+        # Every round is stepped, so nothing older than `now` is pending.
+        # At most one packet per edge and send time is due, so keeping the
+        # freshest per edge gives the same caches in any order.
+        for e, stime, payload in self.pending.pop(now, ()):
             if stime > self.ce_time[e]:
                 self.ce[e] = payload
                 self.ce_time[e] = stime
@@ -213,12 +202,10 @@ def simulate_decentralized(
     n, d = mu.shape
     t0 = time.perf_counter()
     eng.bootstrap(np.zeros((n, d)))
-    log_k = kernel.log_entries
     per_outer = []
     round_log_v = []
     prev_log_v = eng.z.copy()
     converged = False
-    global_round = 0
     outer = 0
     for outer in range(1, comms.outer_iter_cap + 1):
         with np.errstate(over="ignore"):
@@ -229,23 +216,11 @@ def simulate_decentralized(
                 f"node {bad} at outer iteration {outer}: exp(z) overflowed; "
                 "tighten the clip range (s_max)"
             )
-        kv = v @ kernel.entries.T
-        u = mu / (kv + instance.ridge)
-        with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-        s = logsumexp(log_k[None, :, :] + log_u[:, :, None], axis=1)
-        if not np.all(np.isfinite(s)):
-            bad = int(np.argmax(~np.isfinite(s).all(axis=1)))
-            raise otcore.DegenerateStateError(
-                f"node {bad} at outer iteration {outer}: K^T u has zero entries"
-            )
-        eng.z = s.copy()
+        u = mu / (v @ kernel.entries.T + instance.ridge)
+        eng.z = otcore.log_message(u, kernel)
         residuals = []
-        inner_steps = 0
-        for inner in range(1, comms.inner_step_cap + 1):
-            global_round += 1
-            eng.step_round(global_round, outer, inner)
-            inner_steps = inner
+        for inner_steps in range(1, comms.inner_step_cap + 1):
+            eng.step_round()
             if collect_residuals:
                 residuals.append(netsim.consensus_residual(eng.z))
             if collect_round_log_v:
@@ -273,21 +248,18 @@ def simulate_decentralized(
             break
     wall = time.perf_counter() - t0
     log_v = eng.z.copy()
-    shifted = np.exp(log_v - log_v.max(axis=1, keepdims=True))
-    bary = shifted / shifted.sum(axis=1, keepdims=True)
     return RunRecord(
-        barycenters=bary,
+        barycenters=otcore._softmax(log_v),
         log_v=log_v,
         converged=converged,
         outer_iters=outer,
-        rounds_total=global_round,
+        rounds_total=eng.send_counter - 1,
         messages_per_agent=eng.messages.copy(),
         variation_per_agent=eng.variation.copy(),
         bytes_total=eng.bytes_total,
         clip_active=eng.clip_active,
         per_outer=per_outer,
         wall_clock_seconds=wall,
-        packet_log=eng.packet_log,
         round_log_v=round_log_v,
     )
 
@@ -310,7 +282,7 @@ def consensus_trace(
     eng = NetworkEngine(topology, comms, channel, activation, seed)
     eng.bootstrap(np.asarray(z0, dtype=np.float64))
     residuals = [netsim.consensus_residual(eng.z)]
-    for r in range(1, steps + 1):
-        eng.step_round(r, 0, r)
+    for _ in range(steps):
+        eng.step_round()
         residuals.append(netsim.consensus_residual(eng.z))
     return np.array(residuals), eng.z.copy()

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -34,8 +35,6 @@ __all__ = [
     "SweepSpec",
     "centralized_oracle",
     "run_decentralized",
-    "run_convergence_trace",
-    "run_overlap",
     "trace_rows",
     "overlap_rows",
     "config_for_value",
@@ -209,67 +208,14 @@ def overlap_rows(oracle, barycenters) -> list:
     ]
 
 
-def run_convergence_trace(cfg: cfgmod.RunConfig, seed=None):
-    """Residual-per-inner-step traces for always-on vs triggered gossip.
-
-    Both variants share the instance, topology, and seed; the always-on
-    variant forces delta=0 so every node transmits whenever its state
-    moved at all. Returns ``(rows, records)`` where rows go straight
-    into ``trace.csv``.
-    """
-    if seed is None:
-        seed = cfg.seeds[0]
-    instance = cfgmod.build_instance(cfg)
-    topology = cfgmod.build_topology_from_spec(cfg.network)
-    variants = [("always_on", replace(cfg.comms, delta=0.0))]
-    if cfg.comms.delta > 0:
-        variants.append(("triggered", cfg.comms))
-    rows, records = [], {}
-    for name, comms in variants:
-        record = engine.simulate_decentralized(
-            instance,
-            topology,
-            comms,
-            channel=cfg.channel,
-            activation=cfg.activation,
-            seed=seed,
-            collect_residuals=True,
-        )
-        records[name] = record
-        rows.extend(trace_rows(name, record))
-    return rows, records
-
-
-def run_overlap(cfg: cfgmod.RunConfig, seed=None, oracle=None):
-    """Support-pointwise comparison of the oracle vs the per-node outputs.
-
-    Emits one row per support point: the oracle mass and the min/max of
-    the node outputs at that point.
-    """
-    if seed is None:
-        seed = cfg.seeds[0]
-    instance = cfgmod.build_instance(cfg)
-    topology = cfgmod.build_topology_from_spec(cfg.network)
-    if oracle is None:
-        oracle = centralized_oracle(instance)
-    metrics, record = run_decentralized(
-        instance,
-        topology,
-        cfg.comms,
-        channel=cfg.channel,
-        activation=cfg.activation,
-        seed=seed,
-        oracle=oracle,
-    )
-    return overlap_rows(oracle, record.barycenters), metrics, record
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept variable over a base config.
 
     ``variable`` is a short name (N, d, delta, bits, tau_inner, epsilon,
-    drop_prob); values must be nonempty and ascending.
+    drop_prob); values must be nonempty, numeric and ascending. For
+    ``bits``, ``None`` or ``"unquantized"`` (stored as ``None``) means
+    float64 payloads and sorts first.
     """
 
     variable: str
@@ -284,10 +230,16 @@ class SweepSpec:
             )
         if not self.values:
             raise cfgmod.ConfigError("sweep.values: must be nonempty")
-        keys = [(-1 if v is None else v) for v in self.values]
+        bits = self.variable == "bits"
+        values = tuple(None if bits and v in (None, "unquantized") else v for v in self.values)
+        for v in values:
+            if not ((bits and v is None) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
+                extra = " or 'unquantized'" if bits else ""
+                raise cfgmod.ConfigError(f"sweep.values: {v!r} is not a number{extra}")
+        keys = [(-1 if v is None else v) for v in values]
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise cfgmod.ConfigError("sweep.values: must be sorted ascending")
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", values)
 
     @property
     def seeds(self):
@@ -383,10 +335,8 @@ def _run_sweep_points(spec: SweepSpec, references, jobs: int):
     tasks = [(spec, v, references[i]) for i, v in enumerate(spec.values)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
-    return sorted(results, key=lambda r: -1 if r[0] is None else r[0])
+            return list(pool.map(_sweep_point, tasks))
+    return [_sweep_point(t) for t in tasks]
 
 
 def run_scaling_sweep(spec: SweepSpec, jobs: int = 1):

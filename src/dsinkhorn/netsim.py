@@ -1,20 +1,16 @@
 """Network simulation: topologies, Metropolis weights, activation models,
-lossy/stale channels, and the per-round gossip scheduler.
+and lossy/stale channels.
 
-The scheduler here is the per-agent reference implementation of one round:
-trigger evaluations on activated nodes, per-directed-edge drops and delays,
-freshness-ordered cache updates, then a gossip step with the round's
-effective doubly-stochastic weights. The vectorized engine used by the
-experiment runner reproduces these semantics exactly (there is a test
-pinning the two trajectories together).
+Everything one gossip round needs besides the protocol itself: the graph,
+its averaging weights and spectral data, the per-round active-node draw,
+and the seeded activation/drop/delay streams. The round that ties these
+together is :class:`dsinkhorn.engine.NetworkEngine`.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import protocol
 
 __all__ = [
     "Topology",
@@ -26,10 +22,7 @@ __all__ = [
     "metropolis_weights",
     "spectral_gap",
     "consensus_residual",
-    "effective_weights",
     "expected_weights",
-    "RoundScheduler",
-    "RoundReport",
 ]
 
 
@@ -263,25 +256,6 @@ def draw_active(rng, activation: ActivationModel, topology: Topology) -> np.ndar
     return rng.random(n) < activation.p_active
 
 
-def effective_weights(topology: Topology, active: np.ndarray) -> np.ndarray:
-    """The round's averaging matrix: Metropolis weights of the subgraph
-    induced by the active nodes, identity rows elsewhere.
-
-    Symmetric and doubly stochastic for every active set; an active node
-    with no active neighbor keeps an identity row.
-    """
-    n = topology.num_nodes
-    adj = topology.adjacency()
-    active = np.asarray(active, dtype=bool)
-    both = np.outer(active, active) & adj
-    deg_a = both.sum(axis=1)
-    w = np.zeros((n, n))
-    denom = 1.0 + np.maximum(deg_a[:, None], deg_a[None, :])
-    w[both] = 1.0 / denom[both]
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
-
-
 def expected_weights(topology: Topology, activation: ActivationModel) -> np.ndarray:
     """Exact expectation of the per-round effective averaging matrix.
 
@@ -314,99 +288,3 @@ def expected_weights(topology: Topology, activation: ActivationModel) -> np.ndar
         w_bar[i, k] = w_bar[k, i] = p * p * exp_w
     np.fill_diagonal(w_bar, 1.0 - w_bar.sum(axis=1))
     return w_bar
-
-
-@dataclass
-class RoundReport:
-    """What one scheduled round did: who was active, which packets were
-    delivered (receiver, packet) in application order, and the effective
-    weight matrix used for the averaging step."""
-
-    active: np.ndarray
-    delivered: list
-    effective: np.ndarray
-
-
-class RoundScheduler:
-    """Stateful per-agent round driver (reference semantics).
-
-    Owns the activation/drop/delay streams and the in-flight packet queue.
-    Each call to :meth:`schedule_round` performs: trigger evaluation on the
-    activated nodes, channel effects per directed edge, freshness-ordered
-    cache updates, then one gossip step per node with the round's effective
-    weights.
-    """
-
-    def __init__(self, topology: Topology, comms: protocol.CommsConfig,
-                 channel: ChannelModel | None = None,
-                 activation: ActivationModel | None = None, seed: int = 0):
-        self.topology = topology
-        self.comms = comms
-        self.channel = channel or ChannelModel()
-        self.activation = activation or ActivationModel()
-        self.rng_act, self.rng_drop, self.rng_delay = _rng_streams(seed, self.channel, self.activation)
-        self.dir_edges = topology.directed_edges()  # (receiver, sender) rows
-        self.pending = []  # (arrival_round, send_time, sender, receiver, Packet)
-        self._send_counter = 0
-        self._cache_time = {}
-
-    def bootstrap(self, agents) -> None:
-        """Round 0: mandatory full exchange. Every node broadcasts its
-        clipped+quantized z unconditionally and every cache is populated;
-        drops, delays, and the trigger test are bypassed this once."""
-        adj = self.topology.neighbor_lists()
-        packets = [protocol.maybe_transmit(a, self.comms, 0, 0, force=True) for a in agents]
-        for a in agents:
-            for k in adj[a.agent_id]:
-                a.neighbor_cache[k] = packets[k]
-        self._cache_time = {
-            (rcv, snd): 0 for rcv, snd in map(tuple, self.dir_edges)
-        }
-        self._send_counter = 1
-
-    def schedule_round(self, agents, round_index: int, outer_iter: int = 0,
-                       inner_step: int = 0) -> RoundReport:
-        active = draw_active(self.rng_act, self.activation, self.topology)
-        n_dir = len(self.dir_edges)
-        drops = (
-            self.rng_drop.random(n_dir)
-            if self.channel.drop_prob > 0.0
-            else None
-        )
-        delays = (
-            self.rng_delay.integers(0, self.channel.max_staleness + 1, size=n_dir)
-            if self.channel.max_staleness > 0
-            else np.zeros(n_dir, dtype=np.int64)
-        )
-        send_time = self._send_counter
-        self._send_counter += 1
-
-        # trigger evaluation on activated nodes; enqueue surviving copies
-        for a in agents:
-            if not active[a.agent_id]:
-                continue
-            pkt = protocol.maybe_transmit(a, self.comms, outer_iter, inner_step)
-            if pkt is None:
-                continue
-            for e, (rcv, snd) in enumerate(self.dir_edges):
-                if snd != a.agent_id:
-                    continue
-                if drops is not None and drops[e] < self.channel.drop_prob:
-                    continue
-                self.pending.append((round_index + int(delays[e]), send_time, snd, rcv, pkt))
-
-        # deliver everything due, in (sender, send_time) order; keep freshest
-        due = [p for p in self.pending if p[0] <= round_index]
-        self.pending = [p for p in self.pending if p[0] > round_index]
-        delivered = []
-        for _, stime, snd, rcv, pkt in sorted(due, key=lambda p: (p[2], p[1], p[3])):
-            if stime > self._cache_time.get((rcv, snd), -1):
-                agents[rcv].neighbor_cache[snd] = pkt
-                self._cache_time[(rcv, snd)] = stime
-                delivered.append((rcv, pkt))
-
-        w_eff = effective_weights(self.topology, active)
-        for a in agents:
-            if active[a.agent_id]:
-                protocol.gossip_step(a, w_eff[a.agent_id])
-        return RoundReport(active=active, delivered=delivered, effective=w_eff)

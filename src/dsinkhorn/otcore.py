@@ -25,7 +25,6 @@ __all__ = [
     "DegenerateStateError",
     "grid_cost",
     "build_gibbs_kernel",
-    "centralized_ibp_step",
     "centralized_barycenter",
     "ibp_cycle",
     "log_message",
@@ -182,18 +181,9 @@ class ProblemInstance:
         return build_gibbs_kernel(self.cost, self.epsilon)
 
 
-def _as_matrix(histograms) -> np.ndarray:
-    if isinstance(histograms, ProblemInstance):
-        return histograms.histogram_matrix()
-    if isinstance(histograms, np.ndarray):
-        return np.atleast_2d(np.asarray(histograms, dtype=np.float64))
-    return np.stack(
-        [h.weights if isinstance(h, Histogram) else np.asarray(h, dtype=np.float64) for h in histograms]
-    )
-
-
 def log_message(u: np.ndarray, kernel: GibbsKernel) -> np.ndarray:
-    """Compute s = log(K^T u) through a log-sum-exp reduction.
+    """Compute s = log(K^T u) through a log-sum-exp reduction, for one
+    scaling vector, shape (d,), or one per row, shape (N, d).
 
     ``u`` may contain zeros as long as K^T u stays strictly positive;
     otherwise a ``DegenerateStateError`` is raised.
@@ -201,17 +191,11 @@ def log_message(u: np.ndarray, kernel: GibbsKernel) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
-    # (K^T u)_j = sum_k K[k, j] u[k]
-    s = logsumexp(kernel.log_entries + log_u[:, None], axis=0)
+    # (K^T u)_j = sum_k K[k, j] u[k]; axis -2 of the broadcast runs over k
+    s = logsumexp(kernel.log_entries + log_u[..., :, None], axis=-2)
     if not np.all(np.isfinite(s)):
         raise DegenerateStateError("K^T u has zero entries; scaling vector is degenerate")
     return s
-
-
-def _batched_log_message(log_u: np.ndarray, kernel: GibbsKernel) -> np.ndarray:
-    """log(K^T u_i) for a stack of scaling vectors, shape (N, d) -> (N, d)."""
-    # broadcast to (N, d, d): axis 1 runs over the summation index k
-    return logsumexp(kernel.log_entries[None, :, :] + log_u[:, :, None], axis=1)
 
 
 def softmax_normalize(log_v: np.ndarray) -> Histogram:
@@ -219,13 +203,13 @@ def softmax_normalize(log_v: np.ndarray) -> Histogram:
     log_v = np.asarray(log_v, dtype=np.float64)
     if not np.all(np.isfinite(log_v)):
         raise ValueError("log_v must be finite")
-    shifted = np.exp(log_v - log_v.max())
-    return Histogram(shifted / shifted.sum())
+    return Histogram(_softmax(log_v))
 
 
 def _softmax(log_v: np.ndarray) -> np.ndarray:
-    shifted = np.exp(log_v - log_v.max())
-    return shifted / shifted.sum()
+    """exp(log_v) / sum(exp(log_v)) along the last axis, max-shifted."""
+    shifted = np.exp(log_v - log_v.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def _ibp_log_step(mu: np.ndarray, kernel: GibbsKernel, ridge: float, log_v: np.ndarray):
@@ -233,33 +217,7 @@ def _ibp_log_step(mu: np.ndarray, kernel: GibbsKernel, ridge: float, log_v: np.n
     v = np.exp(log_v)
     kv = v @ kernel.entries.T  # (Kv)_j = sum_k K[j,k] v_k, broadcast over agents
     u = mu / (kv + ridge)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(u)
-    s = _batched_log_message(log_u, kernel)
-    if not np.all(np.isfinite(s)):
-        raise DegenerateStateError("K^T u has zero entries; scaling vector is degenerate")
-    return u, s.mean(axis=0)
-
-
-def centralized_ibp_step(histograms, kernel: GibbsKernel, ridge: float, v: np.ndarray):
-    """One synchronized Bregman projection round.
-
-    u_i = mu_i / (K v + ridge) for every agent, followed by the shared
-    update v_next = exp(mean_i log(K^T u_i)). The geometric mean is always
-    taken as the exponential of the averaged logs, never as an N-fold
-    product of the messages.
-
-    Returns
-    -------
-    u : ndarray, shape (N, d)
-    v_next : ndarray, shape (d,)
-    """
-    mu = _as_matrix(histograms)
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise ValueError("v must be strictly positive and finite")
-    u, log_v_next = _ibp_log_step(mu, kernel, ridge, np.log(v))
-    return u, np.exp(log_v_next)
+    return u, log_message(u, kernel).mean(axis=0)
 
 
 class BarycenterResult(NamedTuple):

@@ -1,42 +1,22 @@
-"""Per-agent protocol state and operations.
+"""Transmission rules shared by every agent: the comms configuration,
+payload clipping and b-bit quantization, and the packet wire size.
 
-Each agent keeps a scaling vector u, its log message s = log(K^T u), the
-gossip variable z, and the payload of its own last broadcast. Transmission
-is event triggered: a packet goes out only when z has drifted more than
-delta (sup norm) from the dequantized value neighbors currently hold.
-Payloads are always clipped to [s_min, s_max] and quantized; local state
-stays full precision.
+Transmission is event triggered: a packet goes out only when an agent's
+gossip variable z has drifted more than delta (sup norm) from the
+dequantized value its neighbors currently hold. Payloads are always
+clipped to [s_min, s_max] and quantized; local state stays full
+precision. The round itself lives in :mod:`dsinkhorn.engine`.
 """
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import otcore
-
-__all__ = [
-    "CommsConfig",
-    "Packet",
-    "AgentState",
-    "ClipRangeError",
-    "clip_log",
-    "quantize",
-    "local_scaling_update",
-    "reseed_inner",
-    "normalize_scale",
-    "maybe_transmit",
-    "gossip_step",
-    "inner_converged",
-    "outer_converged",
-    "packet_wire_size",
-    "pack_packet",
-    "unpack_packet",
-]
+__all__ = ["CommsConfig", "ClipRangeError", "clip_log", "quantize", "packet_wire_size"]
 
 _HEADER = struct.Struct("<IIIBI")  # sender, outer_iter, inner_step, bits, d
-_UNQUANTIZED_WIRE_BITS = 0  # wire sentinel for float64 payloads
 
 
 class ClipRangeError(ValueError):
@@ -113,208 +93,7 @@ def quantize(values: np.ndarray, config: CommsConfig) -> np.ndarray:
     return config.s_min + k * step
 
 
-def _encode_levels(payload: np.ndarray, config: CommsConfig) -> np.ndarray:
-    n = config.num_levels - 1
-    step = (config.s_max - config.s_min) / n
-    k = np.rint((payload - config.s_min) / step).astype(np.int64)
-    if (
-        np.any(k < 0)
-        or np.any(k > n)
-        or not np.array_equal(config.s_min + k * step, payload)
-    ):
-        raise ValueError("payload contains values that are not quantizer levels")
-    return k
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One broadcast: the sender's clipped+quantized z at a given round."""
-
-    sender: int
-    payload: np.ndarray
-    outer_iter: int
-    inner_step: int
-
-
 def packet_wire_size(d: int, bits: int | None) -> int:
     """Serialized size in bytes: 17-byte header plus d fixed-width entries."""
     entry = 8 if bits is None else (int(bits) + 7) // 8
     return _HEADER.size + d * entry
-
-
-def pack_packet(packet: Packet, config: CommsConfig) -> bytes:
-    """Serialize: header (sender, outer_iter, inner_step, bits, d) then the
-    payload as level indices in ceil(bits/8) little-endian bytes each, or raw
-    float64 when unquantized (bits encoded as 0 on the wire)."""
-    d = packet.payload.size
-    if config.bits is None:
-        head = _HEADER.pack(packet.sender, packet.outer_iter, packet.inner_step, _UNQUANTIZED_WIRE_BITS, d)
-        return head + packet.payload.astype("<f8").tobytes()
-    bits = int(config.bits)
-    head = _HEADER.pack(packet.sender, packet.outer_iter, packet.inner_step, bits, d)
-    width = (bits + 7) // 8
-    k = _encode_levels(packet.payload, config)
-    body = b"".join(int(v).to_bytes(width, "little") for v in k)
-    return head + body
-
-
-def unpack_packet(blob: bytes, config: CommsConfig) -> Packet:
-    """Inverse of :func:`pack_packet`; reconstructs exact level values."""
-    sender, outer_iter, inner_step, bits, d = _HEADER.unpack_from(blob, 0)
-    body = blob[_HEADER.size :]
-    if bits == _UNQUANTIZED_WIRE_BITS:
-        payload = np.frombuffer(body, dtype="<f8", count=d).astype(np.float64)
-    else:
-        width = (bits + 7) // 8
-        n = (1 << bits) - 1
-        step = (config.s_max - config.s_min) / n
-        k = np.array(
-            [int.from_bytes(body[i * width : (i + 1) * width], "little") for i in range(d)],
-            dtype=np.int64,
-        )
-        payload = config.s_min + k * step
-    return Packet(sender=sender, payload=payload, outer_iter=outer_iter, inner_step=inner_step)
-
-
-@dataclass
-class AgentState:
-    """Mutable per-agent protocol state.
-
-    ``z_last_tx`` holds the payload of the agent's most recent broadcast
-    (post clip/quantize). ``trigger_anchor`` is the reference point from
-    which ``variation_accum`` measures the travelled sup-norm distance of
-    the trigger-monitored sequence; it moves to z at every trigger
-    evaluation and to the fresh payload at every transmission, so the
-    broadcast budget messages <= 1 + ceil(variation/delta) is exact.
-    """
-
-    agent_id: int
-    u: np.ndarray
-    s: np.ndarray
-    z: np.ndarray
-    z_last_tx: np.ndarray | None = None
-    trigger_anchor: np.ndarray | None = None
-    neighbor_cache: dict = field(default_factory=dict)
-    messages_sent: int = 0
-    variation_accum: float = 0.0
-
-    @classmethod
-    def initialize(cls, agent_id: int, kernel: otcore.GibbsKernel) -> "AgentState":
-        """Fresh agent: u = 1, s = log(K^T 1), z = 0.
-
-        z starts at 0 (v = 1) so the shared iterate follows the same
-        trajectory as the centralized reference solver, which also starts
-        from v = 1.
-        """
-        u = np.ones(kernel.d)
-        s = otcore.log_message(u, kernel)
-        return cls(agent_id=agent_id, u=u, s=s, z=np.zeros(kernel.d))
-
-
-def local_scaling_update(state: AgentState, histogram, kernel: otcore.GibbsKernel, ridge: float) -> None:
-    """Recompute u = mu / (K exp(z) + ridge) and s = log(K^T u) in place.
-
-    Raises ``ClipRangeError`` when exp(z) overflows: that means transmitted
-    values escaped any sane range and the clip interval (s_max) must be
-    tightened.
-    """
-    mu = histogram.weights if isinstance(histogram, otcore.Histogram) else np.asarray(histogram)
-    with np.errstate(over="ignore"):
-        v = np.exp(state.z)
-    if not np.all(np.isfinite(v)):
-        raise ClipRangeError(
-            f"agent {state.agent_id}: exp(z) overflowed; tighten the clip range (s_max)"
-        )
-    kv = kernel.entries @ v
-    state.u = mu / (kv + ridge)
-    state.s = otcore.log_message(state.u, kernel)
-
-
-def reseed_inner(state: AgentState) -> None:
-    """Reset the gossip variable to the fresh local message: z = s."""
-    state.z = state.s.copy()
-
-
-def normalize_scale(state: AgentState) -> None:
-    """Remove the common offset of z (a purely local step, no messages).
-
-    The shared update has an exact scale symmetry -- multiplying v by c
-    divides the next v by c -- so the offset component of log v flips
-    sign around its equilibrium at every outer iteration and never
-    settles, while softmax(z) ignores it entirely. Normalizing once per
-    outer iteration, after the inner gossip, makes successive shared
-    iterates comparable so the outer stopping rule can fire.
-    """
-    state.z = state.z - state.z.mean()
-
-
-def _eval_variation(state: AgentState) -> None:
-    if state.trigger_anchor is not None:
-        state.variation_accum += float(np.abs(state.z - state.trigger_anchor).max())
-    state.trigger_anchor = state.z.copy()
-
-
-def maybe_transmit(
-    state: AgentState,
-    config: CommsConfig,
-    outer_iter: int = 0,
-    inner_step: int = 0,
-    force: bool = False,
-) -> Packet | None:
-    """Evaluate the event trigger; broadcast when it fires.
-
-    Fires when ||z - z_last_tx||_inf strictly exceeds delta (the comparison
-    is against the dequantized payload neighbors actually hold). ``force``
-    bypasses the test for the round-0 bootstrap exchange. The payload is
-    clip+quantize of the current z; it replaces ``z_last_tx`` and the
-    variation anchor, and ``messages_sent`` is incremented.
-    """
-    _eval_variation(state)
-    fire = force or state.z_last_tx is None
-    if not fire:
-        drift = float(np.abs(state.z - state.z_last_tx).max())
-        fire = drift > config.delta
-    if not fire:
-        return None
-    payload = quantize(clip_log(state.z, config.s_min, config.s_max), config)
-    state.z_last_tx = payload
-    state.trigger_anchor = payload.copy()
-    state.messages_sent += 1
-    return Packet(sender=state.agent_id, payload=payload, outer_iter=outer_iter, inner_step=inner_step)
-
-
-def gossip_step(state: AgentState, weights_row: np.ndarray) -> None:
-    """One cached-gossip averaging step:
-    z <- w_ii z + sum_k w_ik (cached payload of k), own z at full precision.
-
-    Raises if a positive-weight neighbor has no cached packet.
-    """
-    z_new = weights_row[state.agent_id] * state.z
-    for k, w in enumerate(weights_row):
-        if k == state.agent_id or w == 0.0:
-            continue
-        pkt = state.neighbor_cache.get(k)
-        if pkt is None:
-            raise RuntimeError(
-                f"agent {state.agent_id}: no cached packet from positive-weight neighbor {k}"
-            )
-        z_new = z_new + w * pkt.payload
-    state.z = z_new
-
-
-def inner_converged(state: AgentState, config: CommsConfig) -> bool:
-    """Local stopping rule: every cached neighbor payload is within
-    tau_inner of the agent's own z (sup norm, strict).
-
-    With quantization coarser than tau_inner this can stay False at true
-    consensus; the inner step cap then ends the loop.
-    """
-    if not state.neighbor_cache:
-        return True
-    gap = max(float(np.abs(state.z - p.payload).max()) for p in state.neighbor_cache.values())
-    return gap < config.tau_inner
-
-
-def outer_converged(log_v_prev: np.ndarray, log_v_curr: np.ndarray, config: CommsConfig) -> bool:
-    """Outer stopping rule: ||log v_curr - log v_prev||_inf < tau_outer (strict)."""
-    return bool(float(np.abs(np.asarray(log_v_curr) - np.asarray(log_v_prev)).max()) < config.tau_outer)

@@ -237,6 +237,43 @@ class TestSweep:
         assert rc == 1
         assert "sweep.variable" in capsys.readouterr().err
 
+    def test_unquantized_bits_sweep(self, tmp_path):
+        tree = self._sweep_tree("bits", ["unquantized", 8])
+        tree["seeds"] = [0]
+        cfg = _write_cfg(tmp_path, tree)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        rows = _read_csv(out / "sweep.csv")
+        assert [r["value"] for r in rows] == ["unquantized", "8"]
+        assert all(r["n_failed"] == "0" for r in rows)
+
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, self._sweep_tree("delta", [1e-3, "abc"]))
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "sweep.values:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable, values, table", [
+        ("delta", [1e-3, 1e-2, 5e-2], "sweep.csv"),
+        ("N", [4, 9, 16], "scaling.csv"),
+    ])
+    def test_jobs_do_not_change_tables(self, tmp_path, variable, values, table):
+        tree = self._sweep_tree(variable, values)
+        tree["problem"]["d"] = 8
+        tree["network"] = {"topology_kind": "grid2d", "params": {"rows": 2, "cols": 2}}
+        tree["comms"]["outer_iter_cap"] = 4
+        cfg = _write_cfg(tmp_path, tree)
+        tables = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            rc = main(["sweep", "--config", cfg, "--out", str(out), "--jobs", str(jobs)])
+            assert rc == 0
+            tables.append([{k: v for k, v in row.items() if not k.startswith("runtime")}
+                           for row in _read_csv(out / table)])
+        assert len(tables[0]) == len(values)
+        assert tables[0] == tables[1]
+
 
 class TestVerify:
     def test_passing_report(self, tmp_path, capsys):

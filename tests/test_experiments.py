@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments as xp
 from dsinkhorn import otcore
 from dsinkhorn.config import ConfigError, run_config_from_dict
+from dsinkhorn.engine import simulate_decentralized
 from dsinkhorn.netsim import build_topology, metropolis_weights
 from dsinkhorn.protocol import CommsConfig, packet_wire_size
 
@@ -124,6 +126,37 @@ class TestTraceAndOverlapRows:
         assert rows[1]["b_tilde_min"] == 0.7
 
 
+def _convergence_trace(cfg):
+    """The seed-0 run's residual traces, as `dsinkhorn run` writes them to
+    trace.csv: always-on (delta=0) and, when delta > 0, triggered."""
+    instance = cfgmod.build_instance(cfg)
+    topology = cfgmod.build_topology_from_spec(cfg.network)
+    variants = {"always_on": replace(cfg.comms, delta=0.0)}
+    if cfg.comms.delta > 0:
+        variants["triggered"] = cfg.comms
+    rows, records = [], {}
+    for name, comms in variants.items():
+        records[name] = simulate_decentralized(
+            instance, topology, comms, channel=cfg.channel,
+            activation=cfg.activation, seed=cfg.seeds[0],
+        )
+        rows.extend(xp.trace_rows(name, records[name]))
+    return rows, records
+
+
+def _overlap(cfg):
+    """The seed-0 run against the oracle, as `dsinkhorn run` writes it to
+    overlap.csv; returns (rows, metrics, record)."""
+    instance = cfgmod.build_instance(cfg)
+    topology = cfgmod.build_topology_from_spec(cfg.network)
+    oracle = xp.centralized_oracle(instance)
+    metrics, record = xp.run_decentralized(
+        instance, topology, cfg.comms, channel=cfg.channel,
+        activation=cfg.activation, seed=cfg.seeds[0], oracle=oracle,
+    )
+    return xp.overlap_rows(oracle, record.barycenters), metrics, record
+
+
 @pytest.fixture(scope="module")
 def traced():
     cfg = _small_cfg(**{
@@ -133,7 +166,7 @@ def traced():
         "comms.inner_step_cap": 60,
         "comms.outer_iter_cap": 12,
     })
-    rows, records = xp.run_convergence_trace(cfg)
+    rows, records = _convergence_trace(cfg)
     return cfg, rows, records
 
 
@@ -145,7 +178,7 @@ class TestConvergenceTrace:
 
     def test_zero_delta_config_has_single_variant(self):
         cfg = _small_cfg(**{"comms.delta": 0.0, "comms.outer_iter_cap": 3})
-        rows, records = xp.run_convergence_trace(cfg)
+        rows, records = _convergence_trace(cfg)
         assert set(records) == {"always_on"}
 
     def test_triggered_floor_set_by_delta(self, traced):
@@ -203,7 +236,7 @@ class TestOverlap:
             "comms.inner_step_cap": 400,
             "comms.outer_iter_cap": 200,
         })
-        rows, metrics, record = xp.run_overlap(cfg)
+        rows, metrics, record = _overlap(cfg)
         assert len(rows) == 16
         assert metrics.converged
         for row in rows:
@@ -212,7 +245,7 @@ class TestOverlap:
 
     def test_default_problem_overlap_within_tolerance(self):
         cfg = run_config_from_dict({"comms": {"outer_iter_cap": 60}, "seeds": [0]})
-        rows, metrics, record = xp.run_overlap(cfg)
+        rows, metrics, record = _overlap(cfg)
         assert len(rows) == 64
         for row in rows:
             gap = max(row["b_tilde_min"] - row["b_star"],

@@ -1,4 +1,5 @@
-"""Tests for topologies, gossip weights, channel effects, and the round scheduler."""
+"""Tests for topologies, gossip weights, channel effects, and the reference
+round scheduler."""
 
 import numpy as np
 import pytest
@@ -7,18 +8,17 @@ from numpy.testing import assert_allclose
 from dsinkhorn.netsim import (
     ActivationModel,
     ChannelModel,
-    RoundScheduler,
     Topology,
     TopologyError,
     build_topology,
     consensus_residual,
     draw_active,
-    effective_weights,
     expected_weights,
     metropolis_weights,
     spectral_gap,
 )
-from dsinkhorn.protocol import AgentState, CommsConfig
+from dsinkhorn.protocol import CommsConfig
+from reference import AgentState, RoundScheduler, effective_weights
 
 
 def _agents(z0):

@@ -1,4 +1,5 @@
-"""Tests for the agent-side protocol: trigger, quantizer, wire format, gossip."""
+"""Tests for the transmission rules (comms config, clip, quantizer, wire size)
+and for the per-agent reference ops: trigger, wire format, gossip, stopping."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,15 @@ from numpy.testing import assert_allclose
 from dsinkhorn import otcore
 from dsinkhorn.protocol import (
     _HEADER,
-    AgentState,
     ClipRangeError,
     CommsConfig,
-    Packet,
     clip_log,
+    packet_wire_size,
+    quantize,
+)
+from reference import (
+    AgentState,
+    Packet,
     gossip_step,
     inner_converged,
     local_scaling_update,
@@ -19,8 +24,6 @@ from dsinkhorn.protocol import (
     normalize_scale,
     outer_converged,
     pack_packet,
-    packet_wire_size,
-    quantize,
     reseed_inner,
     unpack_packet,
 )
