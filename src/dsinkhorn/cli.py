@@ -129,7 +129,7 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     experiments.write_json(
         os.path.join(outdir, "run_metrics.json"),
         {
-            "runs": [m.to_dict() for m in all_metrics],
+            "runs": all_metrics,
             "aggregate": {
                 "error_max": error_max,
                 "error_mean": float(np.mean([m.l1_error_mean for m in all_metrics])),
@@ -179,24 +179,10 @@ def cmd_sweep(cfg: cfgmod.RunConfig, sweep_sec, jobs: int) -> int:
     values = sweep_sec.get("values")
     if not isinstance(values, (list, tuple)):
         raise cfgmod.ConfigError("sweep.values: must be a list")
-    spec = experiments.SweepSpec(
-        variable=variable, values=tuple(values), base=cfg, outputs=cfg.output_dir
-    )
+    spec = experiments.SweepSpec(variable=variable, values=tuple(values), base=cfg)
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg, extra={"sweep": {"variable": variable, "values": list(values)}})
-
-    if variable == "N":
-        rows, failures = experiments.run_scaling_sweep(spec, jobs=jobs)
-        name, fields = "scaling.csv", ["N", "messages_mean", "messages_ci",
-                                       "runtime_mean", "runtime_ci", "n_failed"]
-    elif variable == "d":
-        rows, failures = experiments.run_support_sweep(spec, jobs=jobs)
-        name, fields = "support.csv", ["d", "error_mean", "error_ci", "n_failed"]
-    else:
-        rows, failures = experiments.run_parameter_sweep(spec, jobs=jobs)
-        name, fields = "sweep.csv", ["value", "error_mean", "error_ci",
-                                     "messages_mean", "messages_ci",
-                                     "runtime_mean", "runtime_ci", "n_failed"]
+    name, fields, rows, failures = experiments.run_sweep(spec, jobs)
     experiments.write_csv(os.path.join(outdir, name), fields, rows)
     if failures:
         experiments.write_json(os.path.join(outdir, "failures.json"), failures)

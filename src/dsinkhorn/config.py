@@ -16,6 +16,7 @@ dotted field path (e.g. ``problem.epsilon: must be > 0``).
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,11 +114,23 @@ class RunConfig:
         }
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats such as ``1e-6``
+    or ``1.0e6``, which YAML 1.1 leaves as strings (JSON writes them)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config_file(path: str) -> dict:
     """Read a YAML (or JSON; YAML is a superset here) key-tree."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -140,7 +153,7 @@ def apply_overrides(data: dict, overrides) -> dict:
         if not all(keys):
             raise ConfigError(f"override {ov!r}: empty path component")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {ov!r}: bad value: {exc}") from exc
         node = out
@@ -244,17 +257,18 @@ def run_config_from_dict(data: dict) -> RunConfig:
         bits = bits_raw
     else:
         raise ConfigError("comms.bits: must be an integer >= 1 or 'unquantized'")
+    comms_fields = dict(
+        delta=_number(comms_sec, "delta", "comms.delta", 1e-3, minimum=0.0, allow_inf=True),
+        tau_inner=_number(comms_sec, "tau_inner", "comms.tau_inner", 1e-4, strict_min=0.0),
+        tau_outer=_number(comms_sec, "tau_outer", "comms.tau_outer", 1e-6, strict_min=0.0),
+        bits=bits,
+        s_min=_number(comms_sec, "s_min", "comms.s_min", -30.0),
+        s_max=_number(comms_sec, "s_max", "comms.s_max", 30.0),
+        inner_step_cap=_integer(comms_sec, "inner_step_cap", "comms.inner_step_cap", 200, minimum=1),
+        outer_iter_cap=_integer(comms_sec, "outer_iter_cap", "comms.outer_iter_cap", 500, minimum=1),
+    )
     try:
-        comms = protocol.CommsConfig(
-            delta=_number(comms_sec, "delta", "comms.delta", 1e-3, minimum=0.0, allow_inf=True),
-            tau_inner=_number(comms_sec, "tau_inner", "comms.tau_inner", 1e-4, strict_min=0.0),
-            tau_outer=_number(comms_sec, "tau_outer", "comms.tau_outer", 1e-6, strict_min=0.0),
-            bits=bits,
-            s_min=_number(comms_sec, "s_min", "comms.s_min", -30.0),
-            s_max=_number(comms_sec, "s_max", "comms.s_max", 30.0),
-            inner_step_cap=_integer(comms_sec, "inner_step_cap", "comms.inner_step_cap", 200, minimum=1),
-            outer_iter_cap=_integer(comms_sec, "outer_iter_cap", "comms.outer_iter_cap", 500, minimum=1),
-        )
+        comms = protocol.CommsConfig(**comms_fields)
     except ValueError as exc:
         raise ConfigError(f"comms: {exc}") from exc
 

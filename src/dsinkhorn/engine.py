@@ -31,7 +31,6 @@ class RunRecord:
     rounds_total: int
     messages_per_agent: np.ndarray
     variation_per_agent: np.ndarray
-    bytes_total: int
     clip_active: bool
     per_outer: list  # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_trace
     wall_clock_seconds: float
@@ -51,9 +50,7 @@ class NetworkEngine:
         self.channel = channel or netsim.ChannelModel()
         self.activation = activation or netsim.ActivationModel()
         self.n = topology.num_nodes
-        self.rng_act, self.rng_drop, self.rng_delay = netsim._rng_streams(
-            seed, self.channel, self.activation
-        )
+        self.rng_act, self.rng_drop, self.rng_delay = netsim._rng_streams(seed)
         dir_edges = topology.directed_edges()
         self.rcv = dir_edges[:, 0]
         self.snd = dir_edges[:, 1]
@@ -75,7 +72,6 @@ class NetworkEngine:
         """Round 0: every node broadcasts quantize(clip(z)) unconditionally;
         all caches are filled, bypassing drops, delays, and the trigger."""
         d = z0.shape[1]
-        self.d = d
         self.z = z0.astype(np.float64).copy()
         payload = protocol.quantize(
             protocol.clip_log(self.z, self.comms.s_min, self.comms.s_max), self.comms
@@ -86,7 +82,6 @@ class NetworkEngine:
         self.ce_time = np.zeros(self.n_edges, dtype=np.int64)
         self.messages = np.ones(self.n, dtype=np.int64)
         self.variation = np.zeros(self.n)
-        self.bytes_total = self.n * protocol.packet_wire_size(d, self.comms.bits)
         self.clip_active = bool(np.any((self.z < self.comms.s_min) | (self.z > self.comms.s_max)))
         self.send_counter = 1
         self.pending = {}  # arrival_round -> list of (edge_idx, send_time, payload_row)
@@ -127,7 +122,6 @@ class NetworkEngine:
             self.ref[fired] = payload
             self.anchor[fired] = payload
             self.messages[fired] += 1
-            self.bytes_total += fired.size * protocol.packet_wire_size(self.d, cm.bits)
             self._route(fired, payload, drops, delays, now)
 
         self._deliver(now)
@@ -216,8 +210,7 @@ def simulate_decentralized(
                 f"node {bad} at outer iteration {outer}: exp(z) overflowed; "
                 "tighten the clip range (s_max)"
             )
-        u = mu / (v @ kernel.entries.T + instance.ridge)
-        eng.z = otcore.log_message(u, kernel)
+        _, eng.z = otcore._local_scaling(mu, kernel, instance.ridge, v)
         residuals = []
         for inner_steps in range(1, comms.inner_step_cap + 1):
             eng.step_round()
@@ -256,7 +249,6 @@ def simulate_decentralized(
         rounds_total=eng.send_counter - 1,
         messages_per_agent=eng.messages.copy(),
         variation_per_agent=eng.variation.copy(),
-        bytes_total=eng.bytes_total,
         clip_active=eng.clip_active,
         per_outer=per_outer,
         wall_clock_seconds=wall,

@@ -39,9 +39,7 @@ __all__ = [
     "overlap_rows",
     "config_for_value",
     "downsample_reference",
-    "run_scaling_sweep",
-    "run_support_sweep",
-    "run_parameter_sweep",
+    "run_sweep",
     "CheckResult",
     "VerificationReport",
     "verify_theory",
@@ -53,8 +51,6 @@ __all__ = [
 # is judging.
 ORACLE_TOL = 1e-12
 ORACLE_MAX_ITER = 100_000
-
-SWEEP_VARIABLES = ("N", "d", "delta", "bits", "tau_inner", "epsilon", "drop_prob")
 
 
 @dataclass
@@ -77,28 +73,6 @@ class RunMetrics:
     wall_clock_seconds: float
     bias_bound: float
     clip_active: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "converged": self.converged,
-            "outer_iters": self.outer_iters,
-            "rounds_total": self.rounds_total,
-            "per_outer_iter": self.per_outer_iter,
-            "l1_error_per_node": None
-            if self.l1_error_per_node is None
-            else [float(x) for x in self.l1_error_per_node],
-            "l1_error_max": self.l1_error_max,
-            "l1_error_mean": self.l1_error_mean,
-            "broadcasts_per_agent": [int(x) for x in self.broadcasts_per_agent],
-            "variation_per_agent": [float(x) for x in self.variation_per_agent],
-            "messages_per_agent": [int(x) for x in self.messages_per_agent],
-            "messages_total": self.messages_total,
-            "bytes_total": self.bytes_total,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "bias_bound": self.bias_bound,
-            "clip_active": self.clip_active,
-        }
 
 
 def centralized_oracle(instance, kernel=None) -> np.ndarray:
@@ -208,12 +182,33 @@ def overlap_rows(oracle, barycenters) -> list:
     ]
 
 
+# Swept variable -> (config field it overrides, table file, label column,
+# statistics). Each statistic becomes a <stat>_mean and a <stat>_ci column
+# over the seeds, taken from the RunMetrics field in STATISTICS.
+SWEEPS = {
+    "N": ("network.params.n", "scaling.csv", "N", ("messages", "runtime")),
+    "d": ("problem.d", "support.csv", "d", ("error",)),
+    **{
+        variable: (path, "sweep.csv", "value", ("error", "messages", "runtime"))
+        for variable, path in (
+            ("delta", "comms.delta"),
+            ("bits", "comms.bits"),
+            ("tau_inner", "comms.tau_inner"),
+            ("epsilon", "problem.epsilon"),
+            ("drop_prob", "channel.drop_prob"),
+        )
+    },
+}
+STATISTICS = {"error": "l1_error_max", "messages": "messages_total", "runtime": "wall_clock_seconds"}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept variable over a base config.
 
-    ``variable`` is a short name (N, d, delta, bits, tau_inner, epsilon,
-    drop_prob); values must be nonempty, numeric and ascending. For
+    ``variable`` is a key of :data:`SWEEPS`; values must be nonempty,
+    numeric and ascending, and each must pass the checks its config field
+    gets in a config file; d values must also divide the largest one. For
     ``bits``, ``None`` or ``"unquantized"`` (stored as ``None``) means
     float64 payloads and sorts first.
     """
@@ -221,13 +216,10 @@ class SweepSpec:
     variable: str
     values: tuple
     base: cfgmod.RunConfig
-    outputs: str = "out"
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise cfgmod.ConfigError(
-                f"sweep.variable: must be one of {', '.join(SWEEP_VARIABLES)}"
-            )
+        if self.variable not in SWEEPS:
+            raise cfgmod.ConfigError(f"sweep.variable: must be one of {', '.join(SWEEPS)}")
         if not self.values:
             raise cfgmod.ConfigError("sweep.values: must be nonempty")
         bits = self.variable == "bits"
@@ -239,6 +231,14 @@ class SweepSpec:
         keys = [(-1 if v is None else v) for v in values]
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise cfgmod.ConfigError("sweep.values: must be sorted ascending")
+        for v in values:
+            try:
+                config_for_value(self.base, self.variable, v)
+            except cfgmod.ConfigError as exc:
+                raise cfgmod.ConfigError(f"sweep.values: {v!r}: {exc}") from exc
+        if self.variable == "d" and any(values[-1] % v for v in values):
+            # every d is scored against the largest-d reference, binned down
+            raise cfgmod.ConfigError(f"sweep.values: every d must divide the largest, {values[-1]}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -247,40 +247,30 @@ class SweepSpec:
 
 
 def config_for_value(base: cfgmod.RunConfig, variable: str, value) -> cfgmod.RunConfig:
-    """Derive the config at one sweep point."""
-    if variable == "N":
-        n = int(value)
-        kind = base.network.topology_kind
-        if kind == "grid2d":
-            side = math.isqrt(n)
-            if side * side != n:
-                raise cfgmod.ConfigError(
-                    f"sweep.values: N={n} is not a perfect square for grid2d"
-                )
-            params = {"rows": side, "cols": side}
-        else:
-            params = dict(base.network.params)
-            params["n"] = n
-        return replace(base, network=cfgmod.NetworkSpec(kind, params))
-    if variable == "d":
-        return replace(base, problem=replace(base.problem, d=int(value)))
-    if variable == "epsilon":
-        return replace(base, problem=replace(base.problem, epsilon=float(value)))
-    if variable == "delta":
-        return replace(base, comms=replace(base.comms, delta=float(value)))
-    if variable == "tau_inner":
-        return replace(base, comms=replace(base.comms, tau_inner=float(value)))
-    if variable == "bits":
-        bits = None if value in (None, "unquantized") else int(value)
-        return replace(base, comms=replace(base.comms, bits=bits))
-    if variable == "drop_prob":
-        return replace(base, channel=replace(base.channel, drop_prob=float(value)))
-    raise cfgmod.ConfigError(f"sweep.variable: unsupported variable {variable!r}")
+    """Derive the config at one sweep point: the swept field is set in the
+    base key-tree, which is then validated like a config file. On a grid2d
+    network, N must be a perfect square and sets rows = cols = sqrt(N)."""
+    if variable not in SWEEPS:
+        raise cfgmod.ConfigError(f"sweep.variable: unsupported variable {variable!r}")
+    tree = base.resolved_dict()
+    *sections, key = SWEEPS[variable][0].split(".")
+    node = tree
+    for name in sections:
+        node = node[name]
+    node[key] = value
+    if variable == "N" and base.network.topology_kind == "grid2d":
+        side = math.isqrt(value) if isinstance(value, int) and value > 0 else 0
+        if side * side != value:
+            raise cfgmod.ConfigError(f"network.params: N={value!r} is not a perfect square for grid2d")
+        tree["network"]["params"] = {"rows": side, "cols": side}
+    return cfgmod.run_config_from_dict(tree)
 
 
 def _mean_ci(samples) -> tuple:
-    """Sample mean and 95% t half-width (0 when only one sample)."""
+    """Sample mean and 95% t half-width (0 for one sample, NaN for none)."""
     arr = np.asarray(samples, dtype=np.float64)
+    if arr.size == 0:
+        return math.nan, math.nan
     mean = float(arr.mean())
     if arr.size < 2:
         return mean, 0.0
@@ -290,23 +280,22 @@ def _mean_ci(samples) -> tuple:
     return mean, half
 
 
-def _sweep_point(args):
-    """Run all seeds at one sweep value; returns (value, stats, failures)."""
-    spec, value, reference = args
-    empty = {"errors": [], "messages": [], "runtimes": [], "per_seed": []}
+def _sweep_point(task):
+    """Run all seeds at one sweep value; returns (samples per statistic,
+    failures). Errors are measured against ``oracle`` when one is given,
+    else against one centralized solve at this value."""
+    spec, value, oracle = task
+    *_, statistics = SWEEPS[spec.variable]
+    samples = {stat: [] for stat in statistics}
     try:
         cfg = config_for_value(spec.base, spec.variable, value)
         instance = cfgmod.build_instance(cfg)
         topology = cfgmod.build_topology_from_spec(cfg.network)
+        if "error" in statistics and oracle is None:
+            oracle = centralized_oracle(instance)
     except Exception as exc:  # noqa: BLE001 - value-level failures become rows too
-        return value, empty, [
-            {"value": value, "seed": seed, "error": str(exc)} for seed in spec.seeds
-        ]
-    oracle = None
-    if reference is not None:
-        oracle = reference
-    errors, messages, runtimes, failures = [], [], [], []
-    per_seed = []
+        return samples, [{"value": value, "seed": seed, "error": str(exc)} for seed in spec.seeds]
+    failures = []
     for seed in spec.seeds:
         try:
             metrics, _ = run_decentralized(
@@ -317,48 +306,15 @@ def _sweep_point(args):
                 activation=cfg.activation,
                 seed=seed,
                 oracle=oracle,
-                compute_error=reference is not False,
+                compute_error="error" in statistics,
                 collect_residuals=False,
             )
         except Exception as exc:  # noqa: BLE001 - failures become table rows
             failures.append({"value": value, "seed": seed, "error": str(exc)})
             continue
-        errors.append(metrics.l1_error_max)
-        messages.append(metrics.messages_total)
-        runtimes.append(metrics.wall_clock_seconds)
-        per_seed.append(metrics.to_dict())
-    return value, {"errors": errors, "messages": messages, "runtimes": runtimes,
-                   "per_seed": per_seed}, failures
-
-
-def _run_sweep_points(spec: SweepSpec, references, jobs: int):
-    tasks = [(spec, v, references[i]) for i, v in enumerate(spec.values)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_point, tasks))
-    return [_sweep_point(t) for t in tasks]
-
-
-def run_scaling_sweep(spec: SweepSpec, jobs: int = 1):
-    """Messages/runtime vs network size; no oracle is solved (accuracy
-    is not part of the scaling tables)."""
-    results = _run_sweep_points(spec, [False] * len(spec.values), jobs)
-    rows, failures = [], []
-    for value, agg, fails in results:
-        failures.extend(fails)
-        m_mean, m_ci = _mean_ci(agg["messages"]) if agg["messages"] else (math.nan, math.nan)
-        r_mean, r_ci = _mean_ci(agg["runtimes"]) if agg["runtimes"] else (math.nan, math.nan)
-        rows.append(
-            {
-                "N": int(value),
-                "messages_mean": m_mean,
-                "messages_ci": m_ci,
-                "runtime_mean": r_mean,
-                "runtime_ci": r_ci,
-                "n_failed": len(fails),
-            }
-        )
-    return rows, failures
+        for stat in statistics:
+            samples[stat].append(getattr(metrics, STATISTICS[stat]))
+    return samples, failures
 
 
 def downsample_reference(reference: np.ndarray, d: int) -> np.ndarray:
@@ -370,55 +326,41 @@ def downsample_reference(reference: np.ndarray, d: int) -> np.ndarray:
     return ref.reshape(d, ref.size // d).sum(axis=1)
 
 
-def run_support_sweep(spec: SweepSpec, jobs: int = 1):
-    """Accuracy vs support size against one fine-grid reference.
+def run_sweep(spec: SweepSpec, jobs: int = 1):
+    """Run every seed at every swept value; returns ``(table_name,
+    fieldnames, rows, failures)`` with one row per value.
 
-    The reference is the centralized barycenter at the largest swept d,
-    downsampled by bin aggregation onto each coarser grid.
+    Scaling (N) tables solve no oracle. A support (d) sweep measures every
+    value against one reference: the centralized barycenter at the largest
+    d, downsampled by bin aggregation onto each coarser grid. Every other
+    variable solves one oracle per value.
     """
-    d_max = int(max(spec.values))
-    cfg_max = config_for_value(spec.base, "d", d_max)
-    fine = centralized_oracle(cfgmod.build_instance(cfg_max))
-    references = [downsample_reference(fine, int(v)) for v in spec.values]
-    results = _run_sweep_points(spec, references, jobs)
-    rows, failures = [], []
-    for value, agg, fails in results:
-        failures.extend(fails)
-        e_mean, e_ci = _mean_ci(agg["errors"]) if agg["errors"] else (math.nan, math.nan)
-        rows.append(
-            {
-                "d": int(value),
-                "error_mean": e_mean,
-                "error_ci": e_ci,
-                "n_failed": len(fails),
-            }
+    _, table, label, statistics = SWEEPS[spec.variable]
+    oracles = [None] * len(spec.values)
+    if spec.variable == "d":
+        fine = centralized_oracle(
+            cfgmod.build_instance(config_for_value(spec.base, "d", spec.values[-1]))
         )
-    return rows, failures
-
-
-def run_parameter_sweep(spec: SweepSpec, jobs: int = 1):
-    """Generic sweep (delta, bits, tau_inner, epsilon, drop_prob): error,
-    messages, and runtime statistics per value."""
-    results = _run_sweep_points(spec, [None] * len(spec.values), jobs)
+        oracles = [downsample_reference(fine, v) for v in spec.values]
+    tasks = [(spec, v, oracle) for v, oracle in zip(spec.values, oracles)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_sweep_point, tasks))
+    else:
+        results = [_sweep_point(t) for t in tasks]
+    fieldnames = [label]
+    for stat in statistics:
+        fieldnames += [f"{stat}_mean", f"{stat}_ci"]
+    fieldnames.append("n_failed")
     rows, failures = [], []
-    for value, agg, fails in results:
+    for value, (samples, fails) in zip(spec.values, results):
         failures.extend(fails)
-        e_mean, e_ci = _mean_ci(agg["errors"]) if agg["errors"] else (math.nan, math.nan)
-        m_mean, m_ci = _mean_ci(agg["messages"]) if agg["messages"] else (math.nan, math.nan)
-        r_mean, r_ci = _mean_ci(agg["runtimes"]) if agg["runtimes"] else (math.nan, math.nan)
-        rows.append(
-            {
-                "value": "unquantized" if value is None else value,
-                "error_mean": e_mean,
-                "error_ci": e_ci,
-                "messages_mean": m_mean,
-                "messages_ci": m_ci,
-                "runtime_mean": r_mean,
-                "runtime_ci": r_ci,
-                "n_failed": len(fails),
-            }
-        )
-    return rows, failures
+        row = {label: "unquantized" if value is None else value}
+        for stat in statistics:
+            row[f"{stat}_mean"], row[f"{stat}_ci"] = _mean_ci(samples[stat])
+        row["n_failed"] = len(fails)
+        rows.append(row)
+    return table, fieldnames, rows, failures
 
 
 # ---------------------------------------------------------------------------

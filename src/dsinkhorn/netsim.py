@@ -7,7 +7,7 @@ and the seeded activation/drop/delay streams. The round that ties these
 together is :class:`dsinkhorn.engine.NetworkEngine`.
 """
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +96,12 @@ class Topology:
         return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
+def _int_param(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TopologyError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_topology(kind: str, **params) -> Topology:
     """Construct one of the supported graph families.
 
@@ -105,7 +111,7 @@ def build_topology(kind: str, **params) -> Topology:
     ``max_attempts`` raises ``TopologyError``.
     """
     if kind == "grid2d":
-        rows, cols = int(params["rows"]), int(params["cols"])
+        rows, cols = _int_param("rows", params["rows"]), _int_param("cols", params["cols"])
         if rows < 1 or cols < 1:
             raise TopologyError("grid2d needs rows, cols >= 1")
         edges = []
@@ -118,7 +124,7 @@ def build_topology(kind: str, **params) -> Topology:
                     edges.append((node(r, c), node(r + 1, c)))
         return Topology(rows * cols, tuple(edges), kind=kind, params={"rows": rows, "cols": cols})
     if kind in ("ring", "path", "complete"):
-        n = int(params["n"])
+        n = _int_param("n", params["n"])
         if n < 2 or (kind == "ring" and n < 3):
             raise TopologyError(f"{kind} needs enough nodes")
         if kind == "ring":
@@ -129,10 +135,10 @@ def build_topology(kind: str, **params) -> Topology:
             edges = [(i, k) for i in range(n) for k in range(i + 1, n)]
         return Topology(n, tuple(edges), kind=kind, params={"n": n})
     if kind == "random_geometric":
-        n = int(params["n"])
+        n = _int_param("n", params["n"])
         radius = float(params["radius"])
-        seed = int(params.get("seed", 0))
-        max_attempts = int(params.get("max_attempts", 50))
+        seed = _int_param("seed", params.get("seed", 0))
+        max_attempts = _int_param("max_attempts", params.get("max_attempts", 50))
         root = np.random.SeedSequence(seed)
         for child in root.spawn(max_attempts):
             rng = np.random.default_rng(child)
@@ -196,13 +202,11 @@ class ChannelModel:
     A packet is dropped with ``drop_prob``; otherwise it arrives after a
     uniform delay in {0, ..., max_staleness} rounds. Receivers keep the
     freshest payload per neighbor: a late packet older than the cached one
-    is discarded. ``seed`` optionally pins this model's stream; by default
-    streams are derived from the run seed.
+    is discarded.
     """
 
     drop_prob: float = 0.0
     max_staleness: int = 0
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.drop_prob < 1.0):
@@ -224,7 +228,6 @@ class ActivationModel:
 
     mode: str = "synchronous"
     p_active: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("synchronous", "randomized_pairwise", "randomized_subset"):
@@ -233,13 +236,9 @@ class ActivationModel:
             raise ValueError("p_active must be in (0, 1]")
 
 
-def _rng_streams(seed: int, channel: ChannelModel, activation: ActivationModel):
-    """Independent activation/drop/delay generators split from one root seed."""
-    act_seed, drop_seed, delay_seed = np.random.SeedSequence(seed).spawn(3)
-    act = np.random.default_rng(act_seed if activation.seed is None else activation.seed)
-    drop = np.random.default_rng(drop_seed if channel.seed is None else channel.seed)
-    delay = np.random.default_rng(delay_seed if channel.seed is None else channel.seed + 1)
-    return act, drop, delay
+def _rng_streams(seed: int):
+    """Independent activation/drop/delay generators split from the run seed."""
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
 
 
 def draw_active(rng, activation: ActivationModel, topology: Topology) -> np.ndarray:

@@ -212,12 +212,18 @@ def _softmax(log_v: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
+def _local_scaling(mu: np.ndarray, kernel: GibbsKernel, ridge: float, v: np.ndarray):
+    """Every agent's scaling step from v > 0: u = mu / (K v + ridge), then
+    s = log(K^T u). ``v`` is one shared vector, shape (d,), or one per
+    agent, shape (N, d); returns (u, s), both (N, d)."""
+    u = mu / (v @ kernel.entries.T + ridge)  # (Kv)_j = sum_k K[j,k] v_k
+    return u, log_message(u, kernel)
+
+
 def _ibp_log_step(mu: np.ndarray, kernel: GibbsKernel, ridge: float, log_v: np.ndarray):
     """One IBP round in the log domain. Returns (u, log_v_next)."""
-    v = np.exp(log_v)
-    kv = v @ kernel.entries.T  # (Kv)_j = sum_k K[j,k] v_k, broadcast over agents
-    u = mu / (kv + ridge)
-    return u, log_message(u, kernel).mean(axis=0)
+    u, s = _local_scaling(mu, kernel, ridge, np.exp(log_v))
+    return u, s.mean(axis=0)
 
 
 class BarycenterResult(NamedTuple):

@@ -279,9 +279,7 @@ class RoundScheduler:
         self.comms = comms
         self.channel = channel or netsim.ChannelModel()
         self.activation = activation or netsim.ActivationModel()
-        self.rng_act, self.rng_drop, self.rng_delay = netsim._rng_streams(
-            seed, self.channel, self.activation
-        )
+        self.rng_act, self.rng_drop, self.rng_delay = netsim._rng_streams(seed)
         self.dir_edges = topology.directed_edges()  # (receiver, sender) rows
         self.pending = []  # (arrival_round, send_time, sender, receiver, Packet)
         self._send_counter = 0

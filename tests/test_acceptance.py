@@ -240,7 +240,7 @@ def test_c07_message_scaling():
         }
     )
     spec = experiments.SweepSpec("N", (4, 9, 16, 25, 36), base)
-    rows, failures = experiments.run_scaling_sweep(spec)
+    _, _, rows, failures = experiments.run_sweep(spec)
     assert failures == []
 
     sizes = np.array([r["N"] for r in rows], dtype=float)
@@ -347,7 +347,7 @@ def test_c11_support_saturation():
         }
     )
     spec = experiments.SweepSpec("d", (8, 16, 32, 64, 128), base)
-    rows, failures = experiments.run_support_sweep(spec)
+    _, _, rows, failures = experiments.run_sweep(spec)
     assert failures == []
     errors = [r["error_mean"] for r in rows]
     assert errors[0] > errors[1] > errors[2]

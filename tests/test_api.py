@@ -31,8 +31,8 @@ EXPORTED = {
     "RunRecord", "simulate_decentralized", "consensus_trace",
     # experiments & config
     "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",
-    "run_decentralized", "run_scaling_sweep", "run_support_sweep",
-    "verify_theory", "RunConfig", "ProblemSpec", "NetworkSpec",
+    "run_decentralized", "run_sweep", "verify_theory",
+    "RunConfig", "ProblemSpec", "NetworkSpec",
     "ConfigError", "build_instance", "build_topology_from_spec",
     "mixture_histograms",
 }

@@ -159,6 +159,26 @@ class TestOverrides:
         assert resolved["comms"]["delta"] == 0.05
         assert resolved["problem"]["d"] == 8
 
+    def test_exponent_override(self, tmp_path):
+        cfg = _write_cfg(tmp_path, _base_tree())
+        out = tmp_path / "out"
+        rc = main(["centralized", "--config", cfg, "--out", str(out),
+                   "--override", "comms.tau_outer=1e-6", "problem.epsilon=5e-1"])
+        assert rc == 0
+        resolved = json.loads((out / "config_resolved.json").read_text())
+        assert resolved["comms"]["tau_outer"] == 1e-6
+        assert resolved["problem"]["epsilon"] == 0.5
+
+    def test_json_config_with_exponents(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_tree()))
+        assert "1e-06" in path.read_text()
+        out = tmp_path / "out"
+        rc = main(["centralized", "--config", str(path), "--out", str(out)])
+        assert rc == 0
+        resolved = json.loads((out / "config_resolved.json").read_text())
+        assert resolved["comms"]["tau_outer"] == 1e-6
+
     def test_malformed_override_is_config_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, _base_tree())
         rc = main(["centralized", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -253,6 +273,21 @@ class TestSweep:
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "sweep.values:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable, values, message", [
+        ("bits", [8.7, 12], "sweep.values: 8.7: comms.bits"),
+        ("N", [4, 5], "sweep.values: 5: network.params"),
+        ("drop_prob", [0.0, 1.0], "sweep.values: 1.0: channel.drop_prob"),
+    ])
+    def test_invalid_value_exits_before_any_run(self, tmp_path, capsys, variable, values, message):
+        tree = self._sweep_tree(variable, values)
+        tree["network"] = {"topology_kind": "grid2d", "params": {"rows": 2, "cols": 2}}
+        cfg = _write_cfg(tmp_path, tree)
+        out = tmp_path / "o"
+        rc = main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("variable, values, table", [
         ("delta", [1e-3, 1e-2, 5e-2], "sweep.csv"),

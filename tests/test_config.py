@@ -31,6 +31,15 @@ class TestLoadConfigFile:
         p.write_text(json.dumps({"comms": {"bits": 8}}))
         assert load_config_file(str(p))["comms"]["bits"] == 8
 
+    def test_json_exponent_floats(self, tmp_path):
+        # json writes 1e-06 with no dot, which YAML 1.1 reads as a string
+        p = tmp_path / "cfg.json"
+        p.write_text('{"comms": {"tau_outer": 1e-06, "delta": 1E-3}, "problem": {"epsilon": 2e-1}}')
+        cfg = run_config_from_dict(load_config_file(str(p)))
+        assert cfg.comms.tau_outer == 1e-6
+        assert cfg.comms.delta == 1e-3
+        assert cfg.problem.epsilon == 0.2
+
     def test_empty_file_is_empty_tree(self, tmp_path):
         p = tmp_path / "empty.yaml"
         p.write_text("")
@@ -69,6 +78,20 @@ class TestApplyOverrides:
         assert out["comms"]["bits"] == "unquantized"
         assert out["seeds"] == [3, 4]
         assert out["channel"]["drop_prob"] == 0.25
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1e-6", 1e-6), ("1E6", 1e6), ("-2.5e-3", -2.5e-3), ("1.0e6", 1e6), (".5e2", 50.0),
+    ])
+    def test_exponent_floats(self, raw, value):
+        out = apply_overrides({}, [f"comms.tau_outer={raw}"])
+        assert out["comms"]["tau_outer"] == value
+        assert type(out["comms"]["tau_outer"]) is float
+
+    def test_integers_and_strings_keep_their_type(self):
+        out = apply_overrides({}, ["problem.d=16", "activation.mode=e5", "output_dir=1e"])
+        assert out["problem"]["d"] == 16 and type(out["problem"]["d"]) is int
+        assert out["activation"]["mode"] == "e5"
+        assert out["output_dir"] == "1e"
 
     def test_original_tree_untouched(self):
         base = {"comms": {"delta": 1e-3}}
@@ -131,6 +154,13 @@ class TestRunConfigValidation:
         ({"output_dir": 7}, r"output_dir: must be a nonempty string"),
         ({"typo_section": {}}, r"config\.typo_section: unknown field"),
         ({"comms": {"quantizer": 8}}, r"comms\.quantizer: unknown field"),
+        ({"network": {"topology_kind": "ring", "params": {"n": 6.7}}},
+         r"network\.params: n must be an integer"),
+        ({"network": {"params": {"rows": 2, "cols": 2.5}}}, r"network\.params: cols must be an integer"),
+        ({"network": {"topology_kind": "random_geometric",
+                      "params": {"n": 5, "radius": 0.9, "seed": 1.5}}},
+         r"network\.params: seed must be an integer"),
+        ({"comms": {"tau_outer": "1e-6x"}}, r"^comms\.tau_outer: must be a number"),
     ])
     def test_field_errors_name_the_path(self, tree, message):
         with pytest.raises(ConfigError, match=message):
@@ -171,6 +201,17 @@ class TestResolvedDict:
         assert resolved["comms"]["delta"] == ".inf"
         assert resolved["comms"]["bits"] == "unquantized"
         assert run_config_from_dict(resolved) == cfg
+
+    def test_round_trip_every_section(self):
+        cfg = run_config_from_dict(
+            {"problem": {"d": 8, "epsilon": 0.3, "density_seed": 2},
+             "network": {"topology_kind": "ring", "params": {"n": 5}},
+             "comms": {"delta": 0.0, "bits": 12, "s_min": -20.0, "inner_step_cap": 7},
+             "channel": {"drop_prob": 0.1, "max_staleness": 2},
+             "activation": {"mode": "randomized_pairwise"},
+             "seeds": [4], "output_dir": "elsewhere"}
+        )
+        assert run_config_from_dict(cfg.resolved_dict()) == cfg
 
     def test_resolved_tree_is_json_serializable(self):
         cfg = run_config_from_dict({"comms": {"delta": "inf"}})

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from dsinkhorn import otcore, protocol
 from dsinkhorn.config import mixture_histograms
 from dsinkhorn.engine import consensus_trace, simulate_decentralized
+from dsinkhorn.experiments import run_decentralized
 from dsinkhorn.netsim import (
     ActivationModel,
     ChannelModel,
@@ -20,10 +21,12 @@ from dsinkhorn.netsim import (
 from dsinkhorn.protocol import CommsConfig
 from reference import (
     AgentState,
+    Packet,
     RoundScheduler,
     inner_converged,
     local_scaling_update,
     normalize_scale,
+    pack_packet,
     reseed_inner,
 )
 
@@ -157,15 +160,22 @@ class TestEngineMatchesReference:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_bytes_account_for_every_broadcast(self, regime):
+        # every reference broadcast reaches each neighbor as one packed packet
         kind, params = regime["topology"]
         topology = build_topology(kind, **params)
         instance = _instance(d=16, n=topology.num_nodes)
-        record = simulate_decentralized(
+        metrics, _ = run_decentralized(
+            instance, topology, regime["comms"], channel=regime["channel"],
+            activation=regime["activation"], seed=5, compute_error=False,
+        )
+        ref = reference_run(
             instance, topology, regime["comms"],
             channel=regime["channel"], activation=regime["activation"], seed=5,
         )
-        wire = protocol.packet_wire_size(16, regime["comms"].bits)
-        assert record.bytes_total == record.messages_per_agent.sum() * wire
+        packet = Packet(sender=0, payload=protocol.quantize(np.zeros(16), regime["comms"]),
+                        outer_iter=1, inner_step=1)
+        wire = len(pack_packet(packet, regime["comms"]))
+        assert metrics.bytes_total == int(ref["messages"] @ topology.degrees()) * wire
 
 
 class TestRunRecord:

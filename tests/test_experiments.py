@@ -1,6 +1,7 @@
 """Tests for run metrics, sweeps, the verification checks, and artifact writers."""
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -48,13 +49,12 @@ class TestRunMetrics:
         instance = _small_instance()
         topology = build_topology("grid2d", rows=2, cols=2)
         comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=40, outer_iter_cap=20)
-        metrics, record = xp.run_decentralized(instance, topology, comms, seed=0)
+        metrics, _ = xp.run_decentralized(instance, topology, comms, seed=0)
         deg = topology.degrees()
         assert np.array_equal(metrics.messages_per_agent, metrics.broadcasts_per_agent * deg)
         assert metrics.messages_total == metrics.messages_per_agent.sum()
         wire = packet_wire_size(16, comms.bits)
         assert metrics.bytes_total == metrics.messages_total * wire
-        assert record.bytes_total == record.messages_per_agent.sum() * wire
 
     def test_error_fields(self):
         instance = _small_instance()
@@ -87,14 +87,23 @@ class TestRunMetrics:
         b, _ = xp.run_decentralized(instance, topology, comms, seed=0)
         assert a.l1_error_max == b.l1_error_max
 
-    def test_to_dict_is_json_ready(self):
+    @pytest.mark.parametrize("compute_error", [True, False])
+    def test_metrics_are_json_ready(self, compute_error):
         instance = _small_instance()
         topology = build_topology("complete", n=4)
         metrics, _ = xp.run_decentralized(
-            instance, topology, CommsConfig(inner_step_cap=10, outer_iter_cap=5), seed=0
+            instance, topology, CommsConfig(inner_step_cap=10, outer_iter_cap=5), seed=0,
+            compute_error=compute_error,
         )
-        text = json.dumps(xp._json_safe(metrics.to_dict()))
-        assert json.loads(text)["seed"] == 0
+        tree = json.loads(json.dumps(xp._json_safe(metrics)))
+        assert list(tree) == [f.name for f in dataclasses.fields(xp.RunMetrics)]
+        assert tree["seed"] == 0
+        assert tree["broadcasts_per_agent"] == metrics.broadcasts_per_agent.tolist()
+        if compute_error:
+            assert tree["l1_error_per_node"] == metrics.l1_error_per_node.tolist()
+        else:
+            assert tree["l1_error_per_node"] is None
+            assert tree["l1_error_max"] == "nan"
 
 
 class TestTraceAndOverlapRows:
@@ -263,6 +272,10 @@ class TestMeanCi:
     def test_single_sample(self):
         assert xp._mean_ci([7.5]) == (7.5, 0.0)
 
+    def test_no_samples(self):
+        mean, half = xp._mean_ci([])
+        assert math.isnan(mean) and math.isnan(half)
+
     def test_identical_samples_have_zero_width(self):
         mean, half = xp._mean_ci([2.0, 2.0, 2.0])
         assert mean == 2.0
@@ -290,6 +303,28 @@ class TestSweepSpec:
     def test_none_sorts_first_for_bits(self):
         spec = xp.SweepSpec("bits", (None, 8, 16), _small_cfg())
         assert spec.values[0] is None
+
+    @pytest.mark.parametrize("variable, values, message", [
+        ("bits", (8.7, 12), r"sweep\.values: 8\.7: comms\.bits: must be an integer"),
+        ("bits", (8, 40), r"sweep\.values: 40: comms: bits must be an integer in \[1, 32\]"),
+        ("d", (8.0, 16), r"sweep\.values: 8\.0: problem\.d: must be an integer"),
+        ("N", (4.5, 9), r"sweep\.values: 4\.5: network\.params: N=4\.5 is not a perfect square"),
+        ("epsilon", (-1.0, 0.5), r"sweep\.values: -1\.0: problem\.epsilon: must be > 0"),
+        ("drop_prob", (0.5, 1.0), r"sweep\.values: 1\.0: channel\.drop_prob"),
+    ])
+    def test_values_get_their_config_field_checks(self, variable, values, message):
+        with pytest.raises(ConfigError, match=message):
+            xp.SweepSpec(variable, values, _small_cfg())
+
+    def test_d_values_divide_the_largest(self):
+        with pytest.raises(ConfigError, match=r"sweep\.values: every d must divide the largest, 12"):
+            xp.SweepSpec("d", (8, 12), _small_cfg())
+        assert xp.SweepSpec("d", (4, 12), _small_cfg()).values == (4, 12)
+
+    def test_fractional_n_on_ring(self):
+        base = _small_cfg(**{"network.topology_kind": "ring", "network.params": {"n": 4}})
+        with pytest.raises(ConfigError, match=r"sweep\.values: 4\.5: network\.params: n must be an integer"):
+            xp.SweepSpec("N", (4.5, 9), base)
 
 
 class TestConfigForValue:
@@ -335,8 +370,11 @@ class TestParameterSweep:
     def test_delta_sweep_messages_monotone(self):
         base = _small_cfg(**{"comms.outer_iter_cap": 12})
         spec = xp.SweepSpec("delta", (0.0, 1e-3, 1e-2), base)
-        rows, failures = xp.run_parameter_sweep(spec)
+        table, fieldnames, rows, failures = xp.run_sweep(spec)
         assert failures == []
+        assert table == "sweep.csv"
+        assert fieldnames == ["value", "error_mean", "error_ci", "messages_mean",
+                              "messages_ci", "runtime_mean", "runtime_ci", "n_failed"]
         assert [r["value"] for r in rows] == [0.0, 1e-3, 1e-2]
         msgs = [r["messages_mean"] for r in rows]
         assert msgs[0] >= msgs[1] >= msgs[2]
@@ -347,7 +385,7 @@ class TestParameterSweep:
     def test_bits_sweep_row_labels(self):
         base = _small_cfg(**{"comms.outer_iter_cap": 5, "seeds": [0]})
         spec = xp.SweepSpec("bits", (None, 8), base)
-        rows, failures = xp.run_parameter_sweep(spec)
+        _, _, rows, failures = xp.run_sweep(spec)
         assert rows[0]["value"] == "unquantized"
         assert rows[1]["value"] == 8
 
@@ -356,7 +394,7 @@ class TestParameterSweep:
         # value, the other value still runs
         base = _small_cfg(**{"comms.outer_iter_cap": 5})
         spec = xp.SweepSpec("epsilon", (1e-9, 0.5), base)
-        rows, failures = xp.run_parameter_sweep(spec)
+        _, _, rows, failures = xp.run_sweep(spec)
         assert len(failures) == len(base.seeds)
         assert all(f["value"] == 1e-9 for f in failures)
         assert "kernel" in failures[0]["error"].lower() or "underflow" in failures[0]["error"].lower()
@@ -370,12 +408,23 @@ class TestParameterSweep:
     def test_deterministic_up_to_runtime(self):
         base = _small_cfg(**{"comms.outer_iter_cap": 8, "seeds": [0]})
         spec = xp.SweepSpec("delta", (1e-3, 1e-2), base)
-        rows_a, _ = xp.run_parameter_sweep(spec)
-        rows_b, _ = xp.run_parameter_sweep(spec)
+        rows_a = xp.run_sweep(spec)[2]
+        rows_b = xp.run_sweep(spec)[2]
         for a, b in zip(rows_a, rows_b):
             a = {k: v for k, v in a.items() if not k.startswith("runtime")}
             b = {k: v for k, v in b.items() if not k.startswith("runtime")}
             assert a == b
+
+    def test_one_oracle_per_value(self, monkeypatch):
+        calls = []
+        solve = otcore.centralized_barycenter
+        monkeypatch.setattr(otcore, "centralized_barycenter",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        base = _small_cfg(**{"comms.outer_iter_cap": 3, "seeds": [0, 1, 2]})
+        _, _, rows, failures = xp.run_sweep(xp.SweepSpec("delta", (1e-3, 1e-2, 5e-2), base))
+        assert failures == []
+        assert all(np.isfinite(r["error_mean"]) for r in rows)
+        assert len(calls) == 3
 
 
 class TestScalingSweep:
@@ -391,8 +440,11 @@ class TestScalingSweep:
             "seeds": [0, 1],
         })
         spec = xp.SweepSpec("N", (4, 9), base)
-        rows, failures = xp.run_scaling_sweep(spec)
+        table, fieldnames, rows, failures = xp.run_sweep(spec)
         assert failures == []
+        assert table == "scaling.csv"
+        assert fieldnames == ["N", "messages_mean", "messages_ci",
+                              "runtime_mean", "runtime_ci", "n_failed"]
         assert [r["N"] for r in rows] == [4, 9]
         for r in rows:
             assert r["messages_mean"] > 0
@@ -410,7 +462,7 @@ class TestScalingSweep:
             "comms.outer_iter_cap": 8,
             "seeds": [0],
         })
-        rows, _ = xp.run_scaling_sweep(xp.SweepSpec("N", (4, 16), base))
+        rows = xp.run_sweep(xp.SweepSpec("N", (4, 16), base))[2]
         assert rows[1]["messages_mean"] > rows[0]["messages_mean"]
 
 
@@ -438,8 +490,10 @@ class TestSupportSweep:
             "seeds": [0],
         })
         spec = xp.SweepSpec("d", (8, 16), base)
-        rows, failures = xp.run_support_sweep(spec)
+        table, fieldnames, rows, failures = xp.run_sweep(spec)
         assert failures == []
+        assert table == "support.csv"
+        assert fieldnames == ["d", "error_mean", "error_ci", "n_failed"]
         assert [r["d"] for r in rows] == [8, 16]
         for r in rows:
             assert np.isfinite(r["error_mean"])
