@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import netsim, otcore, protocol
 
@@ -332,9 +332,7 @@ def mixture_histograms(d: int, num_agents: int, density_seed: int):
         m1, m2 = rng.uniform(0.15, 0.85, size=2)
         sd1, sd2 = rng.uniform(0.05, 0.12, size=2)
         w1 = rng.uniform(0.3, 0.7)
-        cdf = w1 * norm.cdf(edges, loc=m1, scale=sd1) + (1 - w1) * norm.cdf(
-            edges, loc=m2, scale=sd2
-        )
+        cdf = w1 * ndtr((edges - m1) / sd1) + (1 - w1) * ndtr((edges - m2) / sd2)
         mass = np.diff(cdf)
         hists.append(otcore.Histogram(mass / mass.sum()))
     return hists

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import config as cfgmod
 from . import engine, netsim, otcore, protocol
@@ -274,9 +274,7 @@ def _mean_ci(samples) -> tuple:
     mean = float(arr.mean())
     if arr.size < 2:
         return mean, 0.0
-    half = float(
-        stats.t.ppf(0.975, arr.size - 1) * arr.std(ddof=1) / math.sqrt(arr.size)
-    )
+    half = float(stdtrit(arr.size - 1, 0.975) * arr.std(ddof=1) / math.sqrt(arr.size))
     return mean, half
 
 

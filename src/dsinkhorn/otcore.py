@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Histogram",
@@ -182,17 +181,19 @@ class ProblemInstance:
 
 
 def log_message(u: np.ndarray, kernel: GibbsKernel) -> np.ndarray:
-    """Compute s = log(K^T u) through a log-sum-exp reduction, for one
-    scaling vector, shape (d,), or one per row, shape (N, d).
-
-    ``u`` may contain zeros as long as K^T u stays strictly positive;
-    otherwise a ``DegenerateStateError`` is raised.
+    """s = log(K^T u) for one scaling vector, shape (d,), or one per row,
+    shape (N, d), as the max-shifted product log((u/u_max) @ K) + log(u_max)
+    with u_max the row maximum: each row's scale is absorbed into log(u_max)
+    (Schmitzer 2019, arXiv:1610.06519), and one matrix product replaces a
+    (N, d, d) log-sum-exp. Safe because K > 0 (``build_gibbs_kernel``
+    rejects zero entries) and u >= 0: no term cancels, and the shifted row
+    holds a 1, so each sum is at least one entry of K and cannot underflow.
+    A row that is all zero (or not finite) raises ``DegenerateStateError``.
     """
     u = np.asarray(u, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(u)
-    # (K^T u)_j = sum_k K[k, j] u[k]; axis -2 of the broadcast runs over k
-    s = logsumexp(kernel.log_entries + log_u[..., :, None], axis=-2)
+    u_max = u.max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log((u / u_max) @ kernel.entries) + np.log(u_max)  # sum_k u_k K[k, j]
     if not np.all(np.isfinite(s)):
         raise DegenerateStateError("K^T u has zero entries; scaling vector is degenerate")
     return s

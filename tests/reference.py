@@ -9,17 +9,29 @@ the round's effective doubly-stochastic weights. The vectorized
 exactly; ``test_engine.py`` pins the two together.
 
 ``pack_packet``/``unpack_packet`` are the byte-level wire format that
-``dsinkhorn.protocol.packet_wire_size`` accounts for.
+``dsinkhorn.protocol.packet_wire_size`` accounts for, and
+``log_message_lse`` is the log-sum-exp form of ``otcore.log_message``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from dsinkhorn import netsim, otcore
 from dsinkhorn.protocol import _HEADER, ClipRangeError, CommsConfig, clip_log, quantize
 
 _UNQUANTIZED_WIRE_BITS = 0  # wire sentinel for float64 payloads
+
+
+def log_message_lse(u: np.ndarray, kernel: otcore.GibbsKernel) -> np.ndarray:
+    """s = log(K^T u) through an explicit log-sum-exp over an (N, d, d)
+    broadcast, for u of shape (d,) or (N, d); zeros in u enter as -inf."""
+    u = np.asarray(u, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    # (K^T u)_j = sum_k K[k, j] u[k]; axis -2 of the broadcast runs over k
+    return logsumexp(kernel.log_entries + log_u[..., :, None], axis=-2)
 
 
 # -- wire format -------------------------------------------------------------

@@ -4,6 +4,9 @@ per-agent reference implementation lives only under tests/)."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,17 @@ def test_package_does_not_import_tests(path):
             assert imported.split(".")[0] not in ("reference", "tests"), (
                 f"{path.name} imports {imported}"
             )
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs most of a second to import; the package needs only scipy.special
+    path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, dsinkhorn.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

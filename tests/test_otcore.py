@@ -4,10 +4,13 @@ Hand-checkable examples are frozen as literals; randomized sections use
 seeded generators so failures reproduce exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dsinkhorn.config import mixture_histograms
 from dsinkhorn.protocol import CommsConfig
 from dsinkhorn.otcore import (
     CostMatrix,
@@ -17,6 +20,7 @@ from dsinkhorn.otcore import (
     ProblemInstance,
     build_gibbs_kernel,
     _ibp_log_step,
+    _local_scaling,
     centralized_barycenter,
     grid_cost,
     hilbert_distance,
@@ -26,6 +30,7 @@ from dsinkhorn.otcore import (
     softmax_normalize,
     theory_constants,
 )
+from reference import log_message_lse
 
 E_INV = 0.36787944117144233  # exp(-1)
 E_INV4 = 0.01831563888873418  # exp(-4)
@@ -168,6 +173,44 @@ class TestLogMessage:
         kernel = build_gibbs_kernel(grid_cost(4), epsilon=1.0)
         with pytest.raises(DegenerateStateError):
             log_message(np.zeros(4), kernel)
+
+    @pytest.mark.parametrize("d", [64, 256])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.02, 0.002, 0.0015])
+    def test_matches_logsumexp_along_ibp(self, epsilon, d):
+        # density seed 5 gives agent 1 zero-mass bins at both sizes, so u
+        # has exact zeros; eps = 0.0015 puts min K near 3e-290
+        kernel = build_gibbs_kernel(grid_cost(d), epsilon)
+        mu = np.stack([h.weights for h in mixture_histograms(d, 4, 5)])
+        assert (mu == 0).any()
+        log_v = np.zeros(d)
+        for _ in range(30):
+            u, s = _local_scaling(mu, kernel, 1e-16, np.exp(log_v))
+            assert_allclose(s, log_message_lse(u, kernel), rtol=0, atol=1e-13)
+            for row in u:
+                assert_allclose(
+                    log_message(row, kernel), log_message_lse(row, kernel), rtol=0, atol=1e-13
+                )
+            log_v = s.mean(axis=0) - s.mean()
+
+    def test_zero_row_in_batch_degenerate(self):
+        kernel = build_gibbs_kernel(grid_cost(8), epsilon=0.5)
+        u = np.random.default_rng(6).random((3, 8)) + 0.1
+        u[1] = 0.0
+        with pytest.raises(DegenerateStateError):
+            log_message(u, kernel)
+
+    def test_local_scaling_builds_no_cube(self):
+        # an (N, d, d) temporary at N=64, d=512 would be 134 MB
+        kernel = build_gibbs_kernel(grid_cost(512), epsilon=0.02)
+        mu = np.stack([h.weights for h in mixture_histograms(512, 64, 0)])
+        v = np.ones(512)
+        tracemalloc.start()
+        try:
+            _local_scaling(mu, kernel, 1e-16, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestIbpStep:
