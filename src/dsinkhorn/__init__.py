@@ -18,7 +18,7 @@ from .config import (
     build_topology_from_spec,
     mixture_histograms,
 )
-from .engine import RunRecord, consensus_trace, simulate_decentralized
+from .engine import RunRecord, consensus_trace, simulate_decentralized, simulate_lanes
 from .experiments import (
     RunMetrics,
     SweepSpec,
@@ -72,7 +72,7 @@ __all__ = [
     "Topology", "TopologyError", "build_topology", "GossipWeights",
     "metropolis_weights", "spectral_gap", "consensus_residual",
     "ChannelModel", "ActivationModel", "expected_weights",
-    "RunRecord", "simulate_decentralized", "consensus_trace",
+    "RunRecord", "simulate_lanes", "simulate_decentralized", "consensus_trace",
     # experiments & config
     "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",
     "run_decentralized", "run_sweep", "verify_theory",

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import config as cfgmod
 from . import experiments, otcore, protocol
-from .engine import simulate_decentralized
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,19 +108,17 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     topology = cfgmod.build_topology_from_spec(cfg.network)
     oracle = experiments.centralized_oracle(instance)
 
-    all_metrics, records = [], []
-    for seed in cfg.seeds:
-        metrics, record = experiments.run_decentralized(
-            instance,
-            topology,
-            cfg.comms,
-            channel=cfg.channel,
-            activation=cfg.activation,
-            seed=seed,
-            oracle=oracle,
-        )
-        all_metrics.append(metrics)
-        records.append(record)
+    # The always-on (delta=0) twin of the first seed, for trace.csv, is one
+    # more lane of the same batch.
+    lanes = [(cfg.comms, seed) for seed in cfg.seeds]
+    if cfg.comms.delta > 0:
+        lanes.append((replace(cfg.comms, delta=0.0), cfg.seeds[0]))
+    results = experiments.run_lanes(instance, topology, lanes, cfg.channel, cfg.activation, oracle=oracle)
+    failed = [r for r in results if isinstance(r, Exception)]
+    if failed:
+        raise failed[0]
+    all_metrics = [m for m, _ in results[: len(cfg.seeds)]]
+    records = [r for _, r in results]
 
     error_max = max(m.l1_error_max for m in all_metrics)
     messages_mean = float(np.mean([m.messages_total for m in all_metrics]))
@@ -140,18 +137,11 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
         },
     )
 
-    # Trace CSV: the seed-0 run plus an always-on twin for comparison.
-    rows = []
+    # Trace CSV: the seed-0 run plus its always-on twin for comparison.
+    twin = records[-1] if cfg.comms.delta > 0 else records[0]
+    rows = experiments.trace_rows("always_on", twin)
     if cfg.comms.delta > 0:
-        always = replace(cfg.comms, delta=0.0)
-        rec0 = simulate_decentralized(
-            instance, topology, always, channel=cfg.channel,
-            activation=cfg.activation, seed=cfg.seeds[0],
-        )
-        rows.extend(experiments.trace_rows("always_on", rec0))
         rows.extend(experiments.trace_rows("triggered", records[0]))
-    else:
-        rows.extend(experiments.trace_rows("always_on", records[0]))
     experiments.write_csv(
         os.path.join(outdir, "trace.csv"),
         ["variant", "round", "outer_iter", "inner_step", "residual"],

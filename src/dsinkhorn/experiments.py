@@ -34,6 +34,7 @@ __all__ = [
     "RunMetrics",
     "SweepSpec",
     "centralized_oracle",
+    "run_lanes",
     "run_decentralized",
     "trace_rows",
     "overlap_rows",
@@ -55,7 +56,8 @@ ORACLE_MAX_ITER = 100_000
 
 @dataclass
 class RunMetrics:
-    """Accuracy/bandwidth summary of one decentralized run."""
+    """Accuracy/bandwidth summary of one decentralized run; wall_clock_seconds
+    is the run's share of its batch's engine time, in proportion to rounds."""
 
     seed: int
     converged: bool
@@ -83,67 +85,58 @@ def centralized_oracle(instance, kernel=None) -> np.ndarray:
     return result.barycenter.weights
 
 
-def run_decentralized(
-    instance,
-    topology,
-    comms,
-    channel=None,
-    activation=None,
-    seed: int = 0,
-    *,
-    oracle=None,
-    compute_error: bool = True,
-    collect_residuals: bool = True,
-):
-    """One full decentralized run plus its metrics.
+def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracle=None,
+              compute_error: bool = True, collect_residuals: bool = True) -> list:
+    """Every ``(comms, seed)`` lane as one engine batch, plus its metrics.
 
-    Returns ``(RunMetrics, RunRecord)``. ``oracle`` may carry a
-    precomputed reference mass vector to avoid recomputing it inside
-    sweeps; with ``compute_error=False`` the error fields are NaN and no
-    reference is solved at all.
+    Returns one ``(RunMetrics, RunRecord)`` per lane, in order, or the
+    ``ClipRangeError``/``DegenerateStateError`` that ended the lane.
+    ``oracle`` may carry a precomputed reference mass vector to avoid
+    recomputing it inside sweeps; with ``compute_error=False`` the error
+    fields are NaN and no reference is solved at all.
     """
-    record = engine.simulate_decentralized(
-        instance,
-        topology,
-        comms,
-        channel=channel,
-        activation=activation,
-        seed=seed,
-        collect_residuals=collect_residuals,
-    )
-    if compute_error:
-        if oracle is None:
-            oracle = centralized_oracle(instance)
-        errors = np.abs(record.barycenters - np.asarray(oracle)[None, :]).sum(axis=1)
-        err_max = float(errors.max())
-        err_mean = float(errors.mean())
-    else:
-        errors = None
-        err_max = math.nan
-        err_mean = math.nan
-    constants = otcore.theory_constants(instance, comms)
+    records = engine.simulate_lanes(instance, topology, lanes, channel, activation, collect_residuals)
+    if compute_error and oracle is None:
+        oracle = centralized_oracle(instance)
     degrees = topology.degrees()
-    link_messages = record.messages_per_agent * degrees
-    wire = protocol.packet_wire_size(instance.support_size, comms.bits)
-    metrics = RunMetrics(
-        seed=seed,
-        converged=record.converged,
-        outer_iters=record.outer_iters,
-        rounds_total=record.rounds_total,
-        per_outer_iter=record.per_outer,
-        l1_error_per_node=errors,
-        l1_error_max=err_max,
-        l1_error_mean=err_mean,
-        broadcasts_per_agent=record.messages_per_agent.copy(),
-        variation_per_agent=record.variation_per_agent.copy(),
-        messages_per_agent=link_messages,
-        messages_total=int(link_messages.sum()),
-        bytes_total=int(link_messages.sum()) * wire,
-        wall_clock_seconds=record.wall_clock_seconds,
-        bias_bound=constants.steady_state_bias_bound,
-        clip_active=record.clip_active,
-    )
-    return metrics, record
+    results = []
+    for (comms, seed), record in zip(lanes, records):
+        if isinstance(record, Exception):
+            results.append(record)
+            continue
+        if compute_error:
+            errors = np.abs(record.barycenters - np.asarray(oracle)[None, :]).sum(axis=1)
+            err_max, err_mean = float(errors.max()), float(errors.mean())
+        else:
+            errors, err_max, err_mean = None, math.nan, math.nan
+        link_messages = record.messages_per_agent * degrees
+        wire = protocol.packet_wire_size(instance.support_size, comms.bits)
+        metrics = RunMetrics(
+            seed=seed, converged=record.converged, outer_iters=record.outer_iters,
+            rounds_total=record.rounds_total, per_outer_iter=record.per_outer,
+            l1_error_per_node=errors, l1_error_max=err_max, l1_error_mean=err_mean,
+            broadcasts_per_agent=record.messages_per_agent.copy(),
+            variation_per_agent=record.variation_per_agent.copy(),
+            messages_per_agent=link_messages, messages_total=int(link_messages.sum()),
+            bytes_total=int(link_messages.sum()) * wire,
+            wall_clock_seconds=record.wall_clock_seconds,
+            bias_bound=otcore.theory_constants(instance, comms).steady_state_bias_bound,
+            clip_active=record.clip_active,
+        )
+        results.append((metrics, record))
+    return results
+
+
+def run_decentralized(instance, topology, comms, channel=None, activation=None, seed: int = 0, *,
+                      oracle=None, compute_error: bool = True, collect_residuals: bool = True):
+    """One full decentralized run plus its metrics, ``(RunMetrics,
+    RunRecord)``: the one-lane :func:`run_lanes`, raising the error that
+    ended a failed run."""
+    (result,) = run_lanes(instance, topology, [(comms, seed)], channel, activation, oracle=oracle,
+                          compute_error=compute_error, collect_residuals=collect_residuals)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def trace_rows(variant: str, record) -> list:
@@ -279,9 +272,9 @@ def _mean_ci(samples) -> tuple:
 
 
 def _sweep_point(task):
-    """Run all seeds at one sweep value; returns (samples per statistic,
-    failures). Errors are measured against ``oracle`` when one is given,
-    else against one centralized solve at this value."""
+    """Run all seeds at one sweep value as one batch; returns (samples per
+    statistic, failures). Errors are measured against ``oracle`` when one
+    is given, else against one centralized solve at this value."""
     spec, value, oracle = task
     *_, statistics = SWEEPS[spec.variable]
     samples = {stat: [] for stat in statistics}
@@ -291,27 +284,18 @@ def _sweep_point(task):
         topology = cfgmod.build_topology_from_spec(cfg.network)
         if "error" in statistics and oracle is None:
             oracle = centralized_oracle(instance)
+        lanes = [(cfg.comms, seed) for seed in spec.seeds]
+        results = run_lanes(instance, topology, lanes, cfg.channel, cfg.activation, oracle=oracle,
+                            compute_error="error" in statistics, collect_residuals=False)
     except Exception as exc:  # noqa: BLE001 - value-level failures become rows too
         return samples, [{"value": value, "seed": seed, "error": str(exc)} for seed in spec.seeds]
     failures = []
-    for seed in spec.seeds:
-        try:
-            metrics, _ = run_decentralized(
-                instance,
-                topology,
-                cfg.comms,
-                channel=cfg.channel,
-                activation=cfg.activation,
-                seed=seed,
-                oracle=oracle,
-                compute_error="error" in statistics,
-                collect_residuals=False,
-            )
-        except Exception as exc:  # noqa: BLE001 - failures become table rows
-            failures.append({"value": value, "seed": seed, "error": str(exc)})
+    for seed, result in zip(spec.seeds, results):
+        if isinstance(result, Exception):  # failures become table rows
+            failures.append({"value": value, "seed": seed, "error": str(result)})
             continue
         for stat in statistics:
-            samples[stat].append(getattr(metrics, STATISTICS[stat]))
+            samples[stat].append(getattr(result[0], STATISTICS[stat]))
     return samples, failures
 
 

@@ -188,11 +188,14 @@ def spectral_gap(w: np.ndarray) -> tuple:
     return sigma2, 1.0 - sigma2
 
 
-def consensus_residual(z_all: np.ndarray) -> float:
+def consensus_residual(z_all: np.ndarray):
     """Frobenius-style disagreement: sqrt of the summed squared deviations of
-    every coordinate from its per-coordinate network mean."""
+    every coordinate from its per-coordinate network mean. A stack of
+    networks, shape (L, N, d), gives one value per network."""
     z = np.atleast_2d(np.asarray(z_all, dtype=np.float64))
-    return float(np.linalg.norm(z - z.mean(axis=0, keepdims=True)))
+    dev = (z - z.mean(axis=-2, keepdims=True)).reshape(*z.shape[:-2], 1, -1)
+    residual = np.sqrt(dev @ dev.swapaxes(-1, -2))[..., 0, 0]  # one BLAS dot per network
+    return float(residual) if z.ndim == 2 else residual
 
 
 @dataclass(frozen=True)
@@ -241,18 +244,20 @@ def _rng_streams(seed: int):
     return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
 
 
-def draw_active(rng, activation: ActivationModel, topology: Topology) -> np.ndarray:
-    """Sample the round's active-node mask (consumes the activation stream)."""
-    n = topology.num_nodes
+def draw_active(rng, activation: ActivationModel, topology: Topology, size=None) -> np.ndarray:
+    """Sample the round's active-node mask (consumes the activation stream).
+    An int ``size`` samples that many rounds at once, shape (size, n), from
+    the same stream values as ``size`` one-round draws."""
+    rounds, n = 1 if size is None else size, topology.num_nodes
     if activation.mode == "synchronous":
-        return np.ones(n, dtype=bool)
-    if activation.mode == "randomized_pairwise":
-        e = int(rng.integers(0, len(topology.edges)))
-        mask = np.zeros(n, dtype=bool)
-        i, k = topology.edges[e]
-        mask[i] = mask[k] = True
-        return mask
-    return rng.random(n) < activation.p_active
+        mask = np.ones((rounds, n), dtype=bool)
+    elif activation.mode == "randomized_pairwise":
+        ends = np.array(topology.edges)[rng.integers(0, len(topology.edges), size=rounds)]
+        mask = np.zeros((rounds, n), dtype=bool)
+        mask[np.arange(rounds)[:, None], ends] = True
+    else:
+        mask = rng.random((rounds, n)) < activation.p_active
+    return mask[0] if size is None else mask
 
 
 def expected_weights(topology: Topology, activation: ActivationModel) -> np.ndarray:

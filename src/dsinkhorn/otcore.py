@@ -41,7 +41,8 @@ class KernelUnderflowError(ValueError):
 
 
 class DegenerateStateError(ValueError):
-    """Raised when a scaling vector annihilates the kernel (K^T u has zeros)."""
+    """Raised when a scaling vector annihilates the kernel (K^T u has zeros);
+    from ``log_message``, ``row`` is the first offending row of the batch."""
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,11 @@ def log_message(u: np.ndarray, kernel: GibbsKernel) -> np.ndarray:
     u_max = u.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.log((u / u_max) @ kernel.entries) + np.log(u_max)  # sum_k u_k K[k, j]
-    if not np.all(np.isfinite(s)):
-        raise DegenerateStateError("K^T u has zero entries; scaling vector is degenerate")
+    finite = np.isfinite(s).all(axis=-1)
+    if not np.all(finite):
+        error = DegenerateStateError("K^T u has zero entries; scaling vector is degenerate")
+        error.row = int(np.argmin(finite))
+        raise error
     return s
 
 
@@ -358,7 +362,7 @@ def theory_constants(instance: ProblemInstance, comms) -> TheoryConstants:
         l_exp = float(np.exp(s_max))
         v_min = float(np.exp(s_min))
         v_max = float(np.exp(s_max))
-        l_norm_bound = 2.0 / v_min
+        l_norm_bound = 2.0 / v_min if v_min > 0.0 else math.inf  # exp(s_min) underflows below -745
         perturbation = float(comms.tau_inner) + float(comms.delta) + float(comms.delta_q)
         denom = 1.0 - rho
         if denom <= 0.0:

@@ -87,10 +87,14 @@ def quantize(values: np.ndarray, config: CommsConfig) -> np.ndarray:
         return values.copy()
     n = config.num_levels - 1
     step = (config.s_max - config.s_min) / n
-    frac = (values - config.s_min) / step
-    k = np.ceil(frac - 0.5)  # nearest level, exact halves round down
-    k = np.clip(k, 0, n)
-    return config.s_min + k * step
+    k = np.asarray(values - config.s_min)  # one scratch array, updated in place
+    k /= step
+    k -= 0.5
+    np.ceil(k, out=k)  # nearest level, exact halves round down
+    np.clip(k, 0, n, out=k)
+    k *= step
+    k += config.s_min
+    return k
 
 
 def packet_wire_size(d: int, bits: int | None) -> int:

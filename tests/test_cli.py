@@ -4,11 +4,15 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 import yaml
 
+from dsinkhorn import config as cfgmod
+from dsinkhorn import experiments
 from dsinkhorn.cli import main
+from dsinkhorn.engine import simulate_decentralized
 from dsinkhorn.experiments import CheckResult, VerificationReport
 
 
@@ -101,6 +105,56 @@ class TestRun:
         assert len(overlap) == 16
         assert list(overlap[0]) == ["support_x", "b_star",
                                     "b_tilde_min", "b_tilde_max"]
+
+    def test_always_on_rows_equal_a_separate_zero_delta_run(self, tmp_path):
+        # the always-on twin is one more lane of the run's batch
+        tree = _base_tree()
+        tree["comms"]["outer_iter_cap"] = 5
+        tree["seeds"] = [3, 4]
+        cfg = _write_cfg(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        resolved = cfgmod.run_config_from_dict(tree)
+        instance = cfgmod.build_instance(resolved)
+        topology = cfgmod.build_topology_from_spec(resolved.network)
+        expected = []
+        for variant, delta in (("always_on", 0.0), ("triggered", resolved.comms.delta)):
+            record = simulate_decentralized(
+                instance, topology, replace(resolved.comms, delta=delta),
+                resolved.channel, resolved.activation, seed=3)
+            expected += experiments.trace_rows(variant, record)
+        trace = _read_csv(out / "trace.csv")
+        assert len(trace) == len(expected)
+        for row, want in zip(trace, expected):
+            assert row == {k: str(v) for k, v in want.items()}
+
+    def test_first_failing_seed_exits_one(self, tmp_path, capsys):
+        # a 1-bit quantizer over a 2000-wide clip range sends +-1000 payloads,
+        # so exp(z) overflows; where and when depends on the seed, and seed 0
+        # fails last (outer iteration 4, after seeds 1 and 2)
+        tree = {
+            "problem": {"d": 16, "epsilon": 0.5},
+            "network": {"topology_kind": "ring", "params": {"n": 4}},
+            "comms": {"delta": 0.0, "bits": 1, "s_min": -1002.7, "s_max": 997.3,
+                      "tau_outer": 1e-300, "inner_step_cap": 20, "outer_iter_cap": 6},
+            "activation": {"mode": "randomized_subset", "p_active": 0.2},
+            "seeds": [0, 1, 2, 3],
+        }
+        resolved = cfgmod.run_config_from_dict(tree)
+        instance = cfgmod.build_instance(resolved)
+        topology = cfgmod.build_topology_from_spec(resolved.network)
+        errors = []
+        for seed in resolved.seeds:
+            try:
+                simulate_decentralized(instance, topology, resolved.comms, resolved.channel,
+                                       resolved.activation, seed=seed)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert len(errors) == len(resolved.seeds) and len(set(errors)) == len(errors)
+        rc = main(["run", "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {errors[0]}\n"
+        assert errors[0].startswith("node ") and "at outer iteration" in errors[0]
 
     def test_zero_delta_trace_has_single_variant(self, tmp_path):
         tree = _base_tree()

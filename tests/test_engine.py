@@ -1,6 +1,9 @@
 """The vectorized network engine must agree step-for-step with the per-agent
 reference implementation in ``reference.py`` (per-agent protocol ops driven
-by the packet-level scheduler)."""
+by the packet-level scheduler), and every lane of a batch must run exactly
+as it would alone."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from dsinkhorn import otcore, protocol
 from dsinkhorn.config import mixture_histograms
-from dsinkhorn.engine import consensus_trace, simulate_decentralized
+from dsinkhorn.engine import NetworkEngine, consensus_trace, simulate_decentralized, simulate_lanes
 from dsinkhorn.experiments import run_decentralized
 from dsinkhorn.netsim import (
     ActivationModel,
@@ -305,3 +308,173 @@ class TestConsensusTrace:
         assert residuals[-1] == pytest.approx(
             consensus_residual(np.stack([a.z for a in agents])), abs=1e-12
         )
+
+
+def _regime_setup(regime):
+    kind, params = regime["topology"]
+    topology = build_topology(kind, **params)
+    return _instance(d=16, n=topology.num_nodes), topology
+
+
+def _assert_same_record(a, b):
+    """Two records of the same lane are bit-identical (wall time aside)."""
+    for name in ("converged", "outer_iters", "rounds_total", "clip_active", "per_outer"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("log_v", "barycenters", "messages_per_agent", "variation_per_agent"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestLanes:
+    SEEDS = (5, 6, 7)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_batch_equals_one_lane_runs(self, regime):
+        instance, topology = _regime_setup(regime)
+        comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
+        batch = simulate_lanes(instance, topology, [(comms, s) for s in self.SEEDS], channel, activation)
+        for seed, record in zip(self.SEEDS, batch):
+            alone = simulate_decentralized(instance, topology, comms, channel, activation, seed=seed)
+            _assert_same_record(record, alone)
+            assert all(p["consensus_residual_trace"] for p in record.per_outer)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_every_lane_matches_reference(self, regime):
+        instance, topology = _regime_setup(regime)
+        comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
+        batch = simulate_lanes(instance, topology, [(comms, s) for s in self.SEEDS], channel, activation)
+        for seed, record in zip(self.SEEDS, batch):
+            ref = reference_run(instance, topology, comms, channel, activation, seed=seed)
+            assert record.converged == ref["converged"]
+            assert record.outer_iters == ref["outer_iters"]
+            assert record.rounds_total == ref["rounds_total"]
+            assert np.array_equal(record.messages_per_agent, ref["messages"])
+            assert_allclose(record.log_v, ref["log_v"], atol=1e-12)
+            assert_allclose(record.variation_per_agent, ref["variation"], atol=1e-12)
+
+    @staticmethod
+    def _companions(comms):
+        """Seeds 6 and 7, plus two delta=1 lanes that stop early in some
+        regimes: in lossy-stale-cap3 they retire at rounds 18 and 21, with
+        packets of the other lanes still in flight."""
+        loose = dataclasses.replace(comms, delta=1.0)
+        return [(comms, 6), (comms, 7), (loose, 0), (loose, 2)]
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_lane_position_does_not_matter(self, regime):
+        instance, topology = _regime_setup(regime)
+        comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
+        others = self._companions(comms)
+        alone = simulate_lanes(instance, topology, [(comms, 5)], channel, activation)[0]
+        first = simulate_lanes(instance, topology, [(comms, 5)] + others, channel, activation)
+        last = simulate_lanes(instance, topology, others + [(comms, 5)], channel, activation)
+        _assert_same_record(first[0], alone)
+        _assert_same_record(last[-1], alone)
+        for (lane_comms, seed), record in zip(others, last):
+            _assert_same_record(record, simulate_decentralized(
+                instance, topology, lane_comms, channel, activation, seed=seed))
+
+    @pytest.mark.parametrize("regime_id", ["clean-subset", "lossy-stale-cap3"])
+    def test_lanes_retire_at_different_rounds(self, regime_id):
+        regime = next(p.values[0] for p in REGIMES if p.id == regime_id)
+        instance, topology = _regime_setup(regime)
+        lanes = [(regime["comms"], 5)] + self._companions(regime["comms"])
+        batch = simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"])
+        assert len({r.rounds_total for r in batch}) > 2
+
+    def test_lanes_may_differ_in_delta(self):
+        instance, topology = _instance(), build_topology("complete", n=4)
+        comms = CommsConfig(delta=1e-3, bits=12, inner_step_cap=30, outer_iter_cap=4)
+        always = dataclasses.replace(comms, delta=0.0)
+        batch = simulate_lanes(instance, topology, [(comms, 3), (always, 3)])
+        _assert_same_record(batch[0], simulate_decentralized(instance, topology, comms, seed=3))
+        _assert_same_record(batch[1], simulate_decentralized(instance, topology, always, seed=3))
+
+    SHARED = {"tau_inner": 1e-5, "tau_outer": 1e-7, "bits": 8, "s_min": -20.0, "s_max": 20.0,
+              "inner_step_cap": 7, "outer_iter_cap": 3}
+
+    def test_shared_fields_are_all_but_delta(self):
+        assert {f.name for f in dataclasses.fields(CommsConfig)} == {"delta", *self.SHARED}
+
+    @pytest.mark.parametrize("field", sorted(SHARED))
+    def test_lanes_must_share_comms_except_delta(self, field):
+        comms = CommsConfig()
+        change = {field: self.SHARED[field]}
+        other = dataclasses.replace(comms, delta=0.5, **change)
+        with pytest.raises(ValueError, match="only in seed and comms.delta"):
+            simulate_lanes(_instance(), build_topology("complete", n=4), [(comms, 0), (other, 1)])
+        with pytest.raises(ValueError, match="only in seed and comms.delta"):
+            NetworkEngine(build_topology("complete", n=4), [(comms, 0), (other, 1)])
+
+    def test_wall_clock_is_the_lanes_share_by_rounds(self):
+        regime = next(p.values[0] for p in REGIMES if p.id == "lossy-stale-cap3")
+        instance, topology = _regime_setup(regime)
+        lanes = [(regime["comms"], 5)] + self._companions(regime["comms"])
+        batch = simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"])
+        assert len({r.rounds_total for r in batch}) > 1
+        per_round = [r.wall_clock_seconds / r.rounds_total for r in batch]
+        assert per_round[0] > 0
+        assert_allclose(per_round, per_round[0], rtol=1e-12)
+
+
+def _crafted_failures():
+    """A 1-bit quantizer over a 2000-wide clip range: payloads sit at +-1000,
+    so z can overflow exp() at the next local scaling. Under 90% drops and
+    p=0.4 subset activation whether it does depends on the seed."""
+    instance = _instance()
+    topology = build_topology("ring", n=4)
+    comms = CommsConfig(delta=0.0, bits=1, s_min=-1002.7, s_max=997.3, tau_outer=1e-300,
+                        inner_step_cap=20, outer_iter_cap=6)
+    channel = ChannelModel(drop_prob=0.9)
+    activation = ActivationModel(mode="randomized_subset", p_active=0.4)
+    return instance, topology, comms, channel, activation
+
+
+class TestLaneFailures:
+    def test_failing_lanes_retire_alone(self):
+        instance, topology, comms, channel, activation = _crafted_failures()
+        seeds = list(range(8))
+        batch = simulate_lanes(instance, topology, [(comms, s) for s in seeds], channel, activation)
+        failed = [s for s, r in zip(seeds, batch) if isinstance(r, Exception)]
+        assert 0 < len(failed) < len(seeds)
+        healthy_rounds = max(r.rounds_total for r in batch if not isinstance(r, Exception))
+        for seed, result in zip(seeds, batch):
+            if not isinstance(result, Exception):
+                _assert_same_record(result, simulate_decentralized(
+                    instance, topology, comms, channel, activation, seed=seed))
+                continue
+            assert isinstance(result, protocol.ClipRangeError)
+            assert result.__traceback__ is None  # held, not raised, by the batch
+            with pytest.raises(protocol.ClipRangeError) as alone:
+                simulate_decentralized(instance, topology, comms, channel, activation, seed=seed)
+            assert str(result) == str(alone.value)
+            outer = int(str(result).split("outer iteration ")[1].split(":")[0])
+            assert str(result).startswith("node ") and 1 < outer <= comms.outer_iter_cap
+        assert healthy_rounds > comms.inner_step_cap  # survivors ran on after failures
+
+    def test_degenerate_lane_names_node_and_outer(self, monkeypatch):
+        instance, topology = _instance(), build_topology("complete", n=4)
+        comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=30, outer_iter_cap=4)
+        real = otcore._local_scaling
+        calls = []
+
+        def annihilate_second_call(mu, kernel, ridge, v):
+            calls.append(1)
+            if len(calls) == 2:  # the second lane's first local scaling
+                v = v.copy()
+                v[2] = 0.0  # node 2: K v = 0, so u = mu / 0 without the ridge
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return real(mu, kernel, 0.0, v)
+            return real(mu, kernel, ridge, v)
+
+        monkeypatch.setattr(otcore, "_local_scaling", annihilate_second_call)
+        batch = simulate_lanes(instance, topology, [(comms, s) for s in (0, 1, 2)])
+        monkeypatch.setattr(otcore, "_local_scaling", real)
+        assert isinstance(batch[1], otcore.DegenerateStateError)
+        assert str(batch[1]).startswith("node 2 at outer iteration 1: K^T u has zero entries")
+        for pos in (0, 2):
+            _assert_same_record(batch[pos], simulate_decentralized(instance, topology, comms, seed=pos))
+
+    def test_one_lane_call_raises(self):
+        instance, topology, comms, channel, activation = _crafted_failures()
+        with pytest.raises(protocol.ClipRangeError, match=r"^node \d at outer iteration \d"):
+            simulate_decentralized(instance, topology, comms, channel, activation, seed=1)

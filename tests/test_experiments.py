@@ -389,6 +389,37 @@ class TestParameterSweep:
         assert rows[0]["value"] == "unquantized"
         assert rows[1]["value"] == 8
 
+    @pytest.mark.filterwarnings("ignore:steady-state bias bound overflowed")
+    def test_seed_failures_stay_per_seed(self):
+        # 1-bit payloads at +-1000 overflow exp(z) on some seeds only (90%
+        # drops, p=0.4 subset activation): each failing seed is its own
+        # failure, and the healthy seeds of the same batch fill the row
+        base = _small_cfg(**{
+            "network.topology_kind": "ring", "network.params": {"n": 4},
+            "comms.delta": 0.0, "comms.bits": 1, "comms.s_min": -1002.7, "comms.s_max": 997.3,
+            "comms.tau_outer": 1e-300, "comms.inner_step_cap": 20, "comms.outer_iter_cap": 6,
+            "activation.mode": "randomized_subset", "activation.p_active": 0.4,
+            "seeds": list(range(8)),
+        })
+        _, _, rows, failures = xp.run_sweep(xp.SweepSpec("drop_prob", (0.9,), base))
+        cfg = xp.config_for_value(base, "drop_prob", 0.9)
+        instance = cfgmod.build_instance(cfg)
+        topology = cfgmod.build_topology_from_spec(cfg.network)
+        alone = {}
+        for seed in base.seeds:
+            try:
+                alone[seed], _ = xp.run_decentralized(
+                    instance, topology, cfg.comms, cfg.channel, cfg.activation, seed=seed)
+            except ValueError as exc:
+                alone[seed] = str(exc)
+        assert failures == [{"value": 0.9, "seed": s, "error": e}
+                            for s, e in alone.items() if isinstance(e, str)]
+        assert 0 < len(failures) < len(base.seeds)
+        healthy = [m for m in alone.values() if not isinstance(m, str)]
+        assert rows[0]["n_failed"] == len(failures)
+        assert rows[0]["messages_mean"] == np.mean([m.messages_total for m in healthy])
+        assert rows[0]["error_mean"] == np.mean([m.l1_error_max for m in healthy])
+
     def test_value_level_failure_produces_rows(self):
         # epsilon so small the kernel underflows: every seed fails at that
         # value, the other value still runs

@@ -424,6 +424,17 @@ class TestTheoryConstants:
         assert tc.bias_bound_overflowed
         assert tc.steady_state_bias_bound == np.inf
 
+    def test_clip_floor_below_exp_range_yields_inf(self):
+        # exp(s_min) is 0.0 below s_min = -745: the bound is +inf, not a
+        # ZeroDivisionError
+        inst = ProblemInstance(
+            cost=grid_cost(8), epsilon=0.8, ridge=1e-16, histograms=(Histogram(np.full(8, 0.125)),)
+        )
+        with pytest.warns(RuntimeWarning):
+            tc = theory_constants(inst, CommsConfig(delta=1e-3, s_min=-1000.0, s_max=30.0, bits=None))
+        assert tc.l_norm_bound == np.inf
+        assert tc.steady_state_bias_bound == np.inf
+
 
 class TestCentralizedBarycenter:
     def test_symmetric_two_point(self, symmetric_instance):
