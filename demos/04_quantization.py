@@ -55,8 +55,11 @@ def main():
               f"{metrics.bytes_total / 1024:>10.1f} {metrics.l1_error_max:>10.2e}")
 
     print()
-    print("very coarse payloads dominate the error; by 12-16 bits the trigger")
-    print("threshold takes over and extra precision buys nothing.")
+    print("coarse payloads dominate the error down to 12 bits; at 16 bits")
+    print("(Dq < delta) the error nears float64's and the trigger threshold sets it.")
+    print("a fired trigger sends only a payload that differs from the last one")
+    print("sent: at 12 bits (Dq > delta) most fired triggers send nothing, so 12")
+    print("bits costs a tenth of the bytes of 16 bits at ten times the error.")
 
 
 if __name__ == "__main__":

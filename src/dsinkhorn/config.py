@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.special import ndtr
 
 from . import netsim, otcore, protocol
 
@@ -314,6 +313,20 @@ def run_config_from_dict(data: dict) -> RunConfig:
     )
 
 
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, by the formula of scipy's ``ndtr``
+    (cephes): with x = a/sqrt(2), 0.5 + 0.5 erf(x) when |x| < 1/sqrt(2),
+    else 0.5 erfc(|x|), reflected for x > 0."""
+    x = a * math.sqrt(0.5)
+    inner = np.abs(x) < math.sqrt(0.5)
+    out = np.empty_like(x)
+    out[inner] = 0.5 + 0.5 * np.fromiter(map(math.erf, x[inner].tolist()), np.float64)
+    outer = x[~inner]
+    tail = 0.5 * np.fromiter(map(math.erfc, np.abs(outer).tolist()), np.float64)
+    out[~inner] = np.where(outer > 0, 1.0 - tail, tail)
+    return out
+
+
 def mixture_histograms(d: int, num_agents: int, density_seed: int):
     """Per-agent histograms from seeded two-component Gaussian mixtures.
 
@@ -327,15 +340,14 @@ def mixture_histograms(d: int, num_agents: int, density_seed: int):
     x = np.linspace(0.0, 1.0, d)
     mids = 0.5 * (x[1:] + x[:-1])
     edges = np.concatenate(([x[0] - 0.5 / (d - 1)], mids, [x[-1] + 0.5 / (d - 1)]))
-    hists = []
+    params = []
     for _ in range(num_agents):
         m1, m2 = rng.uniform(0.15, 0.85, size=2)
         sd1, sd2 = rng.uniform(0.05, 0.12, size=2)
-        w1 = rng.uniform(0.3, 0.7)
-        cdf = w1 * ndtr((edges - m1) / sd1) + (1 - w1) * ndtr((edges - m2) / sd2)
-        mass = np.diff(cdf)
-        hists.append(otcore.Histogram(mass / mass.sum()))
-    return hists
+        params.append((m1, m2, sd1, sd2, rng.uniform(0.3, 0.7)))
+    m1, m2, sd1, sd2, w1 = (np.array(p)[:, None] for p in zip(*params))
+    cdf = w1 * _ndtr((edges - m1) / sd1) + (1 - w1) * _ndtr((edges - m2) / sd2)
+    return [otcore.Histogram(mass / mass.sum()) for mass in np.diff(cdf, axis=1)]
 
 
 def build_instance(cfg: RunConfig) -> otcore.ProblemInstance:

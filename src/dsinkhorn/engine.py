@@ -6,7 +6,8 @@ The engine runs L lanes on the disjoint union of L copies of the
 topology: node l*N + i is node i of lane l, and the directed edges are
 stacked the same way, so one round of every lane is a handful of numpy
 calls: trigger evaluation on the activated nodes, clip + quantize of the
-fired payloads, per-edge drops and delays into a ring of in-flight
+fired payloads, of which only those that differ from the sender's last
+payload go out, per-edge drops and delays into a ring of in-flight
 packets, freshest-wins cache delivery, then cached gossip with the
 round's effective weights. Only four things stay per lane: its
 activation/drop/delay streams, its delta, its inner and outer stopping,
@@ -155,6 +156,9 @@ class NetworkEngine:
         raw = protocol.clip_log(raw, cm.s_min, cm.s_max)
         payload = protocol.quantize(raw, cm)
         del raw
+        # only a payload that differs from the last one sent goes out
+        new = (payload != self.ref[fired]).any(axis=1)
+        fired, payload = fired[new], payload[new]
         self.ref[fired] = payload
         self.anchor[fired] = payload
         self.messages[fired] += 1
@@ -201,8 +205,7 @@ class NetworkEngine:
             z += np.add.reduceat(buf, self.seg_starts[: len(z)], axis=0)
             np.take(z, self.rcv[: len(ce)], axis=0, out=buf, mode="clip")
             gaps[edges] = np.abs(np.subtract(buf, ce, out=buf), out=buf).max(axis=1)
-        node_gaps = np.maximum.reduceat(gaps, self.seg_starts)
-        self._lane_gap = node_gaps.reshape(self.lanes, -1).max(axis=1)
+        self._lane_gap = gaps.reshape(self.lanes, -1).max(axis=1)
 
     def all_inner_converged(self) -> np.ndarray:
         """Per lane: True when every node's cached neighbor payloads sit

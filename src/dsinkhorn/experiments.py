@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import config as cfgmod
 from . import engine, netsim, otcore, protocol
@@ -267,8 +266,42 @@ def _mean_ci(samples) -> tuple:
     mean = float(arr.mean())
     if arr.size < 2:
         return mean, 0.0
-    half = float(stdtrit(arr.size - 1, 0.975) * arr.std(ddof=1) / math.sqrt(arr.size))
+    half = float(_t975(arr.size - 1) * arr.std(ddof=1) / math.sqrt(arr.size))
     return mean, half
+
+
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| < t) for Student's t with integer df > 0, in closed form
+    (Abramowitz & Stegun 26.7.3 for odd df, 26.7.4 for even df)."""
+    theta = math.atan(t / math.sqrt(df))
+    s, c2 = math.sin(theta), math.cos(theta) ** 2
+    if df % 2 == 0:
+        term = total = 1.0
+        for j in range(1, df // 2):
+            term *= c2 * (2 * j - 1) / (2 * j)
+            total += term
+        return s * total
+    if df == 1:
+        return 2.0 * theta / math.pi
+    term = total = math.cos(theta)
+    for j in range(1, (df - 1) // 2):
+        term *= c2 * (2 * j) / (2 * j + 1)
+        total += term
+    return 2.0 / math.pi * (theta + s * total)
+
+
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with integer df > 0: the t with
+    P(|T| < t) = 0.95, bisected until the bracket is one float wide."""
+    lo, hi = 0.0, 1.0
+    while _t_two_sided(hi, df) < 0.95:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _t_two_sided(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _sweep_point(task):
@@ -634,7 +667,7 @@ def _json_safe(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_safe(dataclasses.asdict(obj))
+        return {f.name: _json_safe(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 

@@ -1,10 +1,13 @@
 """Transmission rules shared by every agent: the comms configuration,
 payload clipping and b-bit quantization, and the packet wire size.
 
-Transmission is event triggered: a packet goes out only when an agent's
+Transmission is event triggered: the trigger fires when an agent's
 gossip variable z has drifted more than delta (sup norm) from the
-dequantized value its neighbors currently hold. Payloads are always
-clipped to [s_min, s_max] and quantized; local state stays full
+dequantized payload it last sent, and a packet goes out only if the new
+payload differs from that last one in at least one entry. When
+delta_q > delta the trigger can fire while z still quantizes to the
+payload already sent; that payload is not sent again. Payloads are
+always clipped to [s_min, s_max] and quantized; local state stays full
 precision. The round itself lives in :mod:`dsinkhorn.engine`.
 """
 

@@ -175,6 +175,20 @@ def _eval_variation(state: AgentState) -> None:
     state.trigger_anchor = state.z.copy()
 
 
+def _drift_fires(state: AgentState, config: CommsConfig, force: bool) -> bool:
+    _eval_variation(state)
+    if force or state.z_last_tx is None:
+        return True
+    return float(np.abs(state.z - state.z_last_tx).max()) > config.delta
+
+
+def _send(state: AgentState, payload: np.ndarray, outer_iter: int, inner_step: int) -> Packet:
+    state.z_last_tx = payload
+    state.trigger_anchor = payload.copy()
+    state.messages_sent += 1
+    return Packet(sender=state.agent_id, payload=payload, outer_iter=outer_iter, inner_step=inner_step)
+
+
 def maybe_transmit(
     state: AgentState,
     config: CommsConfig,
@@ -182,26 +196,41 @@ def maybe_transmit(
     inner_step: int = 0,
     force: bool = False,
 ) -> Packet | None:
-    """Evaluate the event trigger; broadcast when it fires.
+    """Evaluate the event trigger; broadcast when it fires and the payload
+    is new.
 
-    Fires when ||z - z_last_tx||_inf strictly exceeds delta (the comparison
-    is against the dequantized payload neighbors actually hold). ``force``
-    bypasses the test for the round-0 bootstrap exchange. The payload is
-    clip+quantize of the current z; it replaces ``z_last_tx`` and the
-    variation anchor, and ``messages_sent`` is incremented.
+    The trigger fires when ||z - z_last_tx||_inf strictly exceeds delta
+    (the comparison is against the dequantized payload neighbors actually
+    hold). The payload is clip+quantize of the current z; it goes out only
+    if it differs from ``z_last_tx`` in at least one entry, and then it
+    replaces ``z_last_tx`` and the variation anchor, and ``messages_sent``
+    is incremented. A fired trigger whose payload repeats the last one
+    sends nothing and leaves the anchor at z. ``force`` bypasses both
+    tests for the round-0 bootstrap exchange.
     """
-    _eval_variation(state)
-    fire = force or state.z_last_tx is None
-    if not fire:
-        drift = float(np.abs(state.z - state.z_last_tx).max())
-        fire = drift > config.delta
-    if not fire:
+    bootstrap = force or state.z_last_tx is None
+    if not _drift_fires(state, config, force):
         return None
     payload = quantize(clip_log(state.z, config.s_min, config.s_max), config)
-    state.z_last_tx = payload
-    state.trigger_anchor = payload.copy()
-    state.messages_sent += 1
-    return Packet(sender=state.agent_id, payload=payload, outer_iter=outer_iter, inner_step=inner_step)
+    if not bootstrap and np.array_equal(payload, state.z_last_tx):
+        return None
+    return _send(state, payload, outer_iter, inner_step)
+
+
+def maybe_transmit_resending(
+    state: AgentState,
+    config: CommsConfig,
+    outer_iter: int = 0,
+    inner_step: int = 0,
+    force: bool = False,
+) -> Packet | None:
+    """The trigger without the repeat test: every fired trigger broadcasts,
+    even a payload equal to ``z_last_tx``. Kept only to show that dropping
+    repeats changes no trajectory on synchronous lossless channels."""
+    if not _drift_fires(state, config, force):
+        return None
+    return _send(state, quantize(clip_log(state.z, config.s_min, config.s_max), config),
+                 outer_iter, inner_step)
 
 
 def gossip_step(state: AgentState, weights_row: np.ndarray) -> None:
@@ -278,6 +307,8 @@ class RoundScheduler:
     """Stateful per-agent round driver (reference semantics).
 
     Owns the activation/drop/delay streams and the in-flight packet queue.
+    ``transmit`` is the per-agent trigger: :func:`maybe_transmit`, or
+    :func:`maybe_transmit_resending` for the rule without the repeat test.
     Each call to :meth:`schedule_round` performs: trigger evaluation on the
     activated nodes, channel effects per directed edge, freshness-ordered
     cache updates, then one gossip step per node with the round's effective
@@ -286,8 +317,10 @@ class RoundScheduler:
 
     def __init__(self, topology: netsim.Topology, comms: CommsConfig,
                  channel: netsim.ChannelModel | None = None,
-                 activation: netsim.ActivationModel | None = None, seed: int = 0):
+                 activation: netsim.ActivationModel | None = None, seed: int = 0,
+                 transmit=maybe_transmit):
         self.topology = topology
+        self.transmit = transmit
         self.comms = comms
         self.channel = channel or netsim.ChannelModel()
         self.activation = activation or netsim.ActivationModel()
@@ -332,7 +365,7 @@ class RoundScheduler:
         for a in agents:
             if not active[a.agent_id]:
                 continue
-            pkt = maybe_transmit(a, self.comms, outer_iter, inner_step)
+            pkt = self.transmit(a, self.comms, outer_iter, inner_step)
             if pkt is None:
                 continue
             for e, (rcv, snd) in enumerate(self.dir_edges):

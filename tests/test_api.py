@@ -5,6 +5,7 @@ per-agent reference implementation lives only under tests/)."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -71,9 +72,10 @@ def test_package_does_not_import_tests(path):
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs most of a second to import; the package needs only scipy.special
+    # importing scipy costs a quarter second, scipy.stats most of a second;
+    # the package needs neither at run time
     path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, dsinkhorn.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, dsinkhorn.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -82,6 +84,25 @@ def test_cli_import_skips_scipy_stats():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    tree = {
+        "problem": {"d": 8, "epsilon": 0.5},
+        "network": {"topology_kind": "ring", "params": {"n": 4}},
+        "comms": {"bits": 12, "inner_step_cap": 20, "outer_iter_cap": 3},
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tree))
+    path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
+    code = ("import sys; sys.modules['scipy'] = None; from dsinkhorn.cli import main; "
+            f"sys.exit(main(['run', '--config', {str(cfg)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert (tmp_path / "out" / "run_metrics.json").is_file()
 
 
 def _small_problem():
@@ -133,6 +154,7 @@ class TestBenchmarkContract:
         eng = engine.NetworkEngine(topology, [(comms, seed) for seed in range(lanes)])
         n, d = lanes * topology.num_nodes, 8
         eng.bootstrap(np.random.default_rng(0).normal(size=(n, d)))
+        eng.z += 0.5  # every payload moves off the bootstrap one, so all send
         eng.step_round()
         n_edges = lanes * len(topology.directed_edges())
         assert eng.n == n

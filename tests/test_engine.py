@@ -28,6 +28,8 @@ from reference import (
     RoundScheduler,
     inner_converged,
     local_scaling_update,
+    maybe_transmit,
+    maybe_transmit_resending,
     normalize_scale,
     pack_packet,
     reseed_inner,
@@ -41,15 +43,17 @@ def _instance(d=16, n=4, epsilon=0.5):
     )
 
 
-def reference_run(instance, topology, comms, channel=None, activation=None, seed=0):
+def reference_run(instance, topology, comms, channel=None, activation=None, seed=0,
+                  transmit=maybe_transmit):
     """Agent-by-agent rebuild of the decentralized loop. Deliberately slow
     and literal: every step goes through the protocol functions and the
     packet scheduler, nothing is vectorized."""
     kernel = instance.kernel()
     agents = [AgentState.initialize(i, kernel) for i in range(topology.num_nodes)]
-    sched = RoundScheduler(topology, comms, channel, activation, seed)
+    sched = RoundScheduler(topology, comms, channel, activation, seed, transmit)
     sched.bootstrap(agents)
     prev = np.stack([a.z for a in agents])
+    round_z = []  # every round's stacked z
     converged = False
     global_round = 0
     outer = 0
@@ -60,6 +64,7 @@ def reference_run(instance, topology, comms, channel=None, activation=None, seed
         for inner in range(1, comms.inner_step_cap + 1):
             global_round += 1
             sched.schedule_round(agents, global_round, outer, inner)
+            round_z.append(np.stack([a.z for a in agents]))
             if all(inner_converged(a, comms) for a in agents):
                 break
         for a in agents:
@@ -77,6 +82,7 @@ def reference_run(instance, topology, comms, channel=None, activation=None, seed
         "rounds_total": global_round,
         "messages": np.array([a.messages_sent for a in agents]),
         "variation": np.array([a.variation_accum for a in agents]),
+        "round_z": round_z,
     }
 
 
@@ -310,6 +316,27 @@ class TestConsensusTrace:
         )
 
 
+class TestRepeatRule:
+    @pytest.mark.parametrize("bits", [4, 8, 12])
+    def test_repeats_change_no_trajectory_on_sync_lossless_channels(self, bits):
+        # delta_q > delta at these widths, so fired triggers often quantize
+        # back to the payload every neighbor already holds
+        topology = build_topology("ring", n=4)
+        instance = _instance(d=16, n=4)
+        comms = CommsConfig(delta=1e-3, bits=bits, tau_inner=1e-4, tau_outer=1e-6,
+                            inner_step_cap=40, outer_iter_cap=8)
+        assert comms.delta_q > comms.delta
+        new = reference_run(instance, topology, comms, seed=5)
+        old = reference_run(instance, topology, comms, seed=5, transmit=maybe_transmit_resending)
+        assert len(new["round_z"]) == len(old["round_z"]) == new["rounds_total"]
+        for z_new, z_old in zip(new["round_z"], old["round_z"]):
+            assert np.array_equal(z_new, z_old)
+        assert np.array_equal(new["log_v"], old["log_v"])
+        assert new["messages"].sum() < old["messages"].sum()
+        record = simulate_decentralized(instance, topology, comms, seed=5)
+        assert np.array_equal(record.messages_per_agent, new["messages"])
+
+
 def _regime_setup(regime):
     kind, params = regime["topology"]
     topology = build_topology(kind, **params)
@@ -338,10 +365,24 @@ class TestLanes:
             assert all(p["consensus_residual_trace"] for p in record.per_outer)
 
     @pytest.mark.parametrize("regime", REGIMES)
-    def test_every_lane_matches_reference(self, regime):
+    def test_every_lane_matches_reference(self, regime, monkeypatch):
+        # every broadcast carries a payload that differs from its sender's
+        # previous one, read from ref before and after each batch round
+        step_round, sent = NetworkEngine.step_round, []
+
+        def watched(eng):
+            messages, ref = eng.messages.copy(), eng.ref.copy()
+            step_round(eng)
+            fired = eng.messages > messages
+            same = (eng.ref.view(np.uint64) == ref.view(np.uint64)).all(axis=1)
+            assert not (fired & same).any()
+            sent.append(int(fired.sum()))
+
+        monkeypatch.setattr(NetworkEngine, "step_round", watched)
         instance, topology = _regime_setup(regime)
         comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
         batch = simulate_lanes(instance, topology, [(comms, s) for s in self.SEEDS], channel, activation)
+        assert sum(sent) > 0
         for seed, record in zip(self.SEEDS, batch):
             ref = reference_run(instance, topology, comms, channel, activation, seed=seed)
             assert record.converged == ref["converged"]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import stdtrit
 
 from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments as xp
@@ -271,6 +272,10 @@ class TestMeanCi:
 
     def test_single_sample(self):
         assert xp._mean_ci([7.5]) == (7.5, 0.0)
+
+    def test_t_quantile_matches_scipy(self):
+        for df in range(1, 200):
+            assert xp._t975(df) == pytest.approx(float(stdtrit(df, 0.975)), rel=1e-12, abs=0)
 
     def test_no_samples(self):
         mean, half = xp._mean_ci([])

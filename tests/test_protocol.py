@@ -305,8 +305,21 @@ class TestTrigger:
         state = _agent([0.4])
         maybe_transmit(state, config)  # payload quantizes to 0.0
         assert state.z_last_tx[0] == 0.0
-        state.z = np.array([0.25])  # only 0.25 from payload but 0.15 from old z
-        assert maybe_transmit(state, config) is not None
+        state.z = np.array([0.55])  # 0.55 from the payload but 0.15 from old z
+        pkt = maybe_transmit(state, config)
+        assert pkt is not None and pkt.payload[0] == 1.0
+
+    def test_fired_trigger_does_not_resend_the_same_payload(self):
+        # z = 0.25 is 0.25 > delta from the sent 0.0 but quantizes back to
+        # 0.0 at 1 bit: the trigger fires and nothing goes out
+        config = CommsConfig(delta=0.2, bits=1, s_min=0.0, s_max=1.0)
+        state = _agent([0.4])
+        maybe_transmit(state, config)
+        state.z = np.array([0.25])
+        assert maybe_transmit(state, config) is None
+        assert state.messages_sent == 1
+        assert np.array_equal(state.z_last_tx, [0.0])
+        assert np.array_equal(state.trigger_anchor, [0.25])
 
     def test_variation_accumulates_between_evaluations(self):
         config = CommsConfig(delta=1.0, bits=None)
