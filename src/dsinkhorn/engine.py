@@ -9,7 +9,10 @@ calls: trigger evaluation on the activated nodes, clip + quantize of the
 fired payloads, of which only those that differ from the sender's last
 payload go out, per-edge drops and delays into a ring of in-flight
 packets, freshest-wins cache delivery, then cached gossip with the
-round's effective weights. Only four things stay per lane: its
+round's effective weights. The edge caches sit in a slot-major grid
+(ELLPACK-style): slot s of receiver r is row s*n + r, so the gossip sum
+is one multiply-add per slot, and the inner stop test checks one witness
+edge per lane before it scans every edge. Only four things stay per lane: its
 activation/drop/delay streams, its delta, its inner and outer stopping,
 and its retirement from the union once it finishes. The test suite pins
 every lane, step for step, to a deliberately literal per-agent oracle.
@@ -26,7 +29,6 @@ from . import netsim, otcore, protocol
 __all__ = ["NetworkEngine", "RunRecord", "simulate_lanes", "simulate_decentralized", "consensus_trace"]
 
 _BLOCK = 8  # rounds of random draws taken per lane and stream in one call
-_CHUNK_BYTES = 1 << 17  # per-edge scratch of the gossip step
 
 
 @dataclass
@@ -49,9 +51,12 @@ class RunRecord:
 class NetworkEngine:
     """Array-backed state of a batch of lanes plus the per-round update.
 
-    Caches live per directed edge (receiver, sender) of the union; rows
-    are sorted by receiver so neighborhood reductions are contiguous
-    `reduceat` segments. Lanes may differ only in seed and delta.
+    Delivery state (``ce_time``, ``arrival``, ``rcv``, ``snd``) lives per
+    directed edge (receiver, sender) of the union, sorted by receiver. The
+    caches ``ce`` live in ``slots`` (the largest in-degree) blocks of n
+    rows: the k-th in-edge of receiver r is row ``cell = k*n + r``, and the
+    rows no edge fills are zero with weight 0. Lanes may differ only in
+    seed and delta.
     """
 
     def __init__(self, topology, lanes, channel=None, activation=None):
@@ -64,6 +69,9 @@ class NetworkEngine:
         self.size, self.edges = topology.num_nodes, topology.directed_edges()
         w_sync = netsim.metropolis_weights(topology).w if self.size > 1 else np.ones((1, 1))
         self.w_edges, self.w_diag = w_sync[self.edges[:, 0], self.edges[:, 1]], np.diag(w_sync)
+        # each edge's rank among its receiver's in-edges picks its slot
+        self.rank = np.arange(len(self.edges)) - np.searchsorted(self.edges[:, 0], self.edges[:, 0])
+        self.slots = int(self.rank.max(initial=-1)) + 1
         self.rngs = [netsim._rng_streams(seed) for _, seed in lanes]
         self.delta = np.repeat([c.delta for c, _ in lanes], self.size)
         self._layout(len(lanes))
@@ -74,9 +82,11 @@ class NetworkEngine:
         self.lanes, self.n, self.n_edges = lanes, lanes * self.size, lanes * len(self.edges)
         self.rcv = (self.edges[:, 0] + shift).ravel()
         self.snd = (self.edges[:, 1] + shift).ravel()
-        # reduceat segment starts per receiver (every node has an in-edge)
-        self.seg_starts = np.searchsorted(self.rcv, np.arange(self.n))
-        self.w_sync_edges = np.tile(self.w_edges, lanes)
+        self.cell = np.tile(self.rank, lanes) * self.n + self.rcv
+        self.pad = np.ones(self.slots * self.n, dtype=bool)
+        self.pad[self.cell] = False
+        self.w_sync = np.zeros(self.slots * self.n)
+        self.w_sync[self.cell] = np.tile(self.w_edges, lanes)
         self.w_sync_diag = np.tile(self.w_diag, lanes)
 
     # -- state ------------------------------------------------------------
@@ -89,7 +99,8 @@ class NetworkEngine:
         self.z = z0.astype(np.float64)
         self.ref = protocol.quantize(protocol.clip_log(self.z, cm.s_min, cm.s_max), cm)
         self.anchor = self.ref.copy()
-        self.ce = self.ref[self.snd]
+        self.ce = np.zeros((self.slots * self.n, d))
+        self.ce[self.cell] = self.ref[self.snd]
         self.ce_time = np.zeros(self.n_edges, dtype=np.int64)
         self.messages = np.ones(self.n, dtype=np.int64)
         self.variation = np.zeros(self.n)
@@ -101,9 +112,9 @@ class NetworkEngine:
         slots = self.channel.max_staleness + 1
         self.arrival = np.zeros((slots, self.n_edges), dtype=np.int64)
         self.ring = [(np.zeros(0, dtype=np.int64), np.empty((0, d)))] * slots
-        rows = max(len(self.edges), _CHUNK_BYTES // (8 * d))
-        self._edge_buf = np.empty((min(rows, self.n_edges), d))
-        self._lane_gap = np.full(self.lanes, -np.inf)
+        self._scratch = np.empty(self.ce.size)  # the gossip's (slots, n, d) products, then gaps
+        # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell
+        self._lane_gap, self._witness = np.full(self.lanes, -np.inf), None
         self._block = [None, None, None]
 
     def retire(self, done: np.ndarray) -> None:
@@ -112,10 +123,12 @@ class NetworkEngine:
         nodes, edges = np.repeat(keep, self.size), np.repeat(keep, len(self.edges))
         for name in ("z", "ref", "anchor", "messages", "variation", "delta"):
             setattr(self, name, getattr(self, name)[nodes])
-        self.ce, self.ce_time, self.arrival = self.ce[edges], self.ce_time[edges], self.arrival[:, edges]
+        d = self.ce.shape[1]
+        self.ce = self.ce.reshape(self.slots, self.lanes, self.size * d)[:, keep].reshape(-1, d)
+        self.ce_time, self.arrival = self.ce_time[edges], self.arrival[:, edges]
         renumber = np.cumsum(nodes) - 1
         self.ring = [(renumber[f[nodes[f]]], p[nodes[f]]) for f, p in self.ring]
-        self.clip_active, self._lane_gap = self.clip_active[keep], self._lane_gap[keep]
+        self.clip_active, self._lane_gap, self._witness = self.clip_active[keep], self._lane_gap[keep], None
         self.rngs = [r for r, k in zip(self.rngs, keep) if k]
         self._block = [None if b is None else b[keep] for b in self._block]
         self._layout(len(self.rngs))
@@ -177,14 +190,14 @@ class NetworkEngine:
         self.ce_time[upd] = due[upd]
         for slot, (senders, payloads) in enumerate(self.ring):
             e = upd[due[upd] % slots == slot]
-            self.ce[e] = payloads[np.searchsorted(senders, self.snd[e])]
+            self.ce[self.cell[e]] = payloads[np.searchsorted(senders, self.snd[e])]
         self._gossip(active)
 
     def _gossip(self, active: np.ndarray) -> None:
         if not self.n_edges:
             return
         if self.activation.mode == "synchronous":
-            w_e, diag = self.w_sync_edges, self.w_sync_diag
+            w, diag = self.w_sync, self.w_sync_diag
         else:
             both = active[self.rcv] & active[self.snd]
             deg_a = np.bincount(self.rcv[both], minlength=self.n)
@@ -192,24 +205,36 @@ class NetworkEngine:
                 both, 1.0 / (1.0 + np.maximum(deg_a[self.rcv], deg_a[self.snd])), 0.0
             )
             diag = 1.0 - np.bincount(self.rcv, weights=w_e, minlength=self.n)
-        # Lanes are disjoint: the per-edge work runs a few lanes at a time
-        # in one small buffer, indexed by the first lanes' index arrays.
-        n, e = self.size, len(self.edges)
-        per = len(self._edge_buf) // e
-        gaps = np.empty(self.n_edges)
-        for lo in range(0, self.lanes, per):
-            nodes, edges = slice(lo * n, (lo + per) * n), slice(lo * e, (lo + per) * e)
-            z, ce = self.z[nodes], self.ce[edges]
-            buf = np.multiply(w_e[edges, None], ce, out=self._edge_buf[: len(ce)])
-            z *= diag[nodes, None]
-            z += np.add.reduceat(buf, self.seg_starts[: len(z)], axis=0)
-            np.take(z, self.rcv[: len(ce)], axis=0, out=buf, mode="clip")
-            gaps[edges] = np.abs(np.subtract(buf, ce, out=buf), out=buf).max(axis=1)
-        self._lane_gap = gaps.reshape(self.lanes, -1).max(axis=1)
+            w = np.zeros(self.slots * self.n)
+            w[self.cell] = w_e
+        ce = self.ce.reshape(self.slots, self.n, -1)
+        buf = np.multiply(w.reshape(self.slots, self.n, 1), ce, out=self._scratch[: ce.size].reshape(ce.shape))
+        # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for add.reduce
+        # over at most 8 rows (zero pads change nothing)
+        first, *rest = *range(1, self.slots), 0
+        for s in rest:
+            buf[first] += buf[s]
+        self.z *= diag[:, None]
+        self.z += buf[first]
+        if self._witness is not None:
+            cells = self._witness
+            gap = np.abs(self.z[cells % self.n] - self.ce[cells]).max(axis=1)
+            if (gap >= self.comms.tau_inner).all():  # no lane can stop: skip the scan
+                self._lane_gap = gap
+                return
+        gaps = np.abs(np.subtract(ce, self.z, out=buf), out=buf).max(axis=2).ravel()
+        gaps[self.pad] = -np.inf
+        per_lane = gaps.reshape(self.slots, self.lanes, self.size).transpose(1, 0, 2).reshape(self.lanes, -1)
+        best = per_lane.argmax(axis=1)
+        self._lane_gap = per_lane[np.arange(self.lanes), best]
+        slot, node = np.divmod(best, self.size)
+        self._witness = slot * self.n + np.arange(self.lanes) * self.size + node
 
     def all_inner_converged(self) -> np.ndarray:
         """Per lane: True when every node's cached neighbor payloads sit
-        within tau_inner (sup norm, strict) of its own z."""
+        within tau_inner (sup norm, strict) of its own z. The round's gap
+        is exact only when a lane may stop; otherwise it may be a lower
+        bound read from one witness edge, still at least tau_inner."""
         return self._lane_gap < self.comms.tau_inner
 
 

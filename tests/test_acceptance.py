@@ -240,15 +240,18 @@ def test_c07_message_scaling():
         }
     )
     spec = experiments.SweepSpec("N", (4, 9, 16, 25, 36), base)
-    _, _, rows, failures = experiments.run_sweep(spec)
-    assert failures == []
+    sweeps = [experiments.run_sweep(spec) for _ in range(5)]
+    assert all(failures == [] for *_, failures in sweeps)
 
+    _, _, rows, _ = sweeps[0]
     sizes = np.array([r["N"] for r in rows], dtype=float)
     messages = np.array([r["messages_mean"] for r in rows])
     slope = np.polyfit(np.log(sizes), np.log(messages), 1)[0]
     assert 0.8 <= slope <= 1.4
 
-    runtimes = [r["runtime_mean"] for r in rows]
+    # host load and speed drift move single sweeps by tens of percent, more
+    # than the N=4 -> 9 step: each N's fastest of five sweeps is compared
+    runtimes = np.min([[r["runtime_mean"] for r in rows] for _, _, rows, _ in sweeps], axis=0)
     assert all(a < b for a, b in zip(runtimes, runtimes[1:]))
     assert time.perf_counter() - t0 < 600.0
 

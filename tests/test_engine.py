@@ -54,6 +54,7 @@ def reference_run(instance, topology, comms, channel=None, activation=None, seed
     sched.bootstrap(agents)
     prev = np.stack([a.z for a in agents])
     round_z = []  # every round's stacked z
+    inner_steps = []  # rounds used by each outer iteration
     converged = False
     global_round = 0
     outer = 0
@@ -67,6 +68,7 @@ def reference_run(instance, topology, comms, channel=None, activation=None, seed
             round_z.append(np.stack([a.z for a in agents]))
             if all(inner_converged(a, comms) for a in agents):
                 break
+        inner_steps.append(inner)
         for a in agents:
             normalize_scale(a)
         z = np.stack([a.z for a in agents])
@@ -83,6 +85,7 @@ def reference_run(instance, topology, comms, channel=None, activation=None, seed
         "messages": np.array([a.messages_sent for a in agents]),
         "variation": np.array([a.variation_accum for a in agents]),
         "round_z": round_z,
+        "inner_steps": inner_steps,
     }
 
 
@@ -143,6 +146,43 @@ REGIMES = [
         ),
         id="lossy-stale-cap3",
     ),
+    pytest.param(
+        dict(
+            # in-degrees 2, 3 and 4 in a cache grid of 4 slots: the pad rows
+            # of the low-degree nodes see async weights, drops and delays
+            topology=("grid2d", {"rows": 3, "cols": 3}),
+            comms=CommsConfig(delta=1e-3, bits=16, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=40, outer_iter_cap=6),
+            channel=ChannelModel(drop_prob=0.2, max_staleness=2),
+            activation=ActivationModel(mode="randomized_subset", p_active=0.5),
+        ),
+        id="padded-grid-subset",
+    ),
+    pytest.param(
+        dict(
+            # the two end nodes have one in-edge, so one of their two cache
+            # slots is padding, and the gap test stops every outer iteration
+            # before the cap (delta as in clean-subset)
+            topology=("path", {"n": 5}),
+            comms=CommsConfig(delta=1e-5, bits=None, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=80, outer_iter_cap=8),
+            channel=None,
+            activation=None,
+        ),
+        id="path-ends",
+    ),
+    pytest.param(
+        dict(
+            # in-degree 9: the gossip sum runs over more than 8 slots, where
+            # its order is no longer numpy's segment-sum order
+            topology=("complete", {"n": 10}),
+            comms=CommsConfig(delta=1e-3, bits=8, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=40, outer_iter_cap=6),
+            channel=ChannelModel(drop_prob=0.1, max_staleness=1),
+            activation=ActivationModel(mode="randomized_pairwise"),
+        ),
+        id="complete-10",
+    ),
 ]
 
 
@@ -163,9 +203,21 @@ class TestEngineMatchesReference:
         assert record.converged == ref["converged"]
         assert record.outer_iters == ref["outer_iters"]
         assert record.rounds_total == ref["rounds_total"]
+        assert [p["inner_steps_used"] for p in record.per_outer] == ref["inner_steps"]
         assert np.array_equal(record.messages_per_agent, ref["messages"])
         assert_allclose(record.log_v, ref["log_v"], atol=1e-12)
         assert_allclose(record.variation_per_agent, ref["variation"], atol=1e-12)
+
+    @pytest.mark.parametrize("regime_id", ["clean-subset", "path-ends"])
+    def test_regimes_stop_on_the_gap_test(self, regime_id):
+        # the engine scans every cache only when a lane may stop; these
+        # regimes end outer iterations before the cap, so the parity test
+        # above covers that scan, pad rows included
+        regime = next(p.values[0] for p in REGIMES if p.id == regime_id)
+        instance, topology = _regime_setup(regime)
+        record = simulate_decentralized(instance, topology, regime["comms"], regime["channel"],
+                                        regime["activation"], seed=5)
+        assert min(p["inner_steps_used"] for p in record.per_outer) < regime["comms"].inner_step_cap
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_bytes_account_for_every_broadcast(self, regime):
