@@ -16,6 +16,13 @@ edge per lane before it scans every edge. Only four things stay per lane: its
 activation/drop/delay streams, its delta, its inner and outer stopping,
 and its retirement from the union once it finishes. The test suite pins
 every lane, step for step, to a deliberately literal per-agent oracle.
+
+A deterministic round (synchronous activation, no drops, no delays) draws
+no random numbers and leaves nothing in flight. When such a round sends
+nothing from a lane and leaves its z bit-for-bit unchanged, every later
+round of the outer iteration would repeat it, so the lane jumps to the
+inner cap: the copies go into its residual trace and round log and the
+skipped rounds into its ``rounds_total``. Random channels never skip.
 """
 
 import time
@@ -28,7 +35,7 @@ from . import netsim, otcore, protocol
 
 __all__ = ["NetworkEngine", "RunRecord", "simulate_lanes", "simulate_decentralized", "consensus_trace"]
 
-_BLOCK = 8  # rounds of random draws taken per lane and stream in one call
+_BLOCK = 64  # rounds of random draws taken per lane and stream in one call
 
 
 @dataclass
@@ -45,7 +52,7 @@ class RunRecord:
     clip_active: bool
     per_outer: list  # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_trace
     wall_clock_seconds: float  # the run's share of its batch's time, by rounds
-    round_log_v: list = field(default_factory=list)  # optional per-round Z copies
+    round_log_v: list = field(default_factory=list)  # optional per-round Z copies; skipped rounds share one
 
 
 class NetworkEngine:
@@ -56,7 +63,9 @@ class NetworkEngine:
     caches ``ce`` live in ``slots`` (the largest in-degree) blocks of n
     rows: the k-th in-edge of receiver r is row ``cell = k*n + r``, and the
     rows no edge fills are zero with weight 0. Lanes may differ only in
-    seed and delta.
+    seed and delta. After a deterministic round in which some lane sent
+    nothing, ``idle`` flags per lane a round that sent nothing and left z
+    bit-for-bit unchanged; otherwise it is None.
     """
 
     def __init__(self, topology, lanes, channel=None, activation=None):
@@ -74,6 +83,10 @@ class NetworkEngine:
         self.slots = int(self.rank.max(initial=-1)) + 1
         self.rngs = [netsim._rng_streams(seed) for _, seed in lanes]
         self.delta = np.repeat([c.delta for c, _ in lanes], self.size)
+        # synchronous, lossless and undelayed: a round draws no random
+        # numbers and leaves nothing in flight
+        self.deterministic = (self.activation.mode == "synchronous" and self.channel.drop_prob == 0
+                              and self.channel.max_staleness == 0)
         self._layout(len(lanes))
 
     def _layout(self, lanes: int) -> None:
@@ -97,6 +110,8 @@ class NetworkEngine:
         ``z0`` stacks the lanes' (N, d) states."""
         cm, d = self.comms, z0.shape[1]
         self.z = z0.astype(np.float64)
+        self.idle = None
+        self._spare_z()
         self.ref = protocol.quantize(protocol.clip_log(self.z, cm.s_min, cm.s_max), cm)
         self.anchor = self.ref.copy()
         self.ce = np.zeros((self.slots * self.n, d))
@@ -123,6 +138,7 @@ class NetworkEngine:
         nodes, edges = np.repeat(keep, self.size), np.repeat(keep, len(self.edges))
         for name in ("z", "ref", "anchor", "messages", "variation", "delta"):
             setattr(self, name, getattr(self, name)[nodes])
+        self._spare_z()
         d = self.ce.shape[1]
         self.ce = self.ce.reshape(self.slots, self.lanes, self.size * d)[:, keep].reshape(-1, d)
         self.ce_time, self.arrival = self.ce_time[edges], self.arrival[:, edges]
@@ -133,6 +149,12 @@ class NetworkEngine:
         self._block = [None if b is None else b[keep] for b in self._block]
         self._layout(len(self.rngs))
 
+    def _spare_z(self) -> None:
+        """The buffer the gossip writes the new z into before the two swap,
+        so that an idle test can compare against the old z; where no round
+        can be idle it is z itself and the gossip runs in place."""
+        self._z_spare = np.empty_like(self.z) if self.deterministic else self.z
+
     # -- one round ---------------------------------------------------------
 
     def _draws(self, now: int) -> list:
@@ -141,10 +163,18 @@ class NetworkEngine:
         streams are read _BLOCK rounds at a time, as one-round draws would."""
         if (now - 1) % _BLOCK == 0:
             rngs, e, ch, slots = self.rngs, len(self.edges), self.channel, len(self.ring)
-            act = [netsim.draw_active(a, self.activation, self.topology, _BLOCK) for a, _, _ in rngs]
-            kept = ch.drop_prob > 0 and [d.random((_BLOCK, e)) >= ch.drop_prob for _, d, _ in rngs]
-            delays = slots > 1 and [t.integers(0, slots, (_BLOCK, e)).astype(np.int32) for *_, t in rngs]
-            self._block = [np.stack(b) if b else None for b in (act, kept, delays)]
+            self._block = [None, None, None]  # the spent block goes before the next is drawn
+            act = np.stack([netsim.draw_active(a, self.activation, self.topology, _BLOCK) for a, _, _ in rngs])
+            kept = delays = None  # filled lane by lane, without a list of per-lane copies
+            if ch.drop_prob > 0:
+                kept = np.empty((self.lanes, _BLOCK, e), dtype=bool)
+                for row, (_, d, _) in zip(kept, rngs):
+                    np.greater_equal(d.random((_BLOCK, e)), ch.drop_prob, out=row)
+            if slots > 1:
+                delays = np.empty((self.lanes, _BLOCK, e), dtype=np.int32)
+                for row, (*_, t) in zip(delays, rngs):
+                    row[:] = t.integers(0, slots, (_BLOCK, e))
+            self._block = [act, kept, delays]
         return [None if b is None else b[:, (now - 1) % _BLOCK].ravel() for b in self._block]
 
     def step_round(self) -> None:
@@ -191,7 +221,18 @@ class NetworkEngine:
         for slot, (senders, payloads) in enumerate(self.ring):
             e = upd[due[upd] % slots == slot]
             self.ce[self.cell[e]] = payloads[np.searchsorted(senders, self.snd[e])]
+        z_before = self.z
         self._gossip(active)
+
+        # A deterministic round that sent nothing and left z bit-for-bit
+        # unchanged leaves the lane's whole state as it found it (anchor
+        # aside, which only adds |z - anchor| = 0 to variation from now on),
+        # so every later round would repeat this one.
+        self.idle = None
+        if self.deterministic and len(fired) <= self.n - self.size:
+            still = self.z.view(np.int64) == z_before.view(np.int64)
+            self.idle = still.reshape(self.lanes, -1).all(axis=1)
+            self.idle[fired // self.size] = False
 
     def _gossip(self, active: np.ndarray) -> None:
         if not self.n_edges:
@@ -214,8 +255,9 @@ class NetworkEngine:
         first, *rest = *range(1, self.slots), 0
         for s in rest:
             buf[first] += buf[s]
-        self.z *= diag[:, None]
-        self.z += buf[first]
+        z = np.multiply(self.z, diag[:, None], out=self._z_spare)
+        z += buf[first]
+        self.z, self._z_spare = z, self.z
         if self._witness is not None:
             cells = self._witness
             gap = np.abs(self.z[cells % self.n] - self.ce[cells]).max(axis=1)
@@ -262,8 +304,8 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     t0 = time.perf_counter()
     eng.bootstrap(np.zeros((len(lanes) * n, d)))
     results, start = [None] * len(lanes), np.zeros((n, d))
-    live = [SimpleNamespace(index=i, prev_log_v=start, outer=0, inner=0, per_outer=[], round_log_v=[])
-            for i in range(len(lanes))]  # each lane's progress, in engine order
+    live = [SimpleNamespace(index=i, prev_log_v=start, outer=0, inner=0, skipped=0, per_outer=[],
+                            round_log_v=[]) for i in range(len(lanes))]  # each lane's progress, in engine order
 
     def next_outer(pos, lane) -> bool:
         """Local scaling and reseed of one lane; True when it failed."""
@@ -297,7 +339,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         eng.step_round()
         if collect_residuals:
             residuals = netsim.consensus_residual(eng.z.reshape(eng.lanes, n, d)).tolist()
-        stop = eng.all_inner_converged()
+        stop, idle = eng.all_inner_converged(), eng.idle
         done = np.zeros(len(live), dtype=bool)
         for pos, lane in enumerate(live):
             lane.inner += 1
@@ -306,6 +348,13 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
                 lane.residuals.append(residuals[pos])
             if collect_round_log_v:
                 lane.round_log_v.append(z.copy())
+            if idle is not None and idle[pos] and not stop[pos]:
+                # every later round of this outer iteration would repeat
+                # this one: end it at the cap with this round's values
+                skip = cm.inner_step_cap - lane.inner
+                lane.inner, lane.skipped = cm.inner_step_cap, lane.skipped + skip
+                lane.residuals += lane.residuals[-1:] * skip
+                lane.round_log_v += lane.round_log_v[-1:] * skip
             if not (stop[pos] or lane.inner == cm.inner_step_cap):
                 continue
             # Remove each node's common log-v offset (a purely local step).
@@ -325,7 +374,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             rows = slice(pos * n, (pos + 1) * n)
             results[lane.index] = RunRecord(
                 otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
-                eng.send_counter - 1, eng.messages[rows].copy(), eng.variation[rows].copy(),
+                eng.send_counter - 1 + lane.skipped, eng.messages[rows].copy(), eng.variation[rows].copy(),
                 bool(eng.clip_active[pos]), lane.per_outer, 0.0, lane.round_log_v,
             )
     wall = time.perf_counter() - t0

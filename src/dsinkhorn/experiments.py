@@ -507,29 +507,20 @@ def _check_consensus_decay(topology, comms, rng, steps) -> CheckResult:
 
 
 def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, seed):
-    """Runs the (delta, bits) grid once; feeds both the tracking check and
-    the broadcast-budget check."""
+    """Runs the (delta, bits) grid once, one engine batch per bits value
+    with one lane per delta; feeds both the tracking check and the
+    broadcast-budget check."""
     oracle = centralized_oracle(instance)
-    runs = []
-    for dv in deltas:
-        for bv in bits_grid:
-            variant = replace(comms, delta=dv, bits=bv)
-            metrics, record = run_decentralized(
-                instance,
-                topology,
-                variant,
-                seed=seed,
-                oracle=oracle,
-                collect_residuals=False,
-            )
-            runs.append(
-                {
-                    "delta": dv,
-                    "bits": bv,
-                    "perturbation": variant.tau_inner + dv + variant.delta_q,
-                    "metrics": metrics,
-                }
-            )
+    grid = {}
+    for bv in bits_grid:
+        lanes = [(replace(comms, delta=dv, bits=bv), seed) for dv in deltas]
+        results = run_lanes(instance, topology, lanes, oracle=oracle, collect_residuals=False)
+        for dv, (variant, _), result in zip(deltas, lanes, results):
+            if isinstance(result, Exception):
+                raise result
+            grid[dv, bv] = {"delta": dv, "bits": bv, "metrics": result[0],
+                            "perturbation": variant.tau_inner + dv + variant.delta_q}
+    runs = [grid[dv, bv] for dv in deltas for bv in bits_grid]
     excluded = []
     tracked = []
     worst = None

@@ -183,7 +183,50 @@ REGIMES = [
         ),
         id="complete-10",
     ),
+    pytest.param(
+        dict(
+            # a synchronous lossless channel: each outer iteration reaches a
+            # bitwise fixed point (nothing sent, z unchanged) long before the
+            # cap, so the engine skips the idle rounds that remain
+            topology=("grid2d", {"rows": 3, "cols": 3}),
+            comms=CommsConfig(delta=1e-3, bits=12, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=150, outer_iter_cap=4),
+            channel=None,
+            activation=None,
+        ),
+        id="sync-fixed-point-12bit",
+    ),
+    pytest.param(
+        dict(
+            topology=("grid2d", {"rows": 3, "cols": 3}),
+            comms=CommsConfig(delta=1e-3, bits=None, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=150, outer_iter_cap=4),
+            channel=None,
+            activation=None,
+        ),
+        id="sync-fixed-point-unquantized",
+    ),
 ]
+IDLING = ("sync-fixed-point-12bit", "sync-fixed-point-unquantized")
+
+
+def _is_deterministic(regime) -> bool:
+    """Synchronous, lossless and undelayed: the rounds the engine may skip."""
+    channel, activation = regime["channel"], regime["activation"]
+    return (activation is None or activation.mode == "synchronous") and (
+        channel is None or (channel.drop_prob == 0 and channel.max_staleness == 0))
+
+
+def _count_step_rounds(monkeypatch) -> list:
+    """Patch NetworkEngine.step_round to count its calls in the returned list."""
+    step_round, calls = NetworkEngine.step_round, []
+
+    def counted(eng):
+        calls.append(1)
+        step_round(eng)
+
+    monkeypatch.setattr(NetworkEngine, "step_round", counted)
+    return calls
 
 
 class TestEngineMatchesReference:
@@ -213,11 +256,39 @@ class TestEngineMatchesReference:
         # the engine scans every cache only when a lane may stop; these
         # regimes end outer iterations before the cap, so the parity test
         # above covers that scan, pad rows included
-        regime = next(p.values[0] for p in REGIMES if p.id == regime_id)
+        regime = _regime(regime_id)
         instance, topology = _regime_setup(regime)
         record = simulate_decentralized(instance, topology, regime["comms"], regime["channel"],
                                         regime["activation"], seed=5)
         assert min(p["inner_steps_used"] for p in record.per_outer) < regime["comms"].inner_step_cap
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_round_by_round_parity(self, regime):
+        # skipped idle rounds still appear in round_log_v and in the
+        # residual traces, as the copies the reference computes
+        instance, topology = _regime_setup(regime)
+        args = (instance, topology, regime["comms"], regime["channel"], regime["activation"])
+        record = simulate_decentralized(*args, seed=5, collect_round_log_v=True)
+        ref = reference_run(*args, seed=5)
+        assert [p["inner_steps_used"] for p in record.per_outer] == ref["inner_steps"]
+        assert len(record.round_log_v) == len(ref["round_z"]) == record.rounds_total
+        for z, z_ref in zip(record.round_log_v, ref["round_z"]):
+            assert_allclose(z, z_ref, atol=1e-12)
+        traces = [r for p in record.per_outer for r in p["consensus_residual_trace"]]
+        assert_allclose(traces, [consensus_residual(z) for z in ref["round_z"]], atol=1e-12)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_idle_rounds_are_skipped_only_on_deterministic_channels(self, regime, monkeypatch):
+        calls = _count_step_rounds(monkeypatch)
+        instance, topology = _regime_setup(regime)
+        record = simulate_decentralized(instance, topology, regime["comms"], regime["channel"],
+                                        regime["activation"], seed=5)
+        if not _is_deterministic(regime):
+            assert len(calls) == record.rounds_total
+        elif regime in [_regime(i) for i in IDLING]:
+            assert len(calls) < record.rounds_total
+        else:
+            assert len(calls) <= record.rounds_total
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_bytes_account_for_every_broadcast(self, regime):
@@ -314,6 +385,54 @@ class TestSingleNode:
         # no edges: each outer iteration costs exactly one (empty) round
         assert record.rounds_total == record.outer_iters
 
+    def test_a_stopping_round_is_not_skipped(self):
+        # delta=inf: the node never sends and z never moves, so every round
+        # is idle, and the gap test (no edges) still ends each outer
+        # iteration after that one round
+        instance = _instance(n=1)
+        comms = CommsConfig(delta=float("inf"), bits=None, inner_step_cap=5, outer_iter_cap=4)
+        record = simulate_decentralized(instance, Topology(1, ()), comms, seed=0)
+        assert [p["inner_steps_used"] for p in record.per_outer] == [1] * 4
+        assert record.rounds_total == 4
+
+
+class TestIdleFlag:
+    """``NetworkEngine.idle`` after a round: per lane, True only when a
+    deterministic round sent nothing and left z bit-for-bit unchanged."""
+
+    @staticmethod
+    def _engine(channel=None, activation=None):
+        comms = CommsConfig(delta=1e-3, bits=None)
+        eng = NetworkEngine(build_topology("complete", n=2), [(comms, 0), (comms, 1)], channel, activation)
+        eng.bootstrap(np.zeros((4, 3)))  # consensus at 0: the gossip maps it to itself exactly
+        return eng
+
+    def test_a_lane_that_sent_is_not_idle(self):
+        eng = self._engine()
+        eng.ref[2] = 1.0  # lane 1's node 0 last sent 1.0: it fires and sends 0.0
+        eng.step_round()
+        assert not eng.z.any() and eng.messages.tolist() == [1, 1, 2, 1]
+        assert eng.idle.tolist() == [True, False]
+        eng.step_round()
+        assert eng.idle.tolist() == [True, True]
+
+    def test_a_lane_whose_z_moved_is_not_idle(self):
+        eng = self._engine()
+        eng.z[1] = 1e-4  # within delta, so nothing is sent, but the gossip moves it
+        eng.step_round()
+        assert eng.messages.tolist() == [1] * 4
+        assert eng.idle.tolist() == [False, True]
+
+    @pytest.mark.parametrize("channel, activation", [
+        (ChannelModel(drop_prob=0.1), None),
+        (ChannelModel(max_staleness=1), None),
+        (None, ActivationModel(mode="randomized_subset", p_active=0.5)),
+    ])
+    def test_random_rounds_are_never_idle(self, channel, activation):
+        eng = self._engine(channel, activation)
+        eng.step_round()
+        assert eng.idle is None
+
 
 class TestConsensusTrace:
     def test_shape_and_initial_residual(self):
@@ -387,6 +506,10 @@ class TestRepeatRule:
         assert new["messages"].sum() < old["messages"].sum()
         record = simulate_decentralized(instance, topology, comms, seed=5)
         assert np.array_equal(record.messages_per_agent, new["messages"])
+
+
+def _regime(regime_id):
+    return next(p.values[0] for p in REGIMES if p.id == regime_id)
 
 
 def _regime_setup(regime):
@@ -468,7 +591,7 @@ class TestLanes:
 
     @pytest.mark.parametrize("regime_id", ["clean-subset", "lossy-stale-cap3"])
     def test_lanes_retire_at_different_rounds(self, regime_id):
-        regime = next(p.values[0] for p in REGIMES if p.id == regime_id)
+        regime = _regime(regime_id)
         instance, topology = _regime_setup(regime)
         lanes = [(regime["comms"], 5)] + self._companions(regime["comms"])
         batch = simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"])
@@ -481,6 +604,21 @@ class TestLanes:
         batch = simulate_lanes(instance, topology, [(comms, 3), (always, 3)])
         _assert_same_record(batch[0], simulate_decentralized(instance, topology, comms, seed=3))
         _assert_same_record(batch[1], simulate_decentralized(instance, topology, always, seed=3))
+
+    def test_idle_and_busy_lanes_share_a_batch(self, monkeypatch):
+        # delta=1e-3 idles long before the cap, delta=1e-5 stops on the gap
+        # test without idling, delta=0 sends until it stops
+        regime = _regime("sync-fixed-point-unquantized")
+        instance, topology = _regime_setup(regime)
+        lanes = [(dataclasses.replace(regime["comms"], delta=dv), 5) for dv in (1e-3, 1e-5, 0.0)]
+        batch = simulate_lanes(instance, topology, lanes)
+        calls = _count_step_rounds(monkeypatch)
+        skipped = []
+        for (comms, seed), record in zip(lanes, batch):
+            calls.clear()
+            _assert_same_record(record, simulate_decentralized(instance, topology, comms, seed=seed))
+            skipped.append(len(calls) < record.rounds_total)
+        assert skipped == [True, False, False]
 
     SHARED = {"tau_inner": 1e-5, "tau_outer": 1e-7, "bits": 8, "s_min": -20.0, "s_max": 20.0,
               "inner_step_cap": 7, "outer_iter_cap": 3}
@@ -499,7 +637,7 @@ class TestLanes:
             NetworkEngine(build_topology("complete", n=4), [(comms, 0), (other, 1)])
 
     def test_wall_clock_is_the_lanes_share_by_rounds(self):
-        regime = next(p.values[0] for p in REGIMES if p.id == "lossy-stale-cap3")
+        regime = _regime("lossy-stale-cap3")
         instance, topology = _regime_setup(regime)
         lanes = [(regime["comms"], 5)] + self._companions(regime["comms"])
         batch = simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"])
