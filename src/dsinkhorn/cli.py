@@ -203,6 +203,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise cfgmod.ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
         cfg, sweep_sec = _load(args)
         if args.command == "centralized":
             return cmd_centralized(cfg)

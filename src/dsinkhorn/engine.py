@@ -7,12 +7,13 @@ topology: node l*N + i is node i of lane l, and the directed edges are
 stacked the same way, so one round of every lane is a handful of numpy
 calls: trigger evaluation on the activated nodes, clip + quantize of the
 fired payloads, of which only those that differ from the sender's last
-payload go out, per-edge drops and delays into a ring of in-flight
-packets, freshest-wins cache delivery, then cached gossip with the
-round's effective weights. The edge caches sit in a slot-major grid
-(ELLPACK-style): slot s of receiver r is row s*n + r, so the gossip sum
-is one multiply-add per slot, and the inner stop test checks one witness
-edge per lane before it scans every edge. Only four things stay per lane: its
+payload go out, per-edge drops, delayed packets into a ring (a delay-0
+packet lands at once), freshest-wins cache delivery, then cached gossip
+with the round's effective weights. The edge caches sit in a slot-major
+grid (ELLPACK-style): slot s of receiver r is row s*n + r, so the gossip
+sum is one multiply-add per slot, kept under synchronous weights until a
+cache row changes, and the inner stop test checks one witness edge per
+lane before it scans every edge. Only four things stay per lane: its
 activation/drop/delay streams, its delta, its inner and outer stopping,
 and its retirement from the union once it finishes. The test suite pins
 every lane, step for step, to a deliberately literal per-agent oracle.
@@ -62,10 +63,11 @@ class NetworkEngine:
     directed edge (receiver, sender) of the union, sorted by receiver. The
     caches ``ce`` live in ``slots`` (the largest in-degree) blocks of n
     rows: the k-th in-edge of receiver r is row ``cell = k*n + r``, and the
-    rows no edge fills are zero with weight 0. Lanes may differ only in
-    seed and delta. After a deterministic round in which some lane sent
-    nothing, ``idle`` flags per lane a round that sent nothing and left z
-    bit-for-bit unchanged; otherwise it is None.
+    rows no edge fills are zero with weight 0; ``_sum``, their weighted
+    sum, is kept under synchronous weights until a cache row is written.
+    Lanes may differ only in seed and delta. After a deterministic round
+    in which some lane sent nothing, ``idle`` flags per lane a round that
+    sent nothing and left z bit-for-bit unchanged; otherwise it is None.
     """
 
     def __init__(self, topology, lanes, channel=None, activation=None):
@@ -121,13 +123,14 @@ class NetworkEngine:
         self.variation = np.zeros(self.n)
         self.clip_active = ((self.z < cm.s_min) | (self.z > cm.s_max)).reshape(self.lanes, -1).any(axis=1)
         self.send_counter = 1
-        # In-flight packets, one slot per send round modulo max_staleness+1:
-        # arrival rounds per directed edge, the round's fired nodes and their
-        # payloads. A slot is rewritten only after all its packets arrived.
+        # Delayed packets in flight, one slot per send round modulo
+        # max_staleness+1: arrival rounds per directed edge, the round's fired
+        # nodes and their payloads. A slot is rewritten only after all arrived.
         slots = self.channel.max_staleness + 1
         self.arrival = np.zeros((slots, self.n_edges), dtype=np.int64)
         self.ring = [(np.zeros(0, dtype=np.int64), np.empty((0, d)))] * slots
-        self._scratch = np.empty(self.ce.size)  # the gossip's (slots, n, d) products, then gaps
+        self._scratch = np.empty(max(self.slots, 1) * self.z.size)  # trigger diffs, gossip products, gaps
+        self._sum = None
         # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell
         self._lane_gap, self._witness = np.full(self.lanes, -np.inf), None
         self._block = [None, None, None]
@@ -144,7 +147,8 @@ class NetworkEngine:
         self.ce_time, self.arrival = self.ce_time[edges], self.arrival[:, edges]
         renumber = np.cumsum(nodes) - 1
         self.ring = [(renumber[f[nodes[f]]], p[nodes[f]]) for f, p in self.ring]
-        self.clip_active, self._lane_gap, self._witness = self.clip_active[keep], self._lane_gap[keep], None
+        self.clip_active, self._lane_gap = self.clip_active[keep], self._lane_gap[keep]
+        self._witness = self._sum = None
         self.rngs = [r for r, k in zip(self.rngs, keep) if k]
         self._block = [None if b is None else b[keep] for b in self._block]
         self._layout(len(self.rngs))
@@ -159,13 +163,15 @@ class NetworkEngine:
 
     def _draws(self, now: int) -> list:
         """This round's active mask, kept (not dropped) links and delays
-        over the union; None where the channel draws nothing. Each lane's
-        streams are read _BLOCK rounds at a time, as one-round draws would."""
+        over the union; None where the round draws nothing (a synchronous
+        one activates all). Each lane's streams are read _BLOCK rounds at a
+        time, as one-round draws would."""
         if (now - 1) % _BLOCK == 0:
             rngs, e, ch, slots = self.rngs, len(self.edges), self.channel, len(self.ring)
             self._block = [None, None, None]  # the spent block goes before the next is drawn
-            act = np.stack([netsim.draw_active(a, self.activation, self.topology, _BLOCK) for a, _, _ in rngs])
-            kept = delays = None  # filled lane by lane, without a list of per-lane copies
+            act = kept = delays = None  # filled lane by lane, without a list of per-lane copies
+            if self.activation.mode != "synchronous":
+                act = np.stack([netsim.draw_active(a, self.activation, self.topology, _BLOCK) for a, _, _ in rngs])
             if ch.drop_prob > 0:
                 kept = np.empty((self.lanes, _BLOCK, e), dtype=bool)
                 for row, (_, d, _) in zip(kept, rngs):
@@ -184,16 +190,15 @@ class NetworkEngine:
         self.send_counter += 1
         active, kept, delays = self._draws(now)
 
-        # trigger evaluation on activated nodes
-        act_idx = np.flatnonzero(active)
-        z_act = self.z[act_idx]
-        diff = self.anchor[act_idx]
-        self.variation[act_idx] += np.abs(np.subtract(z_act, diff, out=diff), out=diff).max(axis=1)
-        self.anchor[act_idx] = z_act
-        diff = np.take(self.ref, act_idx, axis=0, out=diff, mode="clip")
-        hot = np.abs(np.subtract(z_act, diff, out=diff), out=diff).max(axis=1) > self.delta[act_idx]
-        fired, raw = act_idx[hot], z_act[hot]
-        del z_act, diff  # the round's largest temporaries
+        # trigger evaluation on activated nodes (a slice when synchronous: diff must not be a view)
+        rows = slice(None) if active is None else np.flatnonzero(active)
+        z_act = self.z[rows]
+        diff = np.subtract(z_act, self.anchor[rows], out=self._scratch[: z_act.size].reshape(z_act.shape))
+        self.variation[rows] += np.abs(diff, out=diff).max(axis=1)
+        self.anchor[rows] = z_act
+        hot = np.abs(np.subtract(z_act, self.ref[rows], out=diff), out=diff).max(axis=1) > self.delta[rows]
+        fired, raw = np.flatnonzero(hot) if active is None else rows[hot], z_act[hot]
+        del z_act, diff  # z_act is a gathered copy on random activation
         outside = ((raw < cm.s_min) | (raw > cm.s_max)).any(axis=1)
         self.clip_active[fired[outside] // self.size] = True
         raw = protocol.clip_log(raw, cm.s_min, cm.s_max)
@@ -206,21 +211,26 @@ class NetworkEngine:
         self.anchor[fired] = payload
         self.messages[fired] += 1
 
-        # each fired node's packet enters the ring on its kept out-edges
-        self.ring[now % slots] = (fired, payload)
-        sent = np.zeros(self.n, dtype=bool)
-        sent[fired] = True
-        sent = sent[self.snd] if kept is None else sent[self.snd] & kept
-        self.arrival[now % slots, sent] = now if delays is None else now + delays[sent]
-
-        # freshest-wins delivery: per edge, the latest send round due now
-        sent_at = now - (now - np.arange(slots)) % slots
-        due = np.where(self.arrival == now, sent_at[:, None], 0).max(axis=0)
-        upd = np.flatnonzero(due > self.ce_time)
-        self.ce_time[upd] = due[upd]
-        for slot, (senders, payloads) in enumerate(self.ring):
-            e = upd[due[upd] % slots == slot]
-            self.ce[self.cell[e]] = payloads[np.searchsorted(senders, self.snd[e])]
+        # freshest-wins delivery from the ring: per edge, the latest send round due now
+        if delays is not None:
+            sent_at = now - (now - np.arange(slots)) % slots
+            due = np.where(self.arrival == now, sent_at[:, None], 0).max(axis=0)
+            upd = np.flatnonzero(due > self.ce_time)
+            for slot, (senders, payloads) in enumerate(self.ring):
+                e = upd[due[upd] % slots == slot]
+                self._deliver(e, due[e], senders, payloads)
+        # each fired node's packet leaves on its kept out-edges: a delayed one
+        # enters the ring, a delay-0 one lands now, the freshest of all
+        if len(fired):
+            sent = np.zeros(self.n, dtype=bool)
+            sent[fired] = True
+            sent = sent[self.snd] if kept is None else sent[self.snd] & kept
+            if delays is not None:
+                late = sent & (delays > 0)
+                self.ring[now % slots] = (fired, payload)
+                self.arrival[now % slots, late] = now + delays[late]
+                sent ^= late
+            self._deliver(np.flatnonzero(sent), now, fired, payload)
         z_before = self.z
         self._gossip(active)
 
@@ -234,10 +244,20 @@ class NetworkEngine:
             self.idle = still.reshape(self.lanes, -1).all(axis=1)
             self.idle[fired // self.size] = False
 
-    def _gossip(self, active: np.ndarray) -> None:
+    def _deliver(self, edges, sent_at, senders, payloads) -> None:
+        """Write packets into the caches of ``edges``, dropping the kept sum."""
+        if len(edges):
+            self.ce_time[edges] = sent_at
+            self.ce[self.cell[edges]] = payloads[np.searchsorted(senders, self.snd[edges])]
+            self._sum = None
+
+    def _gossip(self, active: np.ndarray | None) -> None:
         if not self.n_edges:
             return
-        if self.activation.mode == "synchronous":
+        ce = self.ce.reshape(self.slots, self.n, -1)
+        buf = self._scratch[: ce.size].reshape(ce.shape)
+        total = self._sum  # kept while the weights are fixed and no cache row changed
+        if active is None:
             w, diag = self.w_sync, self.w_sync_diag
         else:
             both = active[self.rcv] & active[self.snd]
@@ -248,15 +268,18 @@ class NetworkEngine:
             diag = 1.0 - np.bincount(self.rcv, weights=w_e, minlength=self.n)
             w = np.zeros(self.slots * self.n)
             w[self.cell] = w_e
-        ce = self.ce.reshape(self.slots, self.n, -1)
-        buf = np.multiply(w.reshape(self.slots, self.n, 1), ce, out=self._scratch[: ce.size].reshape(ce.shape))
-        # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for add.reduce
-        # over at most 8 rows (zero pads change nothing)
-        first, *rest = *range(1, self.slots), 0
-        for s in rest:
-            buf[first] += buf[s]
+        if total is None:
+            np.multiply(w.reshape(self.slots, self.n, 1), ce, out=buf)
+            # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for
+            # add.reduce over at most 8 rows (zero pads change nothing)
+            first, *rest = *range(1, self.slots), 0
+            for s in rest:
+                buf[first] += buf[s]
+            total = buf[first]
+            if active is None:
+                self._sum = total = total.copy()
         z = np.multiply(self.z, diag[:, None], out=self._z_spare)
-        z += buf[first]
+        z += total
         self.z, self._z_spare = z, self.z
         if self._witness is not None:
             cells = self._witness

@@ -359,8 +359,13 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
         oracles = [downsample_reference(fine, v) for v in spec.values]
     tasks = [(spec, v, oracle) for v, oracle in zip(spec.values, oracles)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+        # the largest points (nodes x d; every point runs all seeds) go
+        # first, so that no long one starts last; rows keep value order
+        cfgs = [config_for_value(spec.base, spec.variable, v) for v in spec.values]
+        order = sorted(range(len(tasks)), key=lambda i: -cfgs[i].network.num_nodes * cfgs[i].problem.d)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            done = dict(zip(order, pool.map(_sweep_point, [tasks[i] for i in order])))
+        results = [done[i] for i in range(len(tasks))]
     else:
         results = [_sweep_point(t) for t in tasks]
     fieldnames = [label]

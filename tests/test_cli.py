@@ -363,6 +363,15 @@ class TestSweep:
         assert len(tables[0]) == len(values)
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        cfg = _write_cfg(tmp_path, self._sweep_tree("delta", [1e-3, 1e-2]))
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: --jobs: must be at least 1, got {jobs}")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passing_report(self, tmp_path, capsys):

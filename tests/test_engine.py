@@ -206,6 +206,19 @@ REGIMES = [
         ),
         id="sync-fixed-point-unquantized",
     ),
+    pytest.param(
+        dict(
+            # synchronous weights with drops and no delays: every kept packet
+            # lands the round it is sent, the ring stays empty, and the
+            # gossip keeps its neighbour sum through rounds that deliver nothing
+            topology=("grid2d", {"rows": 3, "cols": 3}),
+            comms=CommsConfig(delta=1e-3, bits=12, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=60, outer_iter_cap=4),
+            channel=ChannelModel(drop_prob=0.2, max_staleness=0),
+            activation=None,
+        ),
+        id="sync-drops-undelayed",
+    ),
 ]
 IDLING = ("sync-fixed-point-12bit", "sync-fixed-point-unquantized")
 

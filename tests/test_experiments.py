@@ -501,6 +501,41 @@ class TestScalingSweep:
         rows = xp.run_sweep(xp.SweepSpec("N", (4, 16), base))[2]
         assert rows[1]["messages_mean"] > rows[0]["messages_mean"]
 
+    def test_pool_has_no_more_workers_than_points_and_runs_the_largest_first(self, monkeypatch):
+        # an in-process stand-in for the pool: it records its size and the
+        # order the points were handed over, and runs them in that order
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers, self.values = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                self.values = [value for _, value, _ in tasks]
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", RecordingPool)
+        base = _small_cfg(**{"problem.d": 8, "comms.inner_step_cap": 5, "comms.outer_iter_cap": 2,
+                             "seeds": [0]})
+        spec = xp.SweepSpec("N", (1, 4, 9), base)
+        rows = xp.run_sweep(spec, jobs=64)[2]
+        serial = xp.run_sweep(spec)[2]
+        assert [(p.max_workers, p.values) for p in pools] == [(3, [9, 4, 1])]
+        assert [r["N"] for r in rows] == [1, 4, 9]
+        assert [r["messages_mean"] for r in rows] == [r["messages_mean"] for r in serial]
+        # a support sweep orders by d
+        spec = xp.SweepSpec("d", (4, 8), _small_cfg(**{"comms.outer_iter_cap": 2, "seeds": [0]}))
+        xp.run_sweep(spec, jobs=2)
+        assert [(p.max_workers, p.values) for p in pools[1:]] == [(2, [8, 4])]
+
 
 class TestSupportSweep:
     def test_downsample_bins(self):
