@@ -36,7 +36,6 @@ from .netsim import (
     TopologyError,
     build_topology,
     consensus_residual,
-    expected_weights,
     metropolis_weights,
     spectral_gap,
 )
@@ -71,7 +70,7 @@ __all__ = [
     # network simulation
     "Topology", "TopologyError", "build_topology", "GossipWeights",
     "metropolis_weights", "spectral_gap", "consensus_residual",
-    "ChannelModel", "ActivationModel", "expected_weights",
+    "ChannelModel", "ActivationModel",
     "RunRecord", "simulate_lanes", "simulate_decentralized", "consensus_trace",
     # experiments & config
     "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",

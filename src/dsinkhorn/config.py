@@ -10,6 +10,12 @@ A run is described by one key-tree (YAML or JSON) with sections
     seeds:      list of run seeds
     output_dir: where commands write their artifacts
 
+Each section is a frozen dataclass (``ProblemSpec``, ``NetworkSpec``,
+``protocol.CommsConfig``, ``netsim.ChannelModel``, ``netsim.ActivationModel``)
+and the dataclasses are the only place field names, their order and their
+defaults are declared: the parser reads them from ``dataclasses.fields``
+and ``RunConfig.resolved_dict`` writes them back in the same order.
+
 Validation failures raise :class:`ConfigError` whose message starts with the
 dotted field path (e.g. ``problem.epsilon: must be > 0``).
 """
@@ -17,7 +23,8 @@ dotted field path (e.g. ``problem.epsilon: must be > 0``).
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -59,9 +66,7 @@ class NetworkSpec:
 
     @property
     def num_nodes(self) -> int:
-        if self.topology_kind == "grid2d":
-            return int(self.params["rows"]) * int(self.params["cols"])
-        return int(self.params["n"])
+        return build_topology_from_spec(self).num_nodes
 
 
 @dataclass(frozen=True)
@@ -75,42 +80,24 @@ class RunConfig:
     output_dir: str = "out"
 
     def resolved_dict(self) -> dict:
-        """Full key-tree with every default materialized (JSON/YAML safe)."""
-        delta = self.comms.delta
-        return {
-            "problem": {
-                "d": self.problem.d,
-                "epsilon": self.problem.epsilon,
-                "ridge": self.problem.ridge,
-                "cost_kind": self.problem.cost_kind,
-                "cost_path": self.problem.cost_path,
-                "density_seed": self.problem.density_seed,
-            },
-            "network": {
-                "topology_kind": self.network.topology_kind,
-                "params": dict(self.network.params),
-            },
-            "comms": {
-                "delta": ".inf" if math.isinf(delta) else delta,
-                "tau_inner": self.comms.tau_inner,
-                "tau_outer": self.comms.tau_outer,
-                "bits": "unquantized" if self.comms.bits is None else self.comms.bits,
-                "s_min": self.comms.s_min,
-                "s_max": self.comms.s_max,
-                "inner_step_cap": self.comms.inner_step_cap,
-                "outer_iter_cap": self.comms.outer_iter_cap,
-            },
-            "channel": {
-                "drop_prob": self.channel.drop_prob,
-                "max_staleness": self.channel.max_staleness,
-            },
-            "activation": {
-                "mode": self.activation.mode,
-                "p_active": self.activation.p_active,
-            },
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-        }
+        """Full key-tree with every default materialized (JSON/YAML safe),
+        in field order; ``delta=inf`` and ``bits=None`` are written the way
+        a config file spells them."""
+
+        def plain(path, value):
+            if is_dataclass(value):
+                return {f.name: plain(f"{path}.{f.name}", getattr(value, f.name)) for f in fields(value)}
+            if path in _SPELLED and value == _SPELLED[path][0]:
+                return _SPELLED[path][1]
+            if isinstance(value, tuple):
+                return list(value)
+            return dict(value) if isinstance(value, dict) else value
+
+        return {f.name: plain(f.name, getattr(self, f.name)) for f in fields(self)}
+
+
+# the values a key-tree spells as strings: field path -> (value, spelling)
+_SPELLED = {"comms.delta": (math.inf, ".inf"), "comms.bits": (None, "unquantized")}
 
 
 class _Loader(yaml.SafeLoader):
@@ -165,23 +152,11 @@ def apply_overrides(data: dict, overrides) -> dict:
     return out
 
 
-def _section(data: dict, name: str) -> dict:
-    sec = data.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: must be a mapping")
-    return dict(sec)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reject_unknown(sec: dict, name: str, allowed) -> None:
-    unknown = set(sec) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown field")
-
-
-def _number(sec, key, path, default, *, minimum=None, strict_min=None, allow_inf=False):
-    raw = sec.get(key, default)
+def _number(path, raw, *, minimum=None, strict_min=None, allow_inf=False, below=None, maximum=None):
     if isinstance(raw, str) and raw.strip().lstrip(".").lower() in ("inf", "infinity"):
         raw = math.inf
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
@@ -195,122 +170,105 @@ def _number(sec, key, path, default, *, minimum=None, strict_min=None, allow_inf
         raise ConfigError(f"{path}: must be >= {minimum}")
     if strict_min is not None and val <= strict_min:
         raise ConfigError(f"{path}: must be > {strict_min}")
+    if below is not None and val >= below:
+        raise ConfigError(f"{path}: must be in [{minimum:g}, {below:g})")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{path}: must be in ({strict_min:g}, {maximum:g}]")
     return val
 
 
-def _integer(sec, key, path, default, *, minimum=None):
-    raw = sec.get(key, default)
-    if isinstance(raw, bool) or not isinstance(raw, int):
+def _integer(path, raw, *, minimum=None):
+    if not _is_int(raw):
         raise ConfigError(f"{path}: must be an integer")
     if minimum is not None and raw < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
     return int(raw)
 
 
+def _check(message, test, convert=lambda value: value):
+    """A field check that fails with ``message`` unless ``test`` holds."""
+
+    def check(path, raw):
+        if not test(raw):
+            raise ConfigError(f"{path}: {message}")
+        return convert(raw)
+
+    return check
+
+
+# The type and range check of each field a key-tree may set, by field path;
+# a field without an entry is taken as written. Names, order and defaults
+# come from the dataclasses.
+_CHECKS = {
+    "problem.d": partial(_integer, minimum=2),
+    "problem.epsilon": partial(_number, strict_min=0.0),
+    "problem.ridge": partial(_number, minimum=0.0),
+    "problem.cost_kind": _check("must be 'grid_squared' or 'file'", lambda v: v in ("grid_squared", "file")),
+    "problem.cost_path": _check("must be a string", lambda v: v is None or isinstance(v, str)),
+    "problem.density_seed": _integer,
+    "network.params": _check("must be a mapping", lambda v: isinstance(v, dict), dict),
+    "comms.delta": partial(_number, minimum=0.0, allow_inf=True),
+    "comms.tau_inner": partial(_number, strict_min=0.0),
+    "comms.tau_outer": partial(_number, strict_min=0.0),
+    "comms.bits": _check(
+        "must be an integer >= 1 or 'unquantized'",
+        lambda v: v is None or v == "unquantized" or _is_int(v),
+        lambda v: None if v == "unquantized" else v,
+    ),
+    "comms.s_min": _number,
+    "comms.s_max": _number,
+    "comms.inner_step_cap": partial(_integer, minimum=1),
+    "comms.outer_iter_cap": partial(_integer, minimum=1),
+    "channel.drop_prob": partial(_number, minimum=0.0, below=1.0),
+    "channel.max_staleness": partial(_integer, minimum=0),
+    "activation.p_active": partial(_number, strict_min=0.0, maximum=1.0),
+    "seeds": _check(
+        "must be a nonempty list of integers",
+        lambda v: isinstance(v, (list, tuple)) and v and all(map(_is_int, v)),
+        tuple,
+    ),
+    "output_dir": _check("must be a nonempty string", lambda v: isinstance(v, str) and v),
+}
+# ActivationModel checks its own mode; other constructor errors name the section
+_RAISED_AT = {"activation": "activation.mode"}
+
+
+def _read(cls, tree: dict, path: str = ""):
+    """``cls`` built from ``tree``: each field the tree sets passes its
+    check (a section is read the same way), the others keep their defaults,
+    and a name that is no field of ``cls`` is an error."""
+    unknown = sorted(set(tree) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{path or 'config'}.{unknown[0]}: unknown field")
+    values = {}
+    for f in fields(cls):
+        if f.name not in tree:
+            continue
+        key, raw = f"{path}.{f.name}" if path else f.name, tree[f.name]
+        if is_dataclass(f.default_factory):
+            raw = {} if raw is None else raw
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{key}: must be a mapping")
+            values[f.name] = _read(f.default_factory, raw, key)
+        else:
+            values[f.name] = _CHECKS.get(key, lambda _, value: value)(key, raw)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{_RAISED_AT.get(path, path)}: {exc}") from exc
+
+
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Validate a raw key-tree into a :class:`RunConfig`."""
-    data = dict(data or {})
-    _reject_unknown(
-        data, "config", ("problem", "network", "comms", "channel", "activation", "seeds", "output_dir")
-    )
-
-    prob = _section(data, "problem")
-    _reject_unknown(prob, "problem", ("d", "epsilon", "ridge", "cost_kind", "cost_path", "density_seed"))
-    cost_kind = prob.get("cost_kind", "grid_squared")
-    if cost_kind not in ("grid_squared", "file"):
-        raise ConfigError("problem.cost_kind: must be 'grid_squared' or 'file'")
-    cost_path = prob.get("cost_path")
-    if cost_kind == "file" and not cost_path:
+    """Validate a raw key-tree into a :class:`RunConfig`; every field the
+    tree leaves out keeps its dataclass default."""
+    cfg = _read(RunConfig, dict(data or {}))
+    if cfg.problem.cost_kind == "file" and not cfg.problem.cost_path:
         raise ConfigError("problem.cost_path: required when cost_kind is 'file'")
-    problem = ProblemSpec(
-        d=_integer(prob, "d", "problem.d", 64, minimum=2),
-        epsilon=_number(prob, "epsilon", "problem.epsilon", 0.1, strict_min=0.0),
-        ridge=_number(prob, "ridge", "problem.ridge", 1e-16, minimum=0.0),
-        cost_kind=cost_kind,
-        cost_path=cost_path,
-        density_seed=_integer(prob, "density_seed", "problem.density_seed", 7),
-    )
-
-    net = _section(data, "network")
-    _reject_unknown(net, "network", ("topology_kind", "params"))
-    kind = net.get("topology_kind", "grid2d")
-    params = net.get("params", {"rows": 4, "cols": 4} if kind == "grid2d" else {})
-    if not isinstance(params, dict):
-        raise ConfigError("network.params: must be a mapping")
-    network = NetworkSpec(topology_kind=kind, params=dict(params))
     try:
-        build_topology_from_spec(network)
-    except (netsim.TopologyError, KeyError, TypeError, ValueError) as exc:
+        build_topology_from_spec(cfg.network)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"network.params: {exc}") from exc
-
-    comms_sec = _section(data, "comms")
-    _reject_unknown(
-        comms_sec,
-        "comms",
-        ("delta", "tau_inner", "tau_outer", "bits", "s_min", "s_max", "inner_step_cap", "outer_iter_cap"),
-    )
-    bits_raw = comms_sec.get("bits", 16)
-    if bits_raw is None or (isinstance(bits_raw, str) and bits_raw == "unquantized"):
-        bits = None
-    elif isinstance(bits_raw, int) and not isinstance(bits_raw, bool):
-        bits = bits_raw
-    else:
-        raise ConfigError("comms.bits: must be an integer >= 1 or 'unquantized'")
-    comms_fields = dict(
-        delta=_number(comms_sec, "delta", "comms.delta", 1e-3, minimum=0.0, allow_inf=True),
-        tau_inner=_number(comms_sec, "tau_inner", "comms.tau_inner", 1e-4, strict_min=0.0),
-        tau_outer=_number(comms_sec, "tau_outer", "comms.tau_outer", 1e-6, strict_min=0.0),
-        bits=bits,
-        s_min=_number(comms_sec, "s_min", "comms.s_min", -30.0),
-        s_max=_number(comms_sec, "s_max", "comms.s_max", 30.0),
-        inner_step_cap=_integer(comms_sec, "inner_step_cap", "comms.inner_step_cap", 200, minimum=1),
-        outer_iter_cap=_integer(comms_sec, "outer_iter_cap", "comms.outer_iter_cap", 500, minimum=1),
-    )
-    try:
-        comms = protocol.CommsConfig(**comms_fields)
-    except ValueError as exc:
-        raise ConfigError(f"comms: {exc}") from exc
-
-    chan_sec = _section(data, "channel")
-    _reject_unknown(chan_sec, "channel", ("drop_prob", "max_staleness"))
-    drop = _number(chan_sec, "drop_prob", "channel.drop_prob", 0.0, minimum=0.0)
-    if drop >= 1.0:
-        raise ConfigError("channel.drop_prob: must be in [0, 1)")
-    channel = netsim.ChannelModel(
-        drop_prob=drop,
-        max_staleness=_integer(chan_sec, "max_staleness", "channel.max_staleness", 0, minimum=0),
-    )
-
-    act_sec = _section(data, "activation")
-    _reject_unknown(act_sec, "activation", ("mode", "p_active"))
-    mode = act_sec.get("mode", "synchronous")
-    p_active = _number(act_sec, "p_active", "activation.p_active", 1.0, strict_min=0.0)
-    if p_active > 1.0:
-        raise ConfigError("activation.p_active: must be in (0, 1]")
-    try:
-        activation = netsim.ActivationModel(mode=mode, p_active=p_active)
-    except ValueError as exc:
-        raise ConfigError(f"activation.mode: {exc}") from exc
-
-    seeds_raw = data.get("seeds", [0, 1, 2, 3, 4])
-    if not isinstance(seeds_raw, (list, tuple)) or not seeds_raw:
-        raise ConfigError("seeds: must be a nonempty list of integers")
-    for s in seeds_raw:
-        if isinstance(s, bool) or not isinstance(s, int):
-            raise ConfigError("seeds: must be a nonempty list of integers")
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir: must be a nonempty string")
-
-    return RunConfig(
-        problem=problem,
-        network=network,
-        comms=comms,
-        channel=channel,
-        activation=activation,
-        seeds=tuple(int(s) for s in seeds_raw),
-        output_dir=output_dir,
-    )
+    return cfg
 
 
 def _ndtr(a: np.ndarray) -> np.ndarray:
@@ -356,10 +314,16 @@ def build_instance(cfg: RunConfig) -> otcore.ProblemInstance:
     if p.cost_kind == "grid_squared":
         cost = otcore.grid_cost(p.d)
     else:
-        entries = np.load(p.cost_path)
-        if entries.shape != (p.d, p.d):
-            raise ConfigError(f"problem.cost_path: expected shape ({p.d}, {p.d}), got {entries.shape}")
-        cost = otcore.CostMatrix(entries)
+        try:
+            with open(p.cost_path, "rb") as fh:
+                entries = np.load(fh)
+            if not isinstance(entries, np.ndarray):
+                raise ValueError("expected a .npy array, got an .npz archive")
+            if entries.shape != (p.d, p.d):
+                raise ValueError(f"expected shape ({p.d}, {p.d}), got {entries.shape}")
+            cost = otcore.CostMatrix(entries)
+        except (OSError, EOFError, ValueError) as exc:
+            raise ConfigError(f"problem.cost_path: {exc}") from exc
     hists = mixture_histograms(p.d, cfg.network.num_nodes, p.density_seed)
     return otcore.ProblemInstance(cost=cost, epsilon=p.epsilon, ridge=p.ridge, histograms=tuple(hists))
 

@@ -76,11 +76,9 @@ class RunMetrics:
     clip_active: bool
 
 
-def centralized_oracle(instance, kernel=None) -> np.ndarray:
+def centralized_oracle(instance) -> np.ndarray:
     """Reference barycenter at oracle tolerance; returns the mass vector."""
-    result = otcore.centralized_barycenter(
-        instance, tol=ORACLE_TOL, max_iter=ORACLE_MAX_ITER, kernel=kernel
-    )
+    result = otcore.centralized_barycenter(instance, tol=ORACLE_TOL, max_iter=ORACLE_MAX_ITER)
     return result.barycenter.weights
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "metropolis_weights",
     "spectral_gap",
     "consensus_residual",
-    "expected_weights",
 ]
 
 
@@ -102,14 +101,34 @@ def _int_param(key: str, value) -> int:
     return int(value)
 
 
+# The parameters each graph family reads: (required, optional)
+_TOPOLOGY_PARAMS = {
+    "grid2d": (("rows", "cols"), ()),
+    "ring": (("n",), ()),
+    "path": (("n",), ()),
+    "complete": (("n",), ()),
+    "random_geometric": (("n", "radius"), ("seed", "max_attempts")),
+}
+
+
 def build_topology(kind: str, **params) -> Topology:
     """Construct one of the supported graph families.
 
     kinds: grid2d(rows, cols), ring(n), path(n), complete(n),
     random_geometric(n, radius, seed). Random geometric graphs are resampled
     (fresh sub-seed each attempt) until connected; failure after
-    ``max_attempts`` raises ``TopologyError``.
+    ``max_attempts`` raises ``TopologyError``. A missing parameter, or one
+    the family does not read, raises ``TopologyError`` naming it.
     """
+    if not isinstance(kind, str) or kind not in _TOPOLOGY_PARAMS:
+        raise TopologyError(f"unknown topology kind: {kind!r}")
+    required, optional = _TOPOLOGY_PARAMS[kind]
+    for key in required:
+        if key not in params:
+            raise TopologyError(f"{kind} needs {key}")
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise TopologyError(f"{kind} does not take {unknown[0]}")
     if kind == "grid2d":
         rows, cols = _int_param("rows", params["rows"]), _int_param("cols", params["cols"])
         if rows < 1 or cols < 1:
@@ -154,7 +173,6 @@ def build_topology(kind: str, **params) -> Topology:
         raise TopologyError(
             f"random_geometric(n={n}, radius={radius}) stayed disconnected after {max_attempts} attempts"
         )
-    raise TopologyError(f"unknown topology kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -258,37 +276,3 @@ def draw_active(rng, activation: ActivationModel, topology: Topology, size=None)
     else:
         mask = rng.random((rounds, n)) < activation.p_active
     return mask[0] if size is None else mask
-
-
-def expected_weights(topology: Topology, activation: ActivationModel) -> np.ndarray:
-    """Exact expectation of the per-round effective averaging matrix.
-
-    synchronous: the Metropolis matrix itself. randomized_pairwise:
-    I - L/(2|E|) with L the graph Laplacian. randomized_subset: per-edge
-    expectation by enumerating the joint activation of the two endpoint
-    neighborhoods (the only nodes that influence the edge weight).
-    """
-    n = topology.num_nodes
-    if activation.mode == "synchronous":
-        return metropolis_weights(topology).w
-    if activation.mode == "randomized_pairwise":
-        lap = np.diag(topology.degrees().astype(np.float64)) - topology.adjacency().astype(np.float64)
-        return np.eye(n) - lap / (2.0 * len(topology.edges))
-    p = activation.p_active
-    adj = topology.neighbor_lists()
-    w_bar = np.zeros((n, n))
-    for i, k in topology.edges:
-        others = sorted((set(adj[i]) | set(adj[k])) - {i, k})
-        m = len(others)
-        in_i = np.array([o in adj[i] for o in others], dtype=np.int64)
-        in_k = np.array([o in adj[k] for o in others], dtype=np.int64)
-        exp_w = 0.0
-        for mask in range(1 << m):
-            bits = np.array([(mask >> b) & 1 for b in range(m)], dtype=np.int64)
-            prob = p ** bits.sum() * (1 - p) ** (m - bits.sum())
-            deg_i = 1 + int((bits * in_i).sum())
-            deg_k = 1 + int((bits * in_k).sum())
-            exp_w += prob / (1.0 + max(deg_i, deg_k))
-        w_bar[i, k] = w_bar[k, i] = p * p * exp_w
-    np.fill_diagonal(w_bar, 1.0 - w_bar.sum(axis=1))
-    return w_bar

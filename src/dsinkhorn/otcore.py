@@ -239,12 +239,7 @@ class BarycenterResult(NamedTuple):
     trace: list
 
 
-def centralized_barycenter(
-    instance: ProblemInstance,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    kernel: GibbsKernel | None = None,
-) -> BarycenterResult:
+def centralized_barycenter(instance: ProblemInstance, tol: float = 1e-6, max_iter: int = 500) -> BarycenterResult:
     """Reference solver: iterate IBP rounds from v = 1 until the log-scale
     update falls below ``tol`` in sup norm, or ``max_iter`` rounds elapse.
 
@@ -258,8 +253,7 @@ def centralized_barycenter(
 
     The returned trace holds the sup-norm log-v change of every round.
     """
-    if kernel is None:
-        kernel = instance.kernel()
+    kernel = instance.kernel()
     mu = instance.histogram_matrix()
     log_v = np.zeros(instance.support_size)
     trace = []

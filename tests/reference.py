@@ -11,6 +11,8 @@ exactly; ``test_engine.py`` pins the two together.
 ``pack_packet``/``unpack_packet`` are the byte-level wire format that
 ``dsinkhorn.protocol.packet_wire_size`` accounts for, and
 ``log_message_lse`` is the log-sum-exp form of ``otcore.log_message``.
+``expected_weights`` is the exact mean of ``effective_weights`` under each
+activation model.
 """
 
 from dataclasses import dataclass, field
@@ -291,6 +293,39 @@ def effective_weights(topology: netsim.Topology, active: np.ndarray) -> np.ndarr
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
+
+def expected_weights(topology: netsim.Topology, activation: netsim.ActivationModel) -> np.ndarray:
+    """Exact expectation of the per-round effective averaging matrix.
+
+    synchronous: the Metropolis matrix itself. randomized_pairwise:
+    I - L/(2|E|) with L the graph Laplacian. randomized_subset: per-edge
+    expectation by enumerating the joint activation of the two endpoint
+    neighborhoods (the only nodes that influence the edge weight).
+    """
+    n = topology.num_nodes
+    if activation.mode == "synchronous":
+        return netsim.metropolis_weights(topology).w
+    if activation.mode == "randomized_pairwise":
+        lap = np.diag(topology.degrees().astype(np.float64)) - topology.adjacency().astype(np.float64)
+        return np.eye(n) - lap / (2.0 * len(topology.edges))
+    p = activation.p_active
+    adj = topology.neighbor_lists()
+    w_bar = np.zeros((n, n))
+    for i, k in topology.edges:
+        others = sorted((set(adj[i]) | set(adj[k])) - {i, k})
+        m = len(others)
+        in_i = np.array([o in adj[i] for o in others], dtype=np.int64)
+        in_k = np.array([o in adj[k] for o in others], dtype=np.int64)
+        exp_w = 0.0
+        for mask in range(1 << m):
+            bits = np.array([(mask >> b) & 1 for b in range(m)], dtype=np.int64)
+            prob = p ** bits.sum() * (1 - p) ** (m - bits.sum())
+            deg_i = 1 + int((bits * in_i).sum())
+            deg_k = 1 + int((bits * in_k).sum())
+            exp_w += prob / (1.0 + max(deg_i, deg_k))
+        w_bar[i, k] = w_bar[k, i] = p * p * exp_w
+    np.fill_diagonal(w_bar, 1.0 - w_bar.sum(axis=1))
+    return w_bar
 
 @dataclass
 class RoundReport:

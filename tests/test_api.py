@@ -34,7 +34,7 @@ EXPORTED = {
     # network simulation
     "Topology", "TopologyError", "build_topology", "GossipWeights",
     "metropolis_weights", "spectral_gap", "consensus_residual",
-    "ChannelModel", "ActivationModel", "expected_weights",
+    "ChannelModel", "ActivationModel",
     "RunRecord", "simulate_lanes", "simulate_decentralized", "consensus_trace",
     # experiments & config
     "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",

@@ -432,6 +432,16 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("command", ["run", "verify", "centralized"])
+    def test_missing_cost_file_is_config_error(self, tmp_path, capsys, command):
+        tree = _base_tree()
+        tree["problem"].update(cost_kind="file", cost_path=str(tmp_path / "absent.npy"))
+        cfg = _write_cfg(tmp_path, tree)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: problem.cost_path: ")
+
+
 class TestModuleInvocation:
     def test_python_dash_m_entry(self, tmp_path):
         proc = subprocess.run(

@@ -163,6 +163,14 @@ class TestRunConfigValidation:
                       "params": {"n": 5, "radius": 0.9, "seed": 1.5}}},
          r"network\.params: seed must be an integer"),
         ({"comms": {"tau_outer": "1e-6x"}}, r"^comms\.tau_outer: must be a number"),
+        ({"problem": {"cost_path": 5}}, r"^problem\.cost_path: must be a string"),
+        ({"network": {"topology_kind": "ring"}}, r"^network\.params: ring needs n$"),
+        ({"network": {"params": {"rows": 2}}}, r"^network\.params: grid2d needs cols$"),
+        ({"network": {"topology_kind": "random_geometric", "params": {"n": 5}}},
+         r"^network\.params: random_geometric needs radius$"),
+        ({"network": {"topology_kind": "ring", "params": {"n": 5, "radius": 3}}},
+         r"^network\.params: ring does not take radius$"),
+        ({"network": {"params": {"rows": 3, "cols": 3, "n": 9}}}, r"^network\.params: grid2d does not take n$"),
     ])
     def test_field_errors_name_the_path(self, tree, message):
         with pytest.raises(ConfigError, match=message):
@@ -189,6 +197,20 @@ class TestRunConfigValidation:
 
 
 class TestResolvedDict:
+    def test_empty_tree_golden(self):
+        # pins the key order and every default of config_resolved.json
+        assert json.dumps(run_config_from_dict({}).resolved_dict()) == (
+            '{"problem": {"d": 64, "epsilon": 0.1, "ridge": 1e-16, "cost_kind": "grid_squared", '
+            '"cost_path": null, "density_seed": 7}, '
+            '"network": {"topology_kind": "grid2d", "params": {"rows": 4, "cols": 4}}, '
+            '"comms": {"delta": 0.001, "tau_inner": 0.0001, "tau_outer": 1e-06, "bits": 16, '
+            '"s_min": -30.0, "s_max": 30.0, "inner_step_cap": 200, "outer_iter_cap": 500}, '
+            '"channel": {"drop_prob": 0.0, "max_staleness": 0}, '
+            '"activation": {"mode": "synchronous", "p_active": 1.0}, '
+            '"seeds": [0, 1, 2, 3, 4], "output_dir": "out"}'
+        )
+        assert run_config_from_dict({}) == RunConfig()
+
     def test_round_trip_defaults(self):
         cfg = run_config_from_dict({})
         assert run_config_from_dict(cfg.resolved_dict()) == cfg
@@ -297,6 +319,26 @@ class TestBuildInstance:
              "network": {"topology_kind": "complete", "params": {"n": 3}}}
         )
         with pytest.raises(ConfigError, match="expected shape"):
+            build_instance(cfg)
+
+    @pytest.mark.parametrize("write, message", [
+        (None, r"No such file"),
+        (lambda fh: fh.write(b"not an array\n" * 8), r"pickled \(object\) data"),
+        (lambda fh: None, r"No data left in file"),
+        (lambda fh: np.save(fh, -np.ones((6, 6))), r"cost entries must be finite and >= 0"),
+        (lambda fh: np.save(fh, np.array([[1, "a"]] * 3, dtype=object)), r"allow_pickle=False"),
+        (lambda fh: np.savez(fh, np.zeros((6, 6))), r"expected a \.npy array"),
+    ])
+    def test_bad_cost_file_names_the_path(self, tmp_path, write, message):
+        path = tmp_path / "cost.npy"
+        if write is not None:
+            with open(path, "wb") as fh:
+                write(fh)
+        cfg = run_config_from_dict(
+            {"problem": {"d": 6, "cost_kind": "file", "cost_path": str(path)},
+             "network": {"topology_kind": "complete", "params": {"n": 3}}}
+        )
+        with pytest.raises(ConfigError, match=r"^problem\.cost_path: .*" + message):
             build_instance(cfg)
 
     def test_agent_count_follows_topology(self):

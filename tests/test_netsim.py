@@ -13,12 +13,11 @@ from dsinkhorn.netsim import (
     build_topology,
     consensus_residual,
     draw_active,
-    expected_weights,
     metropolis_weights,
     spectral_gap,
 )
 from dsinkhorn.protocol import CommsConfig
-from reference import AgentState, RoundScheduler, effective_weights
+from reference import AgentState, RoundScheduler, effective_weights, expected_weights
 
 
 def _agents(z0):
