@@ -14,16 +14,19 @@ grid (ELLPACK-style): slot s of receiver r is row s*n + r, so the gossip
 sum is one multiply-add per slot, kept under synchronous weights until a
 cache row changes, and the inner stop test checks one witness edge per
 lane before it scans every edge. Only four things stay per lane: its
-activation/drop/delay streams, its delta, its inner and outer stopping,
-and its retirement from the union once it finishes. The test suite pins
-every lane, step for step, to a deliberately literal per-agent oracle.
+activation/drop/delay streams, its delta, its stop decision between
+outer iterations, and its retirement from the union once it finishes.
+The test suite pins every lane, step for step, to a deliberately literal
+per-agent oracle. One lane alone is the one-lane batch; with metrics, it
+is ``experiments.run_decentralized``.
 
 A deterministic round (synchronous activation, no drops, no delays) draws
 no random numbers and leaves nothing in flight. When such a round sends
 nothing from a lane and leaves its z bit-for-bit unchanged, every later
-round of the outer iteration would repeat it, so the lane jumps to the
-inner cap: the copies go into its residual trace and round log and the
-skipped rounds into its ``rounds_total``. Random channels never skip.
+round of the outer iteration would repeat it, so it counts once for each
+round left up to the inner cap, and its copies go into the residual
+trace and round log. A lane's ``rounds_total`` is the sum of its
+``inner_steps_used``. Random channels never skip.
 """
 
 import time
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import netsim, otcore, protocol
 
-__all__ = ["NetworkEngine", "RunRecord", "simulate_lanes", "simulate_decentralized", "consensus_trace"]
+__all__ = ["NetworkEngine", "RunRecord", "simulate_lanes", "consensus_trace"]
 
 _BLOCK = 64  # rounds of random draws taken per lane and stream in one call
 
@@ -48,12 +51,12 @@ class RunRecord:
     converged: bool
     outer_iters: int
     rounds_total: int
-    messages_per_agent: np.ndarray
+    broadcasts_per_agent: np.ndarray
     variation_per_agent: np.ndarray
     clip_active: bool
     per_outer: list  # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_trace
     wall_clock_seconds: float  # the run's share of its batch's time, by rounds
-    round_log_v: list = field(default_factory=list)  # optional per-round Z copies; skipped rounds share one
+    round_log_v: list = field(default_factory=list)  # optional per-round Z copies; idle repeats share one
 
 
 class NetworkEngine:
@@ -311,13 +314,15 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     Per outer iteration: local scaling at each node (u from exp(z), then
     s = log(K^T u)), reseed z = s, inner gossip rounds until every node's
     stopping rule fires or the step cap ends the loop, then the shared
-    projection b_i = softmax(z_i). The outer loop stops when every node's
-    log-v change drops below tau_outer, or at the outer cap. Each lane
-    runs its own loops and leaves the batch when they end; its
-    wall_clock_seconds is its share of the batch's time, by rounds. A
-    lane whose exp(z) overflows (``ClipRangeError``) or whose scaling
-    vector annihilates the kernel (``DegenerateStateError``) gets that
-    error in place of its record; the other lanes run on unchanged.
+    projection b_i = softmax(z_i). Between outer iterations, and once
+    before the first, each lane takes one stop decision: it finishes when
+    every node's log-v change is below tau_outer or at the outer cap, and
+    otherwise opens the next outer iteration with its local scaling. A
+    lane whose exp(z) overflows there (``ClipRangeError``) or whose
+    scaling vector annihilates the kernel (``DegenerateStateError``) gets
+    that error in place of its record; the other lanes run on unchanged.
+    Each lane leaves the batch when it finishes; its wall_clock_seconds is
+    its share of the batch's time, by rounds.
     """
     if topology.num_nodes != instance.num_agents:
         raise ValueError("topology size must match the number of agents")
@@ -327,13 +332,22 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     t0 = time.perf_counter()
     eng.bootstrap(np.zeros((len(lanes) * n, d)))
     results, start = [None] * len(lanes), np.zeros((n, d))
-    live = [SimpleNamespace(index=i, prev_log_v=start, outer=0, inner=0, skipped=0, per_outer=[],
-                            round_log_v=[]) for i in range(len(lanes))]  # each lane's progress, in engine order
+    live = [SimpleNamespace(index=i, prev_log_v=start, outer=0, per_outer=[], round_log_v=[])
+            for i in range(len(lanes))]  # each lane's progress, in engine order
 
-    def next_outer(pos, lane) -> bool:
-        """Local scaling and reseed of one lane; True when it failed."""
+    def decide(pos, lane, change: float) -> bool:
+        """The lane's stop decision after an outer iteration whose log-v
+        changed by ``change``; True when the lane ends here."""
+        rows = slice(pos * n, (pos + 1) * n)
+        z = eng.z[rows]
+        if change < cm.tau_outer or lane.outer == cm.outer_iter_cap:
+            results[lane.index] = RunRecord(
+                otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
+                sum(p["inner_steps_used"] for p in lane.per_outer), eng.messages[rows].copy(),
+                eng.variation[rows].copy(), bool(eng.clip_active[pos]), lane.per_outer, 0.0, lane.round_log_v,
+            )
+            return True
         lane.outer, lane.inner, lane.residuals = lane.outer + 1, 0, []
-        z = eng.z[pos * n : (pos + 1) * n]
         with np.errstate(over="ignore"):
             v = np.exp(z)
         if not np.all(np.isfinite(v)):
@@ -352,7 +366,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             return True
         return False
 
-    done = np.array([next_outer(pos, lane) for pos, lane in enumerate(live)])
+    done = np.array([decide(pos, lane, np.inf) for pos, lane in enumerate(live)])
     while True:
         if done.any():
             eng.retire(done)
@@ -365,19 +379,16 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         stop, idle = eng.all_inner_converged(), eng.idle
         done = np.zeros(len(live), dtype=bool)
         for pos, lane in enumerate(live):
-            lane.inner += 1
             z = eng.z[pos * n : (pos + 1) * n]
+            # an idle round would repeat up to the inner cap: it counts once
+            # for every round left
+            idle_here = idle is not None and idle[pos] and not stop[pos]
+            rounds = cm.inner_step_cap - lane.inner if idle_here else 1
+            lane.inner += rounds
             if collect_residuals:
-                lane.residuals.append(residuals[pos])
+                lane.residuals += [residuals[pos]] * rounds
             if collect_round_log_v:
-                lane.round_log_v.append(z.copy())
-            if idle is not None and idle[pos] and not stop[pos]:
-                # every later round of this outer iteration would repeat
-                # this one: end it at the cap with this round's values
-                skip = cm.inner_step_cap - lane.inner
-                lane.inner, lane.skipped = cm.inner_step_cap, lane.skipped + skip
-                lane.residuals += lane.residuals[-1:] * skip
-                lane.round_log_v += lane.round_log_v[-1:] * skip
+                lane.round_log_v += [z.copy()] * rounds
             if not (stop[pos] or lane.inner == cm.inner_step_cap):
                 continue
             # Remove each node's common log-v offset (a purely local step).
@@ -390,33 +401,12 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             lane.per_outer.append({"outer_iter": lane.outer, "inner_steps_used": lane.inner,
                                    "log_v_change_linf": change, "consensus_residual_trace": lane.residuals})
             lane.prev_log_v = z.copy()
-            if not change < cm.tau_outer and lane.outer < cm.outer_iter_cap:
-                done[pos] = next_outer(pos, lane)
-                continue
-            done[pos] = True
-            rows = slice(pos * n, (pos + 1) * n)
-            results[lane.index] = RunRecord(
-                otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
-                eng.send_counter - 1 + lane.skipped, eng.messages[rows].copy(), eng.variation[rows].copy(),
-                bool(eng.clip_active[pos]), lane.per_outer, 0.0, lane.round_log_v,
-            )
+            done[pos] = decide(pos, lane, change)
     wall = time.perf_counter() - t0
     records = [r for r in results if isinstance(r, RunRecord)]
     for r in records:
         r.wall_clock_seconds = wall * r.rounds_total / sum(q.rounds_total for q in records)
     return results
-
-
-def simulate_decentralized(instance: otcore.ProblemInstance, topology, comms: protocol.CommsConfig,
-                           channel=None, activation=None, seed: int = 0,
-                           collect_residuals: bool = True, collect_round_log_v: bool = False) -> RunRecord:
-    """One run of the decentralized barycenter loop: the one-lane batch of
-    :func:`simulate_lanes`, raising the error that ended a failed run."""
-    (record,) = simulate_lanes(instance, topology, [(comms, seed)], channel, activation,
-                               collect_residuals, collect_round_log_v)
-    if isinstance(record, Exception):
-        raise record
-    return record
 
 
 def consensus_trace(

@@ -106,13 +106,13 @@ def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracl
             err_max, err_mean = float(errors.max()), float(errors.mean())
         else:
             errors, err_max, err_mean = None, math.nan, math.nan
-        link_messages = record.messages_per_agent * degrees
+        link_messages = record.broadcasts_per_agent * degrees
         wire = protocol.packet_wire_size(instance.support_size, comms.bits)
         metrics = RunMetrics(
             seed=seed, converged=record.converged, outer_iters=record.outer_iters,
             rounds_total=record.rounds_total, per_outer_iter=record.per_outer,
             l1_error_per_node=errors, l1_error_max=err_max, l1_error_mean=err_mean,
-            broadcasts_per_agent=record.messages_per_agent.copy(),
+            broadcasts_per_agent=record.broadcasts_per_agent.copy(),
             variation_per_agent=record.variation_per_agent.copy(),
             messages_per_agent=link_messages, messages_total=int(link_messages.sum()),
             bytes_total=int(link_messages.sum()) * wire,
@@ -174,7 +174,9 @@ def overlap_rows(oracle, barycenters) -> list:
 
 # Swept variable -> (config field it overrides, table file, label column,
 # statistics). Each statistic becomes a <stat>_mean and a <stat>_ci column
-# over the seeds, taken from the RunMetrics field in STATISTICS.
+# over the seeds, taken from the RunMetrics field in STATISTICS. Runtime
+# gets no _ci: the seeds of a point run as one batch whose time is shared
+# out by rounds, so their runtimes carry no seed-to-seed spread.
 SWEEPS = {
     "N": ("network.params.n", "scaling.csv", "N", ("messages", "runtime")),
     "d": ("problem.d", "support.csv", "d", ("error",)),
@@ -368,16 +370,15 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
         results = [_sweep_point(t) for t in tasks]
     fieldnames = [label]
     for stat in statistics:
-        fieldnames += [f"{stat}_mean", f"{stat}_ci"]
+        fieldnames += [f"{stat}_mean"] if stat == "runtime" else [f"{stat}_mean", f"{stat}_ci"]
     fieldnames.append("n_failed")
     rows, failures = [], []
     for value, (samples, fails) in zip(spec.values, results):
         failures.extend(fails)
-        row = {label: "unquantized" if value is None else value}
+        row = {label: "unquantized" if value is None else value, "n_failed": len(fails)}
         for stat in statistics:
             row[f"{stat}_mean"], row[f"{stat}_ci"] = _mean_ci(samples[stat])
-        row["n_failed"] = len(fails)
-        rows.append(row)
+        rows.append({name: row[name] for name in fieldnames})
     return table, fieldnames, rows, failures
 
 

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments, otcore, protocol
 from dsinkhorn.config import run_config_from_dict
-from dsinkhorn.engine import consensus_trace, simulate_decentralized
+from dsinkhorn.engine import consensus_trace, simulate_lanes
 from dsinkhorn.netsim import (
     ActivationModel,
     ChannelModel,
@@ -107,9 +107,7 @@ def test_c02_degenerate_exactness(small_mixture_instance):
         outer_iter_cap=60,
     )
     t0 = time.perf_counter()
-    record = simulate_decentralized(
-        instance, topology, comms, seed=0, collect_round_log_v=True
-    )
+    (record,) = simulate_lanes(instance, topology, [(comms, 0)], collect_round_log_v=True)
     elapsed = time.perf_counter() - t0
     assert record.converged
 

@@ -35,7 +35,7 @@ EXPORTED = {
     "Topology", "TopologyError", "build_topology", "GossipWeights",
     "metropolis_weights", "spectral_gap", "consensus_residual",
     "ChannelModel", "ActivationModel",
-    "RunRecord", "simulate_lanes", "simulate_decentralized", "consensus_trace",
+    "RunRecord", "simulate_lanes", "consensus_trace",
     # experiments & config
     "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",
     "run_decentralized", "run_sweep", "verify_theory",
@@ -124,16 +124,15 @@ class TestBenchmarkContract:
         for name in ("bootstrap", "step_round", "all_inner_converged"):
             assert inspect.isfunction(vars(engine.NetworkEngine).get(name)), name
 
-    def test_simulate_decentralized_binds_comms_and_returns_a_record(self):
+    def test_simulate_lanes_returns_a_record_per_lane(self):
         instance, topology = _small_problem()
         comms = dsinkhorn.CommsConfig(inner_step_cap=5, outer_iter_cap=2)
-        args, kwargs = (instance, topology, comms), {"seed": 3}
-        bound = inspect.signature(engine.simulate_decentralized).bind(*args, **kwargs)
-        assert bound.arguments["comms"] is comms
-        record = engine.simulate_decentralized(*args, **kwargs)
-        assert isinstance(record, engine.RunRecord)
-        assert record.outer_iters == len(record.per_outer) >= 1
-        assert all("inner_steps_used" in p for p in record.per_outer)
+        records = engine.simulate_lanes(instance, topology, [(comms, 3), (comms, 4)])
+        assert len(records) == 2
+        for record in records:
+            assert isinstance(record, engine.RunRecord)
+            assert record.outer_iters == len(record.per_outer) >= 1
+            assert all("inner_steps_used" in p for p in record.per_outer)
 
     def test_run_decentralized_returns_metrics_and_record(self):
         instance, topology = _small_problem()

@@ -12,7 +12,7 @@ import yaml
 from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments
 from dsinkhorn.cli import main
-from dsinkhorn.engine import simulate_decentralized
+from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.experiments import CheckResult, VerificationReport
 
 
@@ -119,9 +119,8 @@ class TestRun:
         topology = cfgmod.build_topology_from_spec(resolved.network)
         expected = []
         for variant, delta in (("always_on", 0.0), ("triggered", resolved.comms.delta)):
-            record = simulate_decentralized(
-                instance, topology, replace(resolved.comms, delta=delta),
-                resolved.channel, resolved.activation, seed=3)
+            (record,) = simulate_lanes(instance, topology, [(replace(resolved.comms, delta=delta), 3)],
+                                       resolved.channel, resolved.activation)
             expected += experiments.trace_rows(variant, record)
         trace = _read_csv(out / "trace.csv")
         assert len(trace) == len(expected)
@@ -146,8 +145,8 @@ class TestRun:
         errors = []
         for seed in resolved.seeds:
             try:
-                simulate_decentralized(instance, topology, resolved.comms, resolved.channel,
-                                       resolved.activation, seed=seed)
+                experiments.run_decentralized(instance, topology, resolved.comms, resolved.channel,
+                                              resolved.activation, seed=seed, compute_error=False)
             except ValueError as exc:
                 errors.append(str(exc))
         assert len(errors) == len(resolved.seeds) and len(set(errors)) == len(errors)

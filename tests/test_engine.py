@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from dsinkhorn import otcore, protocol
 from dsinkhorn.config import mixture_histograms
-from dsinkhorn.engine import NetworkEngine, consensus_trace, simulate_decentralized, simulate_lanes
+from dsinkhorn.engine import NetworkEngine, consensus_trace, simulate_lanes
 from dsinkhorn.experiments import run_decentralized
 from dsinkhorn.netsim import (
     ActivationModel,
@@ -41,6 +41,11 @@ def _instance(d=16, n=4, epsilon=0.5):
     return otcore.ProblemInstance(
         cost=otcore.grid_cost(d), epsilon=epsilon, ridge=1e-16, histograms=hists
     )
+
+
+def _one_lane(instance, topology, comms, channel=None, activation=None, seed=0, **collect):
+    """The one-lane batch: a lane alone, its RunRecord or the error that ended it."""
+    return simulate_lanes(instance, topology, [(comms, seed)], channel, activation, **collect)[0]
 
 
 def reference_run(instance, topology, comms, channel=None, activation=None, seed=0,
@@ -248,7 +253,7 @@ class TestEngineMatchesReference:
         kind, params = regime["topology"]
         topology = build_topology(kind, **params)
         instance = _instance(d=16, n=topology.num_nodes)
-        record = simulate_decentralized(
+        record = _one_lane(
             instance, topology, regime["comms"],
             channel=regime["channel"], activation=regime["activation"], seed=5,
         )
@@ -260,7 +265,7 @@ class TestEngineMatchesReference:
         assert record.outer_iters == ref["outer_iters"]
         assert record.rounds_total == ref["rounds_total"]
         assert [p["inner_steps_used"] for p in record.per_outer] == ref["inner_steps"]
-        assert np.array_equal(record.messages_per_agent, ref["messages"])
+        assert np.array_equal(record.broadcasts_per_agent, ref["messages"])
         assert_allclose(record.log_v, ref["log_v"], atol=1e-12)
         assert_allclose(record.variation_per_agent, ref["variation"], atol=1e-12)
 
@@ -271,8 +276,8 @@ class TestEngineMatchesReference:
         # above covers that scan, pad rows included
         regime = _regime(regime_id)
         instance, topology = _regime_setup(regime)
-        record = simulate_decentralized(instance, topology, regime["comms"], regime["channel"],
-                                        regime["activation"], seed=5)
+        record = _one_lane(instance, topology, regime["comms"], regime["channel"],
+                           regime["activation"], seed=5)
         assert min(p["inner_steps_used"] for p in record.per_outer) < regime["comms"].inner_step_cap
 
     @pytest.mark.parametrize("regime", REGIMES)
@@ -281,7 +286,7 @@ class TestEngineMatchesReference:
         # residual traces, as the copies the reference computes
         instance, topology = _regime_setup(regime)
         args = (instance, topology, regime["comms"], regime["channel"], regime["activation"])
-        record = simulate_decentralized(*args, seed=5, collect_round_log_v=True)
+        record = _one_lane(*args, seed=5, collect_round_log_v=True)
         ref = reference_run(*args, seed=5)
         assert [p["inner_steps_used"] for p in record.per_outer] == ref["inner_steps"]
         assert len(record.round_log_v) == len(ref["round_z"]) == record.rounds_total
@@ -294,8 +299,8 @@ class TestEngineMatchesReference:
     def test_idle_rounds_are_skipped_only_on_deterministic_channels(self, regime, monkeypatch):
         calls = _count_step_rounds(monkeypatch)
         instance, topology = _regime_setup(regime)
-        record = simulate_decentralized(instance, topology, regime["comms"], regime["channel"],
-                                        regime["activation"], seed=5)
+        record = _one_lane(instance, topology, regime["comms"], regime["channel"],
+                           regime["activation"], seed=5)
         if not _is_deterministic(regime):
             assert len(calls) == record.rounds_total
         elif regime in [_regime(i) for i in IDLING]:
@@ -326,7 +331,7 @@ class TestEngineMatchesReference:
 class TestRunRecord:
     def test_barycenters_on_simplex(self):
         topology = build_topology("complete", n=4)
-        record = simulate_decentralized(
+        record = _one_lane(
             _instance(), topology,
             CommsConfig(delta=1e-3, bits=16, inner_step_cap=40, outer_iter_cap=10),
             seed=0,
@@ -337,14 +342,12 @@ class TestRunRecord:
 
     def test_topology_size_mismatch(self):
         with pytest.raises(ValueError, match="topology size"):
-            simulate_decentralized(
-                _instance(n=4), build_topology("ring", n=5), CommsConfig()
-            )
+            simulate_lanes(_instance(n=4), build_topology("ring", n=5), [(CommsConfig(), 0)])
 
     def test_round_log_v_collection(self):
         topology = build_topology("ring", n=4)
         comms = CommsConfig(delta=0.0, bits=None, inner_step_cap=25, outer_iter_cap=4)
-        record = simulate_decentralized(
+        record = _one_lane(
             _instance(), topology, comms, seed=1, collect_round_log_v=True
         )
         assert len(record.round_log_v) == record.rounds_total
@@ -356,19 +359,19 @@ class TestRunRecord:
         topology = build_topology("complete", n=4)
         comms = CommsConfig(delta=0.0, bits=8, s_min=-0.01, s_max=0.01,
                             inner_step_cap=10, outer_iter_cap=3)
-        record = simulate_decentralized(_instance(), topology, comms, seed=0)
+        record = _one_lane(_instance(), topology, comms, seed=0)
         assert record.clip_active
 
     def test_clip_flag_clear_in_wide_range(self):
         topology = build_topology("complete", n=4)
         comms = CommsConfig(delta=0.0, bits=16, inner_step_cap=40, outer_iter_cap=10)
-        record = simulate_decentralized(_instance(), topology, comms, seed=0)
+        record = _one_lane(_instance(), topology, comms, seed=0)
         assert not record.clip_active
 
     def test_per_outer_bookkeeping(self):
         topology = build_topology("complete", n=4)
         comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=30, outer_iter_cap=6)
-        record = simulate_decentralized(_instance(), topology, comms, seed=2)
+        record = _one_lane(_instance(), topology, comms, seed=2)
         assert len(record.per_outer) == record.outer_iters
         for k, entry in enumerate(record.per_outer):
             assert entry["outer_iter"] == k + 1
@@ -390,7 +393,7 @@ class TestSingleNode:
         )
         comms = CommsConfig(delta=0.0, bits=None, tau_outer=1e-9,
                             inner_step_cap=5, outer_iter_cap=300)
-        record = simulate_decentralized(instance, Topology(1, ()), comms, seed=0)
+        record = _one_lane(instance, Topology(1, ()), comms, seed=0)
         central = otcore.centralized_barycenter(instance, tol=1e-9, max_iter=300)
         assert record.converged and central.converged
         assert record.outer_iters == central.iterations
@@ -404,7 +407,7 @@ class TestSingleNode:
         # iteration after that one round
         instance = _instance(n=1)
         comms = CommsConfig(delta=float("inf"), bits=None, inner_step_cap=5, outer_iter_cap=4)
-        record = simulate_decentralized(instance, Topology(1, ()), comms, seed=0)
+        record = _one_lane(instance, Topology(1, ()), comms, seed=0)
         assert [p["inner_steps_used"] for p in record.per_outer] == [1] * 4
         assert record.rounds_total == 4
 
@@ -517,8 +520,8 @@ class TestRepeatRule:
             assert np.array_equal(z_new, z_old)
         assert np.array_equal(new["log_v"], old["log_v"])
         assert new["messages"].sum() < old["messages"].sum()
-        record = simulate_decentralized(instance, topology, comms, seed=5)
-        assert np.array_equal(record.messages_per_agent, new["messages"])
+        record = _one_lane(instance, topology, comms, seed=5)
+        assert np.array_equal(record.broadcasts_per_agent, new["messages"])
 
 
 def _regime(regime_id):
@@ -535,8 +538,18 @@ def _assert_same_record(a, b):
     """Two records of the same lane are bit-identical (wall time aside)."""
     for name in ("converged", "outer_iters", "rounds_total", "clip_active", "per_outer"):
         assert getattr(a, name) == getattr(b, name), name
-    for name in ("log_v", "barycenters", "messages_per_agent", "variation_per_agent"):
+    for name in ("log_v", "barycenters", "broadcasts_per_agent", "variation_per_agent"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _assert_round_counts(batch):
+    """Every record of a batch counts its rounds as the sum of its inner
+    steps and has one per_outer entry per outer iteration."""
+    records = [r for r in batch if not isinstance(r, Exception)]
+    assert records
+    for record in records:
+        assert record.rounds_total == sum(p["inner_steps_used"] for p in record.per_outer)
+        assert record.outer_iters == len(record.per_outer)
 
 
 class TestLanes:
@@ -548,7 +561,7 @@ class TestLanes:
         comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
         batch = simulate_lanes(instance, topology, [(comms, s) for s in self.SEEDS], channel, activation)
         for seed, record in zip(self.SEEDS, batch):
-            alone = simulate_decentralized(instance, topology, comms, channel, activation, seed=seed)
+            alone = _one_lane(instance, topology, comms, channel, activation, seed=seed)
             _assert_same_record(record, alone)
             assert all(p["consensus_residual_trace"] for p in record.per_outer)
 
@@ -576,7 +589,7 @@ class TestLanes:
             assert record.converged == ref["converged"]
             assert record.outer_iters == ref["outer_iters"]
             assert record.rounds_total == ref["rounds_total"]
-            assert np.array_equal(record.messages_per_agent, ref["messages"])
+            assert np.array_equal(record.broadcasts_per_agent, ref["messages"])
             assert_allclose(record.log_v, ref["log_v"], atol=1e-12)
             assert_allclose(record.variation_per_agent, ref["variation"], atol=1e-12)
 
@@ -599,7 +612,7 @@ class TestLanes:
         _assert_same_record(first[0], alone)
         _assert_same_record(last[-1], alone)
         for (lane_comms, seed), record in zip(others, last):
-            _assert_same_record(record, simulate_decentralized(
+            _assert_same_record(record, _one_lane(
                 instance, topology, lane_comms, channel, activation, seed=seed))
 
     @pytest.mark.parametrize("regime_id", ["clean-subset", "lossy-stale-cap3"])
@@ -615,8 +628,8 @@ class TestLanes:
         comms = CommsConfig(delta=1e-3, bits=12, inner_step_cap=30, outer_iter_cap=4)
         always = dataclasses.replace(comms, delta=0.0)
         batch = simulate_lanes(instance, topology, [(comms, 3), (always, 3)])
-        _assert_same_record(batch[0], simulate_decentralized(instance, topology, comms, seed=3))
-        _assert_same_record(batch[1], simulate_decentralized(instance, topology, always, seed=3))
+        _assert_same_record(batch[0], _one_lane(instance, topology, comms, seed=3))
+        _assert_same_record(batch[1], _one_lane(instance, topology, always, seed=3))
 
     def test_idle_and_busy_lanes_share_a_batch(self, monkeypatch):
         # delta=1e-3 idles long before the cap, delta=1e-5 stops on the gap
@@ -629,7 +642,7 @@ class TestLanes:
         skipped = []
         for (comms, seed), record in zip(lanes, batch):
             calls.clear()
-            _assert_same_record(record, simulate_decentralized(instance, topology, comms, seed=seed))
+            _assert_same_record(record, _one_lane(instance, topology, comms, seed=seed))
             skipped.append(len(calls) < record.rounds_total)
         assert skipped == [True, False, False]
 
@@ -673,6 +686,24 @@ def _crafted_failures():
     return instance, topology, comms, channel, activation
 
 
+def _annihilating(call: int):
+    """otcore._local_scaling, except that its ``call``-th call zeroes node
+    2's scaling vector: K v = 0, so u = mu / 0 without the ridge. The
+    first local scaling of every lane runs in lane order, before any round."""
+    real, calls = otcore._local_scaling, []
+
+    def local_scaling(mu, kernel, ridge, v):
+        calls.append(1)
+        if len(calls) == call:
+            v = v.copy()
+            v[2] = 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return real(mu, kernel, 0.0, v)
+        return real(mu, kernel, ridge, v)
+
+    return local_scaling
+
+
 class TestLaneFailures:
     def test_failing_lanes_retire_alone(self):
         instance, topology, comms, channel, activation = _crafted_failures()
@@ -683,42 +714,65 @@ class TestLaneFailures:
         healthy_rounds = max(r.rounds_total for r in batch if not isinstance(r, Exception))
         for seed, result in zip(seeds, batch):
             if not isinstance(result, Exception):
-                _assert_same_record(result, simulate_decentralized(
+                _assert_same_record(result, _one_lane(
                     instance, topology, comms, channel, activation, seed=seed))
                 continue
             assert isinstance(result, protocol.ClipRangeError)
             assert result.__traceback__ is None  # held, not raised, by the batch
-            with pytest.raises(protocol.ClipRangeError) as alone:
-                simulate_decentralized(instance, topology, comms, channel, activation, seed=seed)
-            assert str(result) == str(alone.value)
+            alone = _one_lane(instance, topology, comms, channel, activation, seed=seed)
+            assert type(alone) is type(result) and str(alone) == str(result)
             outer = int(str(result).split("outer iteration ")[1].split(":")[0])
             assert str(result).startswith("node ") and 1 < outer <= comms.outer_iter_cap
         assert healthy_rounds > comms.inner_step_cap  # survivors ran on after failures
+        _assert_round_counts(batch)
 
     def test_degenerate_lane_names_node_and_outer(self, monkeypatch):
         instance, topology = _instance(), build_topology("complete", n=4)
         comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=30, outer_iter_cap=4)
         real = otcore._local_scaling
-        calls = []
-
-        def annihilate_second_call(mu, kernel, ridge, v):
-            calls.append(1)
-            if len(calls) == 2:  # the second lane's first local scaling
-                v = v.copy()
-                v[2] = 0.0  # node 2: K v = 0, so u = mu / 0 without the ridge
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return real(mu, kernel, 0.0, v)
-            return real(mu, kernel, ridge, v)
-
-        monkeypatch.setattr(otcore, "_local_scaling", annihilate_second_call)
+        monkeypatch.setattr(otcore, "_local_scaling", _annihilating(2))  # the second lane's first
         batch = simulate_lanes(instance, topology, [(comms, s) for s in (0, 1, 2)])
         monkeypatch.setattr(otcore, "_local_scaling", real)
         assert isinstance(batch[1], otcore.DegenerateStateError)
         assert str(batch[1]).startswith("node 2 at outer iteration 1: K^T u has zero entries")
         for pos in (0, 2):
-            _assert_same_record(batch[pos], simulate_decentralized(instance, topology, comms, seed=pos))
+            _assert_same_record(batch[pos], _one_lane(instance, topology, comms, seed=pos))
 
     def test_one_lane_call_raises(self):
+        # run_decentralized is the one-lane entry point, and it raises the
+        # error the batch holds in place of the lane's record
         instance, topology, comms, channel, activation = _crafted_failures()
-        with pytest.raises(protocol.ClipRangeError, match=r"^node \d at outer iteration \d"):
-            simulate_decentralized(instance, topology, comms, channel, activation, seed=1)
+        held = _one_lane(instance, topology, comms, channel, activation, seed=1)
+        with pytest.raises(protocol.ClipRangeError, match=r"^node \d at outer iteration \d") as raised:
+            run_decentralized(instance, topology, comms, channel, activation, seed=1, compute_error=False)
+        assert str(raised.value) == str(held)
+
+
+class TestRoundCount:
+    """rounds_total is the sum of inner_steps_used, idle rounds up to the
+    inner cap included, and outer_iters the length of per_outer."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_every_regime(self, regime):
+        instance, topology = _regime_setup(regime)
+        lanes = [(regime["comms"], 5)] + TestLanes._companions(regime["comms"])
+        _assert_round_counts(simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"]))
+
+    def test_lanes_leaving_at_different_outer_iterations(self, monkeypatch):
+        # delta=1e-3 idles to the inner cap, delta=0 stops on the gap test,
+        # delta=inf meets tau_outer at outer iteration 2 while the others
+        # run to the outer cap, and the fourth lane's first local scaling
+        # annihilates the kernel
+        regime = _regime("sync-fixed-point-unquantized")
+        instance, topology = _regime_setup(regime)
+        lanes = [(dataclasses.replace(regime["comms"], delta=dv), 5) for dv in (1e-3, 0.0, np.inf, 1e-5)]
+        monkeypatch.setattr(otcore, "_local_scaling", _annihilating(4))
+        calls = _count_step_rounds(monkeypatch)
+        batch = simulate_lanes(instance, topology, lanes)
+        assert isinstance(batch[3], otcore.DegenerateStateError)
+        idle, busy, early = batch[:3]
+        assert early.outer_iters == 2 < busy.outer_iters == idle.outer_iters == regime["comms"].outer_iter_cap
+        assert len(calls) < idle.rounds_total  # idle rounds counted, not run
+        assert all(p["inner_steps_used"] == regime["comms"].inner_step_cap for p in idle.per_outer)
+        assert all(p["inner_steps_used"] < regime["comms"].inner_step_cap for p in busy.per_outer)
+        _assert_round_counts(batch)

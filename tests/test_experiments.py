@@ -16,7 +16,7 @@ from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments as xp
 from dsinkhorn import otcore
 from dsinkhorn.config import ConfigError, run_config_from_dict
-from dsinkhorn.engine import simulate_decentralized
+from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.netsim import build_topology, metropolis_weights
 from dsinkhorn.protocol import CommsConfig, packet_wire_size
 
@@ -146,9 +146,8 @@ def _convergence_trace(cfg):
         variants["triggered"] = cfg.comms
     rows, records = [], {}
     for name, comms in variants.items():
-        records[name] = simulate_decentralized(
-            instance, topology, comms, channel=cfg.channel,
-            activation=cfg.activation, seed=cfg.seeds[0],
+        (records[name],) = simulate_lanes(
+            instance, topology, [(comms, cfg.seeds[0])], cfg.channel, cfg.activation,
         )
         rows.extend(xp.trace_rows(name, records[name]))
     return rows, records
@@ -379,7 +378,7 @@ class TestParameterSweep:
         assert failures == []
         assert table == "sweep.csv"
         assert fieldnames == ["value", "error_mean", "error_ci", "messages_mean",
-                              "messages_ci", "runtime_mean", "runtime_ci", "n_failed"]
+                              "messages_ci", "runtime_mean", "n_failed"]
         assert [r["value"] for r in rows] == [0.0, 1e-3, 1e-2]
         msgs = [r["messages_mean"] for r in rows]
         assert msgs[0] >= msgs[1] >= msgs[2]
@@ -480,14 +479,14 @@ class TestScalingSweep:
         assert failures == []
         assert table == "scaling.csv"
         assert fieldnames == ["N", "messages_mean", "messages_ci",
-                              "runtime_mean", "runtime_ci", "n_failed"]
+                              "runtime_mean", "n_failed"]
         assert [r["N"] for r in rows] == [4, 9]
         for r in rows:
             assert r["messages_mean"] > 0
             assert r["runtime_mean"] > 0
             assert r["messages_ci"] >= 0
             assert set(r) == {"N", "messages_mean", "messages_ci",
-                              "runtime_mean", "runtime_ci", "n_failed"}
+                              "runtime_mean", "n_failed"}
 
     def test_larger_networks_send_more(self):
         base = _small_cfg(**{
