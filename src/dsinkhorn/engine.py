@@ -16,6 +16,8 @@ cache row changes, and the inner stop test checks one witness edge per
 lane before it scans every edge. Only four things stay per lane: its
 activation/drop/delay streams, its delta, its stop decision between
 outer iterations, and its retirement from the union once it finishes.
+A lane requested more than once, the same (comms, seed), runs as one
+lane of the union, and each request gets its own copy of its outcome.
 The test suite pins every lane, step for step, to a deliberately literal
 per-agent oracle. One lane alone is the one-lane batch; with metrics, it
 is ``experiments.run_decentralized``.
@@ -29,6 +31,7 @@ trace and round log. A lane's ``rounds_total`` is the sum of its
 ``inner_steps_used``. Random channels never skip.
 """
 
+import copy
 import time
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -132,9 +135,9 @@ class NetworkEngine:
         slots = self.channel.max_staleness + 1
         self.arrival = np.zeros((slots, self.n_edges), dtype=np.int64)
         self.ring = [(np.zeros(0, dtype=np.int64), np.empty((0, d)))] * slots
-        self._scratch = np.empty(max(self.slots, 1) * self.z.size)  # trigger diffs, gossip products, gaps
+        self._scratch = np.empty(max(self.slots, 2) * self.z.size)  # trigger diffs, gossip products, gaps
         self._sum = None
-        # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell
+        # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell and node
         self._lane_gap, self._witness = np.full(self.lanes, -np.inf), None
         self._block = [None, None, None]
 
@@ -169,6 +172,8 @@ class NetworkEngine:
         over the union; None where the round draws nothing (a synchronous
         one activates all). Each lane's streams are read _BLOCK rounds at a
         time, as one-round draws would."""
+        if self.deterministic:
+            return None, None, None
         if (now - 1) % _BLOCK == 0:
             rngs, e, ch, slots = self.rngs, len(self.edges), self.channel, len(self.ring)
             self._block = [None, None, None]  # the spent block goes before the next is drawn
@@ -193,26 +198,40 @@ class NetworkEngine:
         self.send_counter += 1
         active, kept, delays = self._draws(now)
 
-        # trigger evaluation on activated nodes (a slice when synchronous: diff must not be a view)
-        rows = slice(None) if active is None else np.flatnonzero(active)
+        # trigger evaluation on activated nodes (a slice when synchronous):
+        # |z - anchor| for the variation and |z - ref| for the trigger in one pass
+        rows = slice(None) if active is None else active.nonzero()[0]
         z_act = self.z[rows]
-        diff = np.subtract(z_act, self.anchor[rows], out=self._scratch[: z_act.size].reshape(z_act.shape))
-        self.variation[rows] += np.abs(diff, out=diff).max(axis=1)
+        diff = self._scratch[: 2 * z_act.size].reshape(2, *z_act.shape)
+        np.subtract(z_act, self.anchor[rows], out=diff[0])
+        np.subtract(z_act, self.ref[rows], out=diff[1])
+        step, gap = np.maximum.reduce(np.abs(diff, out=diff), axis=2)
+        self.variation[rows] += step
         self.anchor[rows] = z_act
-        hot = np.abs(np.subtract(z_act, self.ref[rows], out=diff), out=diff).max(axis=1) > self.delta[rows]
-        fired, raw = np.flatnonzero(hot) if active is None else rows[hot], z_act[hot]
-        del z_act, diff  # z_act is a gathered copy on random activation
-        outside = ((raw < cm.s_min) | (raw > cm.s_max)).any(axis=1)
-        self.clip_active[fired[outside] // self.size] = True
-        raw = protocol.clip_log(raw, cm.s_min, cm.s_max)
+        hot = gap > self.delta[rows]
+        fired = hot.nonzero()[0] if active is None else rows[hot]
+        raw = z_act if len(fired) == len(hot) else z_act[hot]  # read only: clip and quantize copy
+        del z_act, diff, step, gap  # z_act is a gathered copy on random activation
+        # entries inside [s_min, s_max] are their own clip (NaN is never outside)
+        clipped = raw.size and (np.fmin.reduce(raw, None) < cm.s_min or np.fmax.reduce(raw, None) > cm.s_max)
+        if clipped:
+            outside = ((raw < cm.s_min) | (raw > cm.s_max)).any(axis=1)
+            self.clip_active[fired[outside] // self.size] = True
+            raw = protocol.clip_log(raw, cm.s_min, cm.s_max)
         payload = protocol.quantize(raw, cm)
         del raw
-        # only a payload that differs from the last one sent goes out
-        new = (payload != self.ref[fired]).any(axis=1)
-        fired, payload = fired[new], payload[new]
-        self.ref[fired] = payload
-        self.anchor[fired] = payload
-        self.messages[fired] += 1
+        # only a payload that differs from the last one sent goes out (an
+        # unclipped, unquantized one is z, more than delta away from ref);
+        # rows are a slice while every node sends
+        sel = slice(None) if len(fired) == self.n else fired
+        if clipped or cm.bits is not None:
+            new = (payload != self.ref[sel]).any(axis=1)
+            if np.count_nonzero(new) < len(new):
+                fired, payload = fired[new], payload[new]
+                sel = fired
+        self.ref[sel] = payload
+        self.anchor[sel] = payload
+        self.messages[sel] += 1
 
         # freshest-wins delivery from the ring: per edge, the latest send round due now
         if delays is not None:
@@ -224,7 +243,12 @@ class NetworkEngine:
                 self._deliver(e, due[e], senders, payloads)
         # each fired node's packet leaves on its kept out-edges: a delayed one
         # enters the ring, a delay-0 one lands now, the freshest of all
-        if len(fired):
+        if len(fired) == self.n and kept is None and delays is None:
+            # every node sent and every edge is lossless and undelayed
+            self.ce_time[:] = now
+            self.ce[self.cell] = self.ref.take(self.snd, 0)
+            self._sum = None
+        elif len(fired):
             sent = np.zeros(self.n, dtype=bool)
             sent[fired] = True
             sent = sent[self.snd] if kept is None else sent[self.snd] & kept
@@ -285,9 +309,9 @@ class NetworkEngine:
         z += total
         self.z, self._z_spare = z, self.z
         if self._witness is not None:
-            cells = self._witness
-            gap = np.abs(self.z[cells % self.n] - self.ce[cells]).max(axis=1)
-            if (gap >= self.comms.tau_inner).all():  # no lane can stop: skip the scan
+            cells, nodes = self._witness
+            gap = np.maximum.reduce(np.abs(self.z.take(nodes, 0) - self.ce.take(cells, 0)), axis=1)
+            if np.minimum.reduce(gap) >= self.comms.tau_inner:  # no lane can stop: skip the scan
                 self._lane_gap = gap
                 return
         gaps = np.abs(np.subtract(ce, self.z, out=buf), out=buf).max(axis=2).ravel()
@@ -296,7 +320,8 @@ class NetworkEngine:
         best = per_lane.argmax(axis=1)
         self._lane_gap = per_lane[np.arange(self.lanes), best]
         slot, node = np.divmod(best, self.size)
-        self._witness = slot * self.n + np.arange(self.lanes) * self.size + node
+        node += np.arange(self.lanes) * self.size
+        self._witness = slot * self.n + node, node
 
     def all_inner_converged(self) -> np.ndarray:
         """Per lane: True when every node's cached neighbor payloads sit
@@ -323,17 +348,25 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     that error in place of its record; the other lanes run on unchanged.
     Each lane leaves the batch when it finishes; its wall_clock_seconds is
     its share of the batch's time, by rounds.
+
+    A lane requested more than once (the same comms and seed) runs once.
+    Every request gets its own deep copy of that run's record, or an error
+    of the same type and message.
     """
     if topology.num_nodes != instance.num_agents:
         raise ValueError("topology size must match the number of agents")
+    slot = {}
+    index = [slot.setdefault(lane, len(slot)) for lane in lanes]  # each request's distinct lane
+    first = [index.index(j) for j in range(len(slot))]  # each distinct lane's first request
+    runs = [lanes[i] for i in first]  # the distinct lanes, in engine order
     kernel, mu = instance.kernel(), instance.histogram_matrix()
-    eng = NetworkEngine(topology, lanes, channel, activation)
+    eng = NetworkEngine(topology, runs, channel, activation)
     cm, (n, d) = eng.comms, mu.shape
     t0 = time.perf_counter()
-    eng.bootstrap(np.zeros((len(lanes) * n, d)))
-    results, start = [None] * len(lanes), np.zeros((n, d))
+    eng.bootstrap(np.zeros((len(runs) * n, d)))
+    results, start = [None] * len(runs), np.zeros((n, d))
     live = [SimpleNamespace(index=i, prev_log_v=start, outer=0, per_outer=[], round_log_v=[])
-            for i in range(len(lanes))]  # each lane's progress, in engine order
+            for i in range(len(runs))]  # each lane's progress, in engine order
 
     def decide(pos, lane, change: float) -> bool:
         """The lane's stop decision after an outer iteration whose log-v
@@ -366,18 +399,18 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             return True
         return False
 
-    done = np.array([decide(pos, lane, np.inf) for pos, lane in enumerate(live)])
+    done = [decide(pos, lane, np.inf) for pos, lane in enumerate(live)]
     while True:
-        if done.any():
-            eng.retire(done)
+        if any(done):
+            eng.retire(np.array(done))
             live = [lane for lane, gone in zip(live, done) if not gone]
         if not live:
             break
         eng.step_round()
         if collect_residuals:
             residuals = netsim.consensus_residual(eng.z.reshape(eng.lanes, n, d)).tolist()
-        stop, idle = eng.all_inner_converged(), eng.idle
-        done = np.zeros(len(live), dtype=bool)
+        stop, idle = eng.all_inner_converged().tolist(), eng.idle
+        done = [False] * len(live)
         for pos, lane in enumerate(live):
             z = eng.z[pos * n : (pos + 1) * n]
             # an idle round would repeat up to the inner cap: it counts once
@@ -403,6 +436,8 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             lane.prev_log_v = z.copy()
             done[pos] = decide(pos, lane, change)
     wall = time.perf_counter() - t0
+    # a lane's first request takes the run's result, every later one a copy
+    results = [results[j] if first[j] == i else copy.deepcopy(results[j]) for i, j in enumerate(index)]
     records = [r for r in results if isinstance(r, RunRecord)]
     for r in records:
         r.wall_clock_seconds = wall * r.rounds_total / sum(q.rounds_total for q in records)

@@ -200,6 +200,28 @@ class TestRun:
 
         assert masked(out_a / "run_metrics.json") == masked(out_b / "run_metrics.json")
 
+    def test_deterministic_seeds_match_their_own_runs(self, tmp_path):
+        # on a synchronous lossless channel the seed drives nothing: every
+        # seed's run is its own full run, and the trace is the first seed's
+        tree = dict(_base_tree(), seeds=[0, 1, 2])
+        assert main(["run", "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "all")]) == 0
+        one = _write_cfg(tmp_path, dict(tree, seeds=[0]), "one.yaml")
+        assert main(["run", "--config", one, "--out", str(tmp_path / "one")]) == 0
+        resolved = cfgmod.run_config_from_dict(tree)
+        instance = cfgmod.build_instance(resolved)
+        topology = cfgmod.build_topology_from_spec(resolved.network)
+        alone = [experiments.run_decentralized(instance, topology, resolved.comms, resolved.channel,
+                                               resolved.activation, seed=seed)[0] for seed in tree["seeds"]]
+        experiments.write_json(str(tmp_path / "alone.json"), alone)
+
+        def timeless(runs):
+            return [{k: v for k, v in run.items() if k != "wall_clock_seconds"} for run in runs]
+
+        runs = json.loads((tmp_path / "all" / "run_metrics.json").read_text())["runs"]
+        assert [run["seed"] for run in runs] == tree["seeds"]
+        assert timeless(runs) == timeless(json.loads((tmp_path / "alone.json").read_text()))
+        assert (tmp_path / "all" / "trace.csv").read_bytes() == (tmp_path / "one" / "trace.csv").read_bytes()
+
 
 class TestOverrides:
     def test_override_lands_in_resolved_config(self, tmp_path):

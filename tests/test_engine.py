@@ -3,6 +3,7 @@ reference implementation in ``reference.py`` (per-agent protocol ops driven
 by the packet-level scheduler), and every lane of a batch must run exactly
 as it would alone."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from dsinkhorn import otcore, protocol
 from dsinkhorn.config import mixture_histograms
-from dsinkhorn.engine import NetworkEngine, consensus_trace, simulate_lanes
+from dsinkhorn.engine import NetworkEngine, RunRecord, consensus_trace, simulate_lanes
 from dsinkhorn.experiments import run_decentralized
 from dsinkhorn.netsim import (
     ActivationModel,
@@ -236,11 +237,12 @@ def _is_deterministic(regime) -> bool:
 
 
 def _count_step_rounds(monkeypatch) -> list:
-    """Patch NetworkEngine.step_round to count its calls in the returned list."""
+    """Patch NetworkEngine.step_round to count its calls in the returned
+    list, one entry per call holding the number of lanes it stepped."""
     step_round, calls = NetworkEngine.step_round, []
 
     def counted(eng):
-        calls.append(1)
+        calls.append(eng.lanes)
         step_round(eng)
 
     monkeypatch.setattr(NetworkEngine, "step_round", counted)
@@ -663,14 +665,63 @@ class TestLanes:
             NetworkEngine(build_topology("complete", n=4), [(comms, 0), (other, 1)])
 
     def test_wall_clock_is_the_lanes_share_by_rounds(self):
-        regime = _regime("lossy-stale-cap3")
+        # a lane requested twice runs once, and each copy still gets its share
+        for regime_id in ("lossy-stale-cap3", "sync-fixed-point-12bit"):
+            regime = _regime(regime_id)
+            instance, topology = _regime_setup(regime)
+            lanes = [(regime["comms"], 5)] + self._companions(regime["comms"])
+            lanes += [lanes[0], lanes[-1]]
+            batch = simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"])
+            assert len({r.rounds_total for r in batch}) > 1
+            per_round = [r.wall_clock_seconds / r.rounds_total for r in batch]
+            assert per_round[0] > 0
+            assert_allclose(per_round, per_round[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_repeated_lanes_run_once(self, regime, monkeypatch):
         instance, topology = _regime_setup(regime)
-        lanes = [(regime["comms"], 5)] + self._companions(regime["comms"])
-        batch = simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"])
-        assert len({r.rounds_total for r in batch}) > 1
-        per_round = [r.wall_clock_seconds / r.rounds_total for r in batch]
-        assert per_round[0] > 0
-        assert_allclose(per_round, per_round[0], rtol=1e-12)
+        comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
+        distinct = [(comms, 5)] + self._companions(comms)
+        lanes = distinct + [distinct[0], distinct[3], distinct[0], distinct[1]]
+        calls = _count_step_rounds(monkeypatch)
+        batch = simulate_lanes(instance, topology, lanes, channel, activation)
+        assert max(calls) == len(distinct)
+        for (lane_comms, seed), record in zip(lanes, batch):
+            _assert_same_record(record, _one_lane(
+                instance, topology, lane_comms, channel, activation, seed=seed))
+
+    def test_copies_share_no_state(self):
+        regime = _regime("sync-fixed-point-12bit")
+        instance, topology = _regime_setup(regime)
+        batch = simulate_lanes(instance, topology, [(regime["comms"], 5)] * 3, collect_round_log_v=True)
+        kept = copy.deepcopy(batch[1:])
+        first = batch[0]
+        first.broadcasts_per_agent += 1
+        first.variation_per_agent[:] = -1.0
+        first.log_v[:] = first.barycenters[:] = 0.0
+        first.round_log_v[0][:] = 0.0
+        first.per_outer[0]["consensus_residual_trace"].append(1.0)
+        first.per_outer[0]["inner_steps_used"] = -1
+        first.per_outer.append({})
+        for record, before in zip(batch[1:], kept):
+            _assert_same_record(record, before)
+            assert all(np.array_equal(z, z0) for z, z0 in zip(record.round_log_v, before.round_log_v))
+
+    def test_duplicates_of_a_failed_lane_hold_their_own_errors(self, monkeypatch):
+        instance, topology = _instance(), build_topology("complete", n=4)
+        comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=30, outer_iter_cap=4)
+        other = dataclasses.replace(comms, delta=2e-3)
+        lanes = [(comms, 0), (other, 0), (comms, 0), (comms, 0)]
+        monkeypatch.setattr(otcore, "_local_scaling", _annihilating(1))  # the first lane's first
+        batch = simulate_lanes(instance, topology, lanes)
+        monkeypatch.undo()
+        errors = [batch[i] for i in (0, 2, 3)]
+        assert all(type(e) is otcore.DegenerateStateError for e in errors)
+        assert len({id(e) for e in errors}) == 3
+        assert {str(e) for e in errors} == {str(errors[0])}
+        assert str(errors[0]).startswith("node 2 at outer iteration 1: K^T u has zero entries")
+        assert isinstance(batch[1], RunRecord)
+        _assert_same_record(batch[1], _one_lane(instance, topology, other, seed=0))
 
 
 def _crafted_failures():
