@@ -104,12 +104,15 @@ def cmd_centralized(cfg: cfgmod.RunConfig) -> int:
 def cmd_run(cfg: cfgmod.RunConfig) -> int:
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg)
+    if cfg.comms.inert_delta:
+        print(f"warning: comms.delta={cfg.comms.delta:g} is at most half the quantizer step "
+              f"(delta_q={cfg.comms.delta_q:g}): it sends exactly what delta=0 sends", file=sys.stderr)
     instance = cfgmod.build_instance(cfg)
     topology = cfgmod.build_topology_from_spec(cfg.network)
     oracle = experiments.centralized_oracle(instance)
 
     # The always-on (delta=0) twin of the first seed, for trace.csv, is one
-    # more lane of the same batch.
+    # more lane of the same batch (at an inert delta, the first seed's own lane).
     lanes = [(cfg.comms, seed) for seed in cfg.seeds]
     if cfg.comms.delta > 0:
         lanes.append((replace(cfg.comms, delta=0.0), cfg.seeds[0]))

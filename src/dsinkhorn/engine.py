@@ -16,8 +16,11 @@ cache row changes, and the inner stop test checks one witness edge per
 lane before it scans every edge. Only four things stay per lane: its
 activation/drop/delay streams, its delta, its stop decision between
 outer iterations, and its retirement from the union once it finishes.
-A lane requested more than once, the same (comms, seed), runs as one
-lane of the union, and each request gets its own copy of its outcome.
+A lane is keyed by what it runs: its seed and its comms, where an
+inert quantized threshold (``CommsConfig.inert_delta``: 0 < delta <=
+delta_q/2) runs as delta = 0, since it sends exactly what delta = 0
+sends. Requests with the same key run as one lane of the union, and each
+request gets its own copy of its outcome.
 The test suite pins every lane, step for step, to a deliberately literal
 per-agent oracle. One lane alone is the one-lane batch; with metrics, it
 is ``experiments.run_decentralized``.
@@ -56,7 +59,7 @@ class RunRecord:
     rounds_total: int
     broadcasts_per_agent: np.ndarray
     variation_per_agent: np.ndarray
-    clip_active: bool
+    clip_active: bool  # some active node's z left [s_min, s_max] in some round, bootstrap included
     per_outer: list  # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_trace
     wall_clock_seconds: float  # the run's share of its batch's time, by rounds
     round_log_v: list = field(default_factory=list)  # optional per-round Z copies; idle repeats share one
@@ -210,13 +213,17 @@ class NetworkEngine:
         self.anchor[rows] = z_act
         hot = gap > self.delta[rows]
         fired = hot.nonzero()[0] if active is None else rows[hot]
+        # the clip range is in use when an active node's z leaves it, fired
+        # or not; entries inside [s_min, s_max] are their own clip (NaN is
+        # never outside)
+        clipped = False
+        if z_act.size and (np.fmin.reduce(z_act, None) < cm.s_min or np.fmax.reduce(z_act, None) > cm.s_max):
+            outside = ((z_act < cm.s_min) | (z_act > cm.s_max)).any(axis=1)
+            self.clip_active[(outside.nonzero()[0] if active is None else rows[outside]) // self.size] = True
+            clipped = outside[hot].any()
         raw = z_act if len(fired) == len(hot) else z_act[hot]  # read only: clip and quantize copy
         del z_act, diff, step, gap  # z_act is a gathered copy on random activation
-        # entries inside [s_min, s_max] are their own clip (NaN is never outside)
-        clipped = raw.size and (np.fmin.reduce(raw, None) < cm.s_min or np.fmax.reduce(raw, None) > cm.s_max)
         if clipped:
-            outside = ((raw < cm.s_min) | (raw > cm.s_max)).any(axis=1)
-            self.clip_active[fired[outside] // self.size] = True
             raw = protocol.clip_log(raw, cm.s_min, cm.s_max)
         payload = protocol.quantize(raw, cm)
         del raw
@@ -349,16 +356,19 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     Each lane leaves the batch when it finishes; its wall_clock_seconds is
     its share of the batch's time, by rounds.
 
-    A lane requested more than once (the same comms and seed) runs once.
-    Every request gets its own deep copy of that run's record, or an error
-    of the same type and message.
+    Requests run by the lane they key to: their seed and comms, with an
+    inert quantized delta (``CommsConfig.inert_delta``) replaced by 0,
+    which sends exactly the same packets. Requests with one key run once;
+    the first takes that run's result, and every later one a deep copy of
+    the record, or an error of the same type and message.
     """
     if topology.num_nodes != instance.num_agents:
         raise ValueError("topology size must match the number of agents")
+    keys = [(replace(c, delta=0.0) if c.inert_delta else c, seed) for c, seed in lanes]  # the lane each runs
     slot = {}
-    index = [slot.setdefault(lane, len(slot)) for lane in lanes]  # each request's distinct lane
+    index = [slot.setdefault(key, len(slot)) for key in keys]  # each request's distinct lane
     first = [index.index(j) for j in range(len(slot))]  # each distinct lane's first request
-    runs = [lanes[i] for i in first]  # the distinct lanes, in engine order
+    runs = [keys[i] for i in first]  # the distinct lanes, in engine order
     kernel, mu = instance.kernel(), instance.histogram_matrix()
     eng = NetworkEngine(topology, runs, channel, activation)
     cm, (n, d) = eng.comms, mu.shape

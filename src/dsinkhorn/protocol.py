@@ -6,9 +6,11 @@ gossip variable z has drifted more than delta (sup norm) from the
 dequantized payload it last sent, and a packet goes out only if the new
 payload differs from that last one in at least one entry. When
 delta_q > delta the trigger can fire while z still quantizes to the
-payload already sent; that payload is not sent again. Payloads are
-always clipped to [s_min, s_max] and quantized; local state stays full
-precision. The round itself lives in :mod:`dsinkhorn.engine`.
+payload already sent; that payload is not sent again. A threshold
+0 < delta <= delta_q/2 is inert: it sends exactly what delta = 0 sends
+(``CommsConfig.inert_delta``). Payloads are always clipped to
+[s_min, s_max] and quantized; local state stays full precision. The
+round itself lives in :mod:`dsinkhorn.engine`.
 """
 
 import math
@@ -32,7 +34,8 @@ class CommsConfig:
 
     bits=None means unquantized payloads (8-byte floats on the wire);
     delta may be 0 (always transmit on any change) or +inf (only the
-    bootstrap packet is ever sent).
+    bootstrap packet is ever sent). A quantized delta of at most
+    delta_q/2 is inert (``inert_delta``).
     """
 
     delta: float = 1e-3
@@ -70,6 +73,20 @@ class CommsConfig:
         if self.bits is None:
             return 0.0
         return (self.s_max - self.s_min) / (2.0 * (self.num_levels - 1))
+
+    @property
+    def inert_delta(self) -> bool:
+        """True when delta > 0 sends exactly what delta = 0 sends.
+
+        The last payload sent is a quantizer level. A node within delta <=
+        delta_q/2 (a quarter of the level spacing) of it does not fire, but
+        if it fired at delta = 0, clipping, which never moves an entry away
+        from a point of the range, would keep it that close to the level,
+        and the quantizer would map it back onto that level, a payload the
+        repeat rule does not send. At delta_q/2 the quantizer's margin is
+        still a quarter step; it vanishes as delta approaches delta_q.
+        """
+        return 0 < self.delta <= self.delta_q / 2
 
 
 def clip_log(values: np.ndarray, s_min: float, s_max: float) -> np.ndarray:

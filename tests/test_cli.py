@@ -222,6 +222,23 @@ class TestRun:
         assert timeless(runs) == timeless(json.loads((tmp_path / "alone.json").read_text()))
         assert (tmp_path / "all" / "trace.csv").read_bytes() == (tmp_path / "one" / "trace.csv").read_bytes()
 
+    def test_inert_delta_warns_and_traces_the_zero_delta_run(self, tmp_path, capsys):
+        # delta=1e-3 is at most delta_q/2 at 12 bits (3.7e-3) and above it at
+        # 16 bits (2.3e-4)
+        tree = dict(_base_tree(), seeds=[0])
+        tree["comms"].update(bits=12, outer_iter_cap=5)
+        assert main(["run", "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "q12")]) in (0, 2)
+        assert capsys.readouterr().err == (
+            "warning: comms.delta=0.001 is at most half the quantizer step (delta_q=0.00732601): "
+            "it sends exactly what delta=0 sends\n")
+        trace = _read_csv(tmp_path / "q12" / "trace.csv")
+        variants = {v: [[r[k] for k in ("round", "outer_iter", "inner_step", "residual")]
+                        for r in trace if r["variant"] == v] for v in ("always_on", "triggered")}
+        assert variants["always_on"] and variants["always_on"] == variants["triggered"]
+        tree["comms"]["bits"] = 16
+        main(["run", "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "q16")])
+        assert "warning" not in capsys.readouterr().err
+
 
 class TestOverrides:
     def test_override_lands_in_resolved_config(self, tmp_path):

@@ -370,6 +370,21 @@ class TestRunRecord:
         record = _one_lane(_instance(), topology, comms, seed=0)
         assert not record.clip_active
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_clip_flag_raised_by_an_active_node_that_does_not_send(self, delta):
+        # node 0 sits 5e-4 above s_max, within delta of its last payload
+        # s_max: at delta=0 it fires and its payload repeats, at 1e-3 it
+        # does not fire; either way the clip range was in use
+        comms = CommsConfig(delta=delta, bits=8, s_min=-1.0, s_max=1.0)
+        eng = NetworkEngine(build_topology("complete", n=2), [(comms, 0)])
+        eng.bootstrap(np.zeros((2, 3)))
+        assert not eng.clip_active.any()
+        eng.z[0] = eng.ref[0] = eng.anchor[0] = 1.0
+        eng.z[0, 1] += 5e-4
+        eng.step_round()
+        assert eng.clip_active.tolist() == [True]
+        assert eng.messages.tolist() == [1, 1]
+
     def test_per_outer_bookkeeping(self):
         topology = build_topology("complete", n=4)
         comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=30, outer_iter_cap=6)
@@ -536,6 +551,9 @@ def _regime_setup(regime):
     return _instance(d=16, n=topology.num_nodes), topology
 
 
+QUANTIZED = [p for p in REGIMES if p.values[0]["comms"].bits is not None]
+
+
 def _assert_same_record(a, b):
     """Two records of the same lane are bit-identical (wall time aside)."""
     for name in ("converged", "outer_iters", "rounds_total", "clip_active", "per_outer"):
@@ -626,8 +644,9 @@ class TestLanes:
         assert len({r.rounds_total for r in batch}) > 2
 
     def test_lanes_may_differ_in_delta(self):
+        # at 16 bits delta=1e-3 is above delta_q/2, so the two lanes run apart
         instance, topology = _instance(), build_topology("complete", n=4)
-        comms = CommsConfig(delta=1e-3, bits=12, inner_step_cap=30, outer_iter_cap=4)
+        comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=30, outer_iter_cap=4)
         always = dataclasses.replace(comms, delta=0.0)
         batch = simulate_lanes(instance, topology, [(comms, 3), (always, 3)])
         _assert_same_record(batch[0], _one_lane(instance, topology, comms, seed=3))
@@ -722,6 +741,49 @@ class TestLanes:
         assert str(errors[0]).startswith("node 2 at outer iteration 1: K^T u has zero entries")
         assert isinstance(batch[1], RunRecord)
         _assert_same_record(batch[1], _one_lane(instance, topology, other, seed=0))
+
+    @pytest.mark.parametrize("regime", QUANTIZED)
+    def test_inert_deltas_share_the_zero_delta_lane(self, regime, monkeypatch):
+        # delta <= delta_q/2 sends exactly what delta=0 sends, so each seed
+        # runs one lane; seeds stay lanes of their own even where the
+        # channel is deterministic
+        instance, topology = _regime_setup(regime)
+        comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
+        deltas = (0.0, comms.delta_q / 4, comms.delta_q / 2)
+        lanes = [(dataclasses.replace(comms, delta=dv), s) for dv in deltas for s in (5, 6)]
+        assert [c.inert_delta for c, _ in lanes] == [False, False, True, True, True, True]
+        calls = _count_step_rounds(monkeypatch)
+        batch = simulate_lanes(instance, topology, lanes, channel, activation)
+        assert max(calls) == 2
+        for (lane_comms, seed), record in zip(lanes, batch):
+            _assert_same_record(record, _one_lane(
+                instance, topology, lane_comms, channel, activation, seed=seed))
+        # and each record is the one its lane gives when run as itself
+        monkeypatch.setattr(CommsConfig, "inert_delta", property(lambda c: False))
+        calls.clear()
+        apart = simulate_lanes(instance, topology, lanes, channel, activation)
+        assert max(calls) == len(lanes)
+        for record, alone in zip(batch, apart):
+            _assert_same_record(record, alone)
+
+    def test_a_delta_past_half_delta_q_runs_alone(self, monkeypatch):
+        regime = _regime("sync-fixed-point-12bit")
+        instance, topology = _regime_setup(regime)
+        comms = regime["comms"]
+        past = dataclasses.replace(comms, delta=float(np.nextafter(comms.delta_q / 2, np.inf)))
+        assert not past.inert_delta and dataclasses.replace(comms, delta=comms.delta_q / 2).inert_delta
+        calls = _count_step_rounds(monkeypatch)
+        simulate_lanes(instance, topology, [(dataclasses.replace(comms, delta=0.0), 5), (past, 5)])
+        assert max(calls) == 2
+
+    def test_unquantized_deltas_are_never_shared(self, monkeypatch):
+        regime = _regime("sync-fixed-point-unquantized")
+        instance, topology = _regime_setup(regime)
+        lanes = [(dataclasses.replace(regime["comms"], delta=dv), 5) for dv in (0.0, 5e-324, 1e-12, 1e-5)]
+        assert not any(c.inert_delta for c, _ in lanes)
+        calls = _count_step_rounds(monkeypatch)
+        simulate_lanes(instance, topology, lanes)
+        assert max(calls) == len(lanes)
 
 
 def _crafted_failures():
