@@ -7,20 +7,21 @@ topology: node l*N + i is node i of lane l, and the directed edges are
 stacked the same way, so one round of every lane is a handful of numpy
 calls: trigger evaluation on the activated nodes, clip + quantize of the
 fired payloads, of which only those that differ from the sender's last
-payload go out, per-edge drops, delayed packets into a ring (a delay-0
-packet lands at once), freshest-wins cache delivery, then cached gossip
-with the round's effective weights. The edge caches sit in a slot-major
-grid (ELLPACK-style): slot s of receiver r is row s*n + r, so the gossip
-sum is one multiply-add per slot, kept under synchronous weights until a
-cache row changes, and the inner stop test checks one witness edge per
-lane before it scans every edge. Only four things stay per lane: its
-activation/drop/delay streams, its delta, its stop decision between
-outer iterations, and its retirement from the union once it finishes.
-A lane is keyed by what it runs: its seed and its comms, where an
-inert quantized threshold (``CommsConfig.inert_delta``: 0 < delta <=
-delta_q/2) runs as delta = 0, since it sends exactly what delta = 0
-sends. Requests with the same key run as one lane of the union, and each
-request gets its own copy of its outcome.
+payload go out, per-edge drops, a send store for delayed packets,
+freshest-wins cache delivery, then cached gossip with the round's
+weights on the receivers that have an active in-edge. The edge caches
+sit in a slot-major grid (ELLPACK-style): slot s of receiver r is row
+s*n + r, so the gossip sum is one multiply-add per slot, kept under
+synchronous weights until a cache row changes, and the inner stop test
+checks one witness edge per lane before it scans every edge. Only four
+things stay per lane: its activation/drop/delay streams, its delta, its
+stop decision between outer iterations, and its retirement from the
+union once it finishes. A lane is keyed by what it runs: its seed and
+its comms, where an inert quantized threshold
+(``CommsConfig.inert_delta``: 0 < delta <= delta_q/2) runs as delta = 0,
+since it sends exactly what delta = 0 sends. Requests with the same key
+run as one lane of the union, and each request gets its own copy of its
+outcome.
 The test suite pins every lane, step for step, to a deliberately literal
 per-agent oracle. One lane alone is the one-lane batch; with metrics, it
 is ``experiments.run_decentralized``.
@@ -72,11 +73,14 @@ class NetworkEngine:
     directed edge (receiver, sender) of the union, sorted by receiver. The
     caches ``ce`` live in ``slots`` (the largest in-degree) blocks of n
     rows: the k-th in-edge of receiver r is row ``cell = k*n + r``, and the
-    rows no edge fills are zero with weight 0; ``_sum``, their weighted
-    sum, is kept under synchronous weights until a cache row is written.
-    Lanes may differ only in seed and delta. After a deterministic round
-    in which some lane sent nothing, ``idle`` flags per lane a round that
-    sent nothing and left z bit-for-bit unchanged; otherwise it is None.
+    rows no edge fills are zero with weight 0; ``_sum``, their weighted sum,
+    is kept under synchronous weights until a cache row is written. Delayed
+    packets wait in ``store[send round % depth, sender]``, and
+    ``arrival[slot, edge]`` is the round they land; each round every edge
+    takes its freshest packet due in one gather. Lanes may differ only in
+    seed and delta. After a deterministic round in which some lane sent
+    nothing, ``idle`` flags per lane a round that sent nothing and left z
+    bit-for-bit unchanged; otherwise it is None.
     """
 
     def __init__(self, topology, lanes, channel=None, activation=None):
@@ -122,7 +126,6 @@ class NetworkEngine:
         cm, d = self.comms, z0.shape[1]
         self.z = z0.astype(np.float64)
         self.idle = None
-        self._spare_z()
         self.ref = protocol.quantize(protocol.clip_log(self.z, cm.s_min, cm.s_max), cm)
         self.anchor = self.ref.copy()
         self.ce = np.zeros((self.slots * self.n, d))
@@ -132,12 +135,12 @@ class NetworkEngine:
         self.variation = np.zeros(self.n)
         self.clip_active = ((self.z < cm.s_min) | (self.z > cm.s_max)).reshape(self.lanes, -1).any(axis=1)
         self.send_counter = 1
-        # Delayed packets in flight, one slot per send round modulo
-        # max_staleness+1: arrival rounds per directed edge, the round's fired
-        # nodes and their payloads. A slot is rewritten only after all arrived.
-        slots = self.channel.max_staleness + 1
-        self.arrival = np.zeros((slots, self.n_edges), dtype=np.int64)
-        self.ring = [(np.zeros(0, dtype=np.int64), np.empty((0, d)))] * slots
+        # The send store of a delaying channel, depth max_staleness+1: payloads
+        # by send round and sender, and per edge the round each lands. A slot is
+        # rewritten only after all its packets arrived; undelayed, it is empty.
+        depth = self.channel.max_staleness + 1 if self.channel.max_staleness else 0
+        self.store = np.zeros((depth, self.n, d))
+        self.arrival = np.zeros((depth, self.n_edges), dtype=np.int64)
         self._scratch = np.empty(max(self.slots, 2) * self.z.size)  # trigger diffs, gossip products, gaps
         self._sum = None
         # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell and node
@@ -150,23 +153,14 @@ class NetworkEngine:
         nodes, edges = np.repeat(keep, self.size), np.repeat(keep, len(self.edges))
         for name in ("z", "ref", "anchor", "messages", "variation", "delta"):
             setattr(self, name, getattr(self, name)[nodes])
-        self._spare_z()
         d = self.ce.shape[1]
         self.ce = self.ce.reshape(self.slots, self.lanes, self.size * d)[:, keep].reshape(-1, d)
-        self.ce_time, self.arrival = self.ce_time[edges], self.arrival[:, edges]
-        renumber = np.cumsum(nodes) - 1
-        self.ring = [(renumber[f[nodes[f]]], p[nodes[f]]) for f, p in self.ring]
+        self.ce_time, self.arrival, self.store = self.ce_time[edges], self.arrival[:, edges], self.store[:, nodes]
         self.clip_active, self._lane_gap = self.clip_active[keep], self._lane_gap[keep]
         self._witness = self._sum = None
         self.rngs = [r for r, k in zip(self.rngs, keep) if k]
         self._block = [None if b is None else b[keep] for b in self._block]
         self._layout(len(self.rngs))
-
-    def _spare_z(self) -> None:
-        """The buffer the gossip writes the new z into before the two swap,
-        so that an idle test can compare against the old z; where no round
-        can be idle it is z itself and the gossip runs in place."""
-        self._z_spare = np.empty_like(self.z) if self.deterministic else self.z
 
     # -- one round ---------------------------------------------------------
 
@@ -178,7 +172,7 @@ class NetworkEngine:
         if self.deterministic:
             return None, None, None
         if (now - 1) % _BLOCK == 0:
-            rngs, e, ch, slots = self.rngs, len(self.edges), self.channel, len(self.ring)
+            rngs, e, ch, depth = self.rngs, len(self.edges), self.channel, len(self.store)
             self._block = [None, None, None]  # the spent block goes before the next is drawn
             act = kept = delays = None  # filled lane by lane, without a list of per-lane copies
             if self.activation.mode != "synchronous":
@@ -187,17 +181,17 @@ class NetworkEngine:
                 kept = np.empty((self.lanes, _BLOCK, e), dtype=bool)
                 for row, (_, d, _) in zip(kept, rngs):
                     np.greater_equal(d.random((_BLOCK, e)), ch.drop_prob, out=row)
-            if slots > 1:
+            if depth:
                 delays = np.empty((self.lanes, _BLOCK, e), dtype=np.int32)
                 for row, (*_, t) in zip(delays, rngs):
-                    row[:] = t.integers(0, slots, (_BLOCK, e))
+                    row[:] = t.integers(0, depth, (_BLOCK, e))
             self._block = [act, kept, delays]
         return [None if b is None else b[:, (now - 1) % _BLOCK].ravel() for b in self._block]
 
     def step_round(self) -> None:
         """One round of every lane; rounds are numbered 1, 2, ... after the
         bootstrap, and a packet's send time is the round it left in."""
-        cm, now, slots = self.comms, self.send_counter, len(self.ring)
+        cm, now, depth = self.comms, self.send_counter, len(self.store)
         self.send_counter += 1
         active, kept, delays = self._draws(now)
 
@@ -240,31 +234,35 @@ class NetworkEngine:
         self.anchor[sel] = payload
         self.messages[sel] += 1
 
-        # freshest-wins delivery from the ring: per edge, the latest send round due now
-        if delays is not None:
-            sent_at = now - (now - np.arange(slots)) % slots
-            due = np.where(self.arrival == now, sent_at[:, None], 0).max(axis=0)
-            upd = np.flatnonzero(due > self.ce_time)
-            for slot, (senders, payloads) in enumerate(self.ring):
-                e = upd[due[upd] % slots == slot]
-                self._deliver(e, due[e], senders, payloads)
-        # each fired node's packet leaves on its kept out-edges: a delayed one
-        # enters the ring, a delay-0 one lands now, the freshest of all
+        # each fired node's packet leaves on its kept out-edges; where packets
+        # can be delayed it enters the store, and every edge then takes the
+        # freshest packet due now, delay 0 included
         if len(fired) == self.n and kept is None and delays is None:
             # every node sent and every edge is lossless and undelayed
             self.ce_time[:] = now
             self.ce[self.cell] = self.ref.take(self.snd, 0)
             self._sum = None
-        elif len(fired):
-            sent = np.zeros(self.n, dtype=bool)
-            sent[fired] = True
-            sent = sent[self.snd] if kept is None else sent[self.snd] & kept
-            if delays is not None:
-                late = sent & (delays > 0)
-                self.ring[now % slots] = (fired, payload)
-                self.arrival[now % slots, late] = now + delays[late]
-                sent ^= late
-            self._deliver(np.flatnonzero(sent), now, fired, payload)
+        elif len(fired) or depth:
+            if len(fired):
+                sent = np.zeros(self.n, dtype=bool)
+                sent[fired] = True
+                sent = sent[self.snd] if kept is None else sent[self.snd] & kept
+            if not depth:  # undelayed: every kept packet lands now, and ref holds its payload
+                upd = np.flatnonzero(sent)
+                due, landed = now, self.ref.take(self.snd[upd], 0)
+            else:
+                if len(fired):
+                    self.store[now % depth, fired] = payload
+                    self.arrival[now % depth, sent] = now + delays[sent]
+                sent_at = now - (now - np.arange(depth)) % depth
+                due = np.where(self.arrival == now, sent_at[:, None], 0).max(axis=0)
+                upd = np.flatnonzero(due > self.ce_time)
+                due = due[upd]
+                landed = self.store.reshape(-1, self.z.shape[1]).take(due % depth * self.n + self.snd[upd], 0)
+            if len(upd):
+                self.ce_time[upd] = due
+                self.ce[self.cell[upd]] = landed
+                self._sum = None
         z_before = self.z
         self._gossip(active)
 
@@ -278,13 +276,6 @@ class NetworkEngine:
             self.idle = still.reshape(self.lanes, -1).all(axis=1)
             self.idle[fired // self.size] = False
 
-    def _deliver(self, edges, sent_at, senders, payloads) -> None:
-        """Write packets into the caches of ``edges``, dropping the kept sum."""
-        if len(edges):
-            self.ce_time[edges] = sent_at
-            self.ce[self.cell[edges]] = payloads[np.searchsorted(senders, self.snd[edges])]
-            self._sum = None
-
     def _gossip(self, active: np.ndarray | None) -> None:
         if not self.n_edges:
             return
@@ -292,29 +283,36 @@ class NetworkEngine:
         buf = self._scratch[: ce.size].reshape(ce.shape)
         total = self._sum  # kept while the weights are fixed and no cache row changed
         if active is None:
-            w, diag = self.w_sync, self.w_sync_diag
+            rows, w, diag, caches, prod = slice(None), self.w_sync, self.w_sync_diag, ce, buf
         else:
-            both = active[self.rcv] & active[self.snd]
-            deg_a = np.bincount(self.rcv[both], minlength=self.n)
-            w_e = np.where(
-                both, 1.0 / (1.0 + np.maximum(deg_a[self.rcv], deg_a[self.snd])), 0.0
-            )
-            diag = 1.0 - np.bincount(self.rcv, weights=w_e, minlength=self.n)
+            # only receivers with an active in-edge move: every other row has
+            # self weight 1 and cache weight 0, so it keeps its z
+            both = np.flatnonzero(active[self.rcv] & active[self.snd])
+            rcv = self.rcv[both]
+            deg_a = np.bincount(rcv, minlength=self.n)
+            w_e = 1.0 / (1.0 + np.maximum(deg_a[rcv], deg_a[self.snd[both]]))
+            rows = np.flatnonzero(deg_a)
+            diag = 1.0 - np.bincount(rcv, weights=w_e, minlength=self.n)[rows]
             w = np.zeros(self.slots * self.n)
-            w[self.cell] = w_e
+            w[self.cell[both]] = w_e
+            shape = (self.slots, len(rows), ce.shape[2])
+            caches = prod = ce.take(rows, 1, self._scratch[: np.prod(shape)].reshape(shape), "clip")
         if total is None:
-            np.multiply(w.reshape(self.slots, self.n, 1), ce, out=buf)
+            np.multiply(w.reshape(self.slots, self.n, 1)[:, rows], caches, out=prod)
             # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for
             # add.reduce over at most 8 rows (zero pads change nothing)
             first, *rest = *range(1, self.slots), 0
             for s in rest:
-                buf[first] += buf[s]
-            total = buf[first]
+                prod[first] += prod[s]
+            total = prod[first]
             if active is None:
                 self._sum = total = total.copy()
-        z = np.multiply(self.z, diag[:, None], out=self._z_spare)
+        z = self.z[rows] * diag[:, None]
         z += total
-        self.z, self._z_spare = z, self.z
+        if active is None:
+            self.z = z  # a new array, so that an idle test can compare it with the old z
+        else:
+            self.z[rows] = z
         if self._witness is not None:
             cells, nodes = self._witness
             gap = np.maximum.reduce(np.abs(self.z.take(nodes, 0) - self.ce.take(cells, 0)), axis=1)

@@ -647,10 +647,13 @@ def verify_theory(
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    # a list of finite floats and ints is its own JSON form (v - v is nan for inf and nan)
+    if isinstance(obj, list) and all(type(v) is float and v - v == 0 or type(v) is int for v in obj):
+        return obj
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -669,10 +672,9 @@ def _json_safe(obj):
 def write_csv(path: str, fieldnames, rows) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
 
 
 def write_json(path: str, obj) -> None:

@@ -225,6 +225,31 @@ REGIMES = [
         ),
         id="sync-drops-undelayed",
     ),
+    pytest.param(
+        dict(
+            # in-degrees 1 to 9, so 9 cache slots and many pad rows; at
+            # p=0.3 most receivers have no active in-edge in a round; a loose
+            # tau_inner stops lanes on the gap test at different rounds, so
+            # lanes retire while the 4-round send store holds packets
+            topology=("random_geometric", {"n": 12, "radius": 0.45, "seed": 3}),
+            comms=CommsConfig(delta=1e-3, bits=12, tau_inner=0.2, tau_outer=1e-6,
+                              inner_step_cap=40, outer_iter_cap=6),
+            channel=ChannelModel(drop_prob=0.2, max_staleness=3),
+            activation=ActivationModel(mode="randomized_subset", p_active=0.3),
+        ),
+        id="geometric-sparse-subset",
+    ),
+    pytest.param(
+        dict(
+            # one active edge per round, its packets delayed up to 2 rounds
+            topology=("grid2d", {"rows": 3, "cols": 3}),
+            comms=CommsConfig(delta=1e-3, bits=16, tau_inner=1e-4, tau_outer=1e-6,
+                              inner_step_cap=40, outer_iter_cap=6),
+            channel=ChannelModel(drop_prob=0.1, max_staleness=2),
+            activation=ActivationModel(mode="randomized_pairwise"),
+        ),
+        id="delayed-pairwise",
+    ),
 ]
 IDLING = ("sync-fixed-point-12bit", "sync-fixed-point-unquantized")
 
@@ -271,7 +296,7 @@ class TestEngineMatchesReference:
         assert_allclose(record.log_v, ref["log_v"], atol=1e-12)
         assert_allclose(record.variation_per_agent, ref["variation"], atol=1e-12)
 
-    @pytest.mark.parametrize("regime_id", ["clean-subset", "path-ends"])
+    @pytest.mark.parametrize("regime_id", ["clean-subset", "path-ends", "geometric-sparse-subset"])
     def test_regimes_stop_on_the_gap_test(self, regime_id):
         # the engine scans every cache only when a lane may stop; these
         # regimes end outer iterations before the cap, so the parity test
@@ -635,7 +660,7 @@ class TestLanes:
             _assert_same_record(record, _one_lane(
                 instance, topology, lane_comms, channel, activation, seed=seed))
 
-    @pytest.mark.parametrize("regime_id", ["clean-subset", "lossy-stale-cap3"])
+    @pytest.mark.parametrize("regime_id", ["clean-subset", "lossy-stale-cap3", "geometric-sparse-subset"])
     def test_lanes_retire_at_different_rounds(self, regime_id):
         regime = _regime(regime_id)
         instance, topology = _regime_setup(regime)
