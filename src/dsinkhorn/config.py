@@ -30,6 +30,7 @@ import numpy as np
 import yaml
 
 from . import netsim, otcore, protocol
+from .netsim import _integer, _is_int, _number
 
 __all__ = [
     "ConfigError",
@@ -152,53 +153,20 @@ def apply_overrides(data: dict, overrides) -> dict:
     return out
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(path, raw, *, minimum=None, strict_min=None, allow_inf=False, below=None, maximum=None):
-    if isinstance(raw, str) and raw.strip().lstrip(".").lower() in ("inf", "infinity"):
-        raw = math.inf
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{path}: must be a number")
-    val = float(raw)
-    if math.isnan(val):
-        raise ConfigError(f"{path}: must not be NaN")
-    if math.isinf(val) and not allow_inf:
-        raise ConfigError(f"{path}: must be finite")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    if strict_min is not None and val <= strict_min:
-        raise ConfigError(f"{path}: must be > {strict_min}")
-    if below is not None and val >= below:
-        raise ConfigError(f"{path}: must be in [{minimum:g}, {below:g})")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{path}: must be in ({strict_min:g}, {maximum:g}]")
-    return val
-
-
-def _integer(path, raw, *, minimum=None):
-    if not _is_int(raw):
-        raise ConfigError(f"{path}: must be an integer")
-    if minimum is not None and raw < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return int(raw)
-
-
 def _check(message, test, convert=lambda value: value):
     """A field check that fails with ``message`` unless ``test`` holds."""
 
     def check(path, raw):
         if not test(raw):
-            raise ConfigError(f"{path}: {message}")
+            raise ValueError(f"{path}: {message}")
         return convert(raw)
 
     return check
 
 
 # The type and range check of each field a key-tree may set, by field path;
-# a field without an entry is taken as written. Names, order and defaults
-# come from the dataclasses.
+# a field without an entry is taken as written, and comms, channel and
+# activation check their own. Names, order and defaults come from the dataclasses.
 _CHECKS = {
     "problem.d": partial(_integer, minimum=2),
     "problem.epsilon": partial(_number, strict_min=0.0),
@@ -207,21 +175,6 @@ _CHECKS = {
     "problem.cost_path": _check("must be a string", lambda v: v is None or isinstance(v, str)),
     "problem.density_seed": _integer,
     "network.params": _check("must be a mapping", lambda v: isinstance(v, dict), dict),
-    "comms.delta": partial(_number, minimum=0.0, allow_inf=True),
-    "comms.tau_inner": partial(_number, strict_min=0.0),
-    "comms.tau_outer": partial(_number, strict_min=0.0),
-    "comms.bits": _check(
-        "must be an integer >= 1 or 'unquantized'",
-        lambda v: v is None or v == "unquantized" or _is_int(v),
-        lambda v: None if v == "unquantized" else v,
-    ),
-    "comms.s_min": _number,
-    "comms.s_max": _number,
-    "comms.inner_step_cap": partial(_integer, minimum=1),
-    "comms.outer_iter_cap": partial(_integer, minimum=1),
-    "channel.drop_prob": partial(_number, minimum=0.0, below=1.0),
-    "channel.max_staleness": partial(_integer, minimum=0),
-    "activation.p_active": partial(_number, strict_min=0.0, maximum=1.0),
     "seeds": _check(
         "must be a nonempty list of integers",
         lambda v: isinstance(v, (list, tuple)) and v and all(map(_is_int, v)),
@@ -229,8 +182,6 @@ _CHECKS = {
     ),
     "output_dir": _check("must be a nonempty string", lambda v: isinstance(v, str) and v),
 }
-# ActivationModel checks its own mode; other constructor errors name the section
-_RAISED_AT = {"activation": "activation.mode"}
 
 
 def _read(cls, tree: dict, path: str = ""):
@@ -245,17 +196,24 @@ def _read(cls, tree: dict, path: str = ""):
         if f.name not in tree:
             continue
         key, raw = f"{path}.{f.name}" if path else f.name, tree[f.name]
+        if isinstance(raw, str) and f.type is float and raw.strip().lstrip(".").lower() in ("inf", "infinity"):
+            raw = math.inf  # the file spellings: an inf string in a float field, and bits: unquantized
+        elif key == "comms.bits" and raw == "unquantized":
+            raw = None
         if is_dataclass(f.default_factory):
             raw = {} if raw is None else raw
             if not isinstance(raw, dict):
                 raise ConfigError(f"{key}: must be a mapping")
             values[f.name] = _read(f.default_factory, raw, key)
         else:
-            values[f.name] = _CHECKS.get(key, lambda _, value: value)(key, raw)
+            try:
+                values[f.name] = _CHECKS.get(key, lambda _, value: value)(key, raw)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{_RAISED_AT.get(path, path)}: {exc}") from exc
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

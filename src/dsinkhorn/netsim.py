@@ -7,6 +7,7 @@ and the seeded activation/drop/delay streams. The round that ties these
 together is :class:`dsinkhorn.engine.NetworkEngine`.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -95,8 +96,37 @@ class Topology:
         return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(name: str, value, *, minimum=None, strict_min=None) -> float:
+    """``value`` as a finite float, or ValueError ``<name>: <rule>``; the
+    field checks of the config dataclasses are built from it and ``_integer``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: must be a number")
+    val = float(value)
+    if math.isnan(val):
+        raise ValueError(f"{name}: must not be NaN")
+    if math.isinf(val):
+        raise ValueError(f"{name}: must be finite")
+    if minimum is not None and val < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}")
+    if strict_min is not None and val <= strict_min:
+        raise ValueError(f"{name}: must be > {strict_min}")
+    return val
+
+
+def _integer(name: str, value, *, minimum=None) -> int:
+    if not _is_int(value):
+        raise ValueError(f"{name}: must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}")
+    return int(value)
+
+
 def _int_param(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise TopologyError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -155,9 +185,13 @@ def build_topology(kind: str, **params) -> Topology:
         return Topology(n, tuple(edges), kind=kind, params={"n": n})
     if kind == "random_geometric":
         n = _int_param("n", params["n"])
-        radius = float(params["radius"])
+        radius = params["radius"]
+        if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not radius > 0:
+            raise TopologyError(f"radius must be a number > 0, got {radius!r}")
         seed = _int_param("seed", params.get("seed", 0))
         max_attempts = _int_param("max_attempts", params.get("max_attempts", 50))
+        if max_attempts < 1:
+            raise TopologyError(f"max_attempts must be >= 1, got {max_attempts}")
         root = np.random.SeedSequence(seed)
         for child in root.spawn(max_attempts):
             rng = np.random.default_rng(child)
@@ -167,7 +201,7 @@ def build_topology(kind: str, **params) -> Topology:
                 (i, k) for i in range(n) for k in range(i + 1, n) if dist[i, k] <= radius
             )
             try:
-                return Topology(n, edges, kind=kind, params={"n": n, "radius": radius, "seed": seed})
+                return Topology(n, edges, kind=kind, params={"n": n, "radius": float(radius), "seed": seed})
             except TopologyError:
                 continue
         raise TopologyError(
@@ -230,10 +264,10 @@ class ChannelModel:
     max_staleness: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.drop_prob < 1.0):
-            raise ValueError("drop_prob must be in [0, 1)")
-        if self.max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0")
+        object.__setattr__(self, "drop_prob", _number("drop_prob", self.drop_prob, minimum=0.0))
+        if self.drop_prob >= 1.0:
+            raise ValueError("drop_prob: must be in [0, 1)")
+        object.__setattr__(self, "max_staleness", _integer("max_staleness", self.max_staleness, minimum=0))
 
 
 @dataclass(frozen=True)
@@ -252,9 +286,10 @@ class ActivationModel:
 
     def __post_init__(self):
         if self.mode not in ("synchronous", "randomized_pairwise", "randomized_subset"):
-            raise ValueError(f"unknown activation mode {self.mode!r}")
-        if not (0.0 < self.p_active <= 1.0):
-            raise ValueError("p_active must be in (0, 1]")
+            raise ValueError(f"mode: unknown activation mode {self.mode!r}")
+        object.__setattr__(self, "p_active", _number("p_active", self.p_active, strict_min=0.0))
+        if self.p_active > 1.0:
+            raise ValueError("p_active: must be in (0, 1]")
 
 
 def _rng_streams(seed: int):

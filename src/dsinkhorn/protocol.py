@@ -16,8 +16,11 @@ round itself lives in :mod:`dsinkhorn.engine`.
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .netsim import _integer, _is_int, _number
 
 __all__ = ["CommsConfig", "ClipRangeError", "clip_log", "quantize", "packet_wire_size"]
 
@@ -35,7 +38,8 @@ class CommsConfig:
     bits=None means unquantized payloads (8-byte floats on the wire);
     delta may be 0 (always transmit on any change) or +inf (only the
     bootstrap packet is ever sent). A quantized delta of at most
-    delta_q/2 is inert (``inert_delta``).
+    delta_q/2 is inert (``inert_delta``). A bad field raises
+    ``ValueError("<field>: <rule>")``, for config files and callers alike.
     """
 
     delta: float = 1e-3
@@ -48,20 +52,20 @@ class CommsConfig:
     outer_iter_cap: int = 500
 
     def __post_init__(self):
-        if self.delta < 0 or math.isnan(self.delta):
-            raise ValueError("delta must be >= 0")
-        if not (self.tau_inner > 0 and self.tau_outer > 0):
-            raise ValueError("tolerances must be > 0")
-        if self.bits is not None and (
-            not isinstance(self.bits, (int, np.integer))
-            or isinstance(self.bits, bool)
-            or not (1 <= self.bits <= 32)
-        ):
-            raise ValueError("bits must be an integer in [1, 32] or None")
-        if not (self.s_min < self.s_max):
-            raise ValueError("need s_min < s_max")
-        if self.inner_step_cap < 1 or self.outer_iter_cap < 1:
-            raise ValueError("step caps must be >= 1")
+        keep = partial(object.__setattr__, self)  # frozen: store each checked value
+        keep("delta", math.inf if self.delta == math.inf else _number("delta", self.delta, minimum=0.0))
+        for name in ("tau_inner", "tau_outer"):
+            keep(name, _number(name, getattr(self, name), strict_min=0.0))
+        if self.bits is not None:
+            if not (_is_int(self.bits) and 1 <= self.bits <= 32):
+                raise ValueError("bits: must be an integer in [1, 32] or None (unquantized)")
+            keep("bits", int(self.bits))
+        keep("s_min", _number("s_min", self.s_min))
+        keep("s_max", _number("s_max", self.s_max))
+        if not self.s_min < self.s_max:
+            raise ValueError("s_max: must be > s_min")
+        for name in ("inner_step_cap", "outer_iter_cap"):
+            keep(name, _integer(name, getattr(self, name), minimum=1))
 
     @property
     def num_levels(self) -> int:

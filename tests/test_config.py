@@ -1,6 +1,7 @@
 """Config loading, overrides, validation paths, and the input-density builder."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from dsinkhorn.config import (
     mixture_histograms,
     run_config_from_dict,
 )
+from dsinkhorn.netsim import ActivationModel, ChannelModel
+from dsinkhorn.protocol import CommsConfig
 
 
 class TestLoadConfigFile:
@@ -141,7 +144,7 @@ class TestRunConfigValidation:
         ({"comms": {"tau_inner": 0}}, r"comms\.tau_inner: must be > 0"),
         ({"comms": {"tau_inner": ".inf"}}, r"comms\.tau_inner: must be finite"),
         ({"comms": {"bits": 2.5}}, r"comms\.bits"),
-        ({"comms": {"bits": 0}}, r"comms: bits must be an integer"),
+        ({"comms": {"bits": 0}}, r"comms\.bits: must be an integer in \[1, 32\]"),
         ({"comms": {"inner_step_cap": 0}}, r"comms\.inner_step_cap: must be >= 1"),
         ({"channel": {"drop_prob": 1.0}}, r"channel\.drop_prob: must be in \[0, 1\)"),
         ({"channel": {"drop_prob": -0.1}}, r"channel\.drop_prob: must be >= 0"),
@@ -171,10 +174,77 @@ class TestRunConfigValidation:
         ({"network": {"topology_kind": "ring", "params": {"n": 5, "radius": 3}}},
          r"^network\.params: ring does not take radius$"),
         ({"network": {"params": {"rows": 3, "cols": 3, "n": 9}}}, r"^network\.params: grid2d does not take n$"),
+        *[({"network": {"topology_kind": "random_geometric", "params": {"n": 5, "radius": radius}}},
+           r"^network\.params: radius must be a number > 0, got " + shown + "$")
+          for radius, shown in (("x", "'x'"), (True, "True"), (-0.3, r"-0\.3"), (float("nan"), "nan"), (0, "0"))],
+        *[({"network": {"topology_kind": "random_geometric", "params": {"n": 5, "radius": 0.9, "max_attempts": k}}},
+           rf"^network\.params: max_attempts must be >= 1, got {k}$")
+          for k in (0, -2)],
     ])
     def test_field_errors_name_the_path(self, tree, message):
         with pytest.raises(ConfigError, match=message):
             run_config_from_dict(tree)
+
+    # (section, fields, constructor message) for one bad input each; the
+    # first twelve are the inputs on which the two entry points disagreed
+    # when config files and the dataclasses each kept a rule set
+    BAD_FIELDS = [
+        ("comms", {"tau_inner": math.inf}, "tau_inner: must be finite"),
+        ("comms", {"tau_outer": math.inf}, "tau_outer: must be finite"),
+        ("comms", {"s_min": math.inf}, "s_min: must be finite"),
+        ("comms", {"inner_step_cap": 2.5}, "inner_step_cap: must be an integer"),
+        ("comms", {"outer_iter_cap": 3.0}, "outer_iter_cap: must be an integer"),
+        ("comms", {"delta": "0.1"}, "delta: must be a number"),
+        ("comms", {"bits": 40}, "bits: must be an integer in [1, 32] or None (unquantized)"),
+        ("comms", {"s_min": 1, "s_max": 0}, "s_max: must be > s_min"),
+        ("channel", {"max_staleness": 1.5}, "max_staleness: must be an integer"),
+        ("channel", {"drop_prob": "x"}, "drop_prob: must be a number"),
+        ("activation", {"p_active": math.nan}, "p_active: must not be NaN"),
+        ("activation", {"mode": "x"}, "mode: unknown activation mode 'x'"),
+        ("comms", {"delta": -0.5}, "delta: must be >= 0.0"),
+        ("comms", {"delta": math.nan}, "delta: must not be NaN"),
+        ("comms", {"delta": True}, "delta: must be a number"),
+        ("comms", {"tau_inner": 0.0}, "tau_inner: must be > 0.0"),
+        ("comms", {"tau_outer": "1e-6x"}, "tau_outer: must be a number"),
+        ("comms", {"bits": 0}, "bits: must be an integer in [1, 32] or None (unquantized)"),
+        ("comms", {"bits": 2.5}, "bits: must be an integer in [1, 32] or None (unquantized)"),
+        ("comms", {"bits": True}, "bits: must be an integer in [1, 32] or None (unquantized)"),
+        ("comms", {"s_max": -math.inf}, "s_max: must be finite"),
+        ("comms", {"s_min": 5.0, "s_max": 5.0}, "s_max: must be > s_min"),
+        ("comms", {"inner_step_cap": 0}, "inner_step_cap: must be >= 1"),
+        ("comms", {"outer_iter_cap": "7"}, "outer_iter_cap: must be an integer"),
+        ("channel", {"drop_prob": 1.0}, "drop_prob: must be in [0, 1)"),
+        ("channel", {"drop_prob": -0.1}, "drop_prob: must be >= 0.0"),
+        ("channel", {"drop_prob": math.inf}, "drop_prob: must be finite"),
+        ("channel", {"max_staleness": -1}, "max_staleness: must be >= 0"),
+        ("activation", {"p_active": 0.0}, "p_active: must be > 0.0"),
+        ("activation", {"p_active": 1.5}, "p_active: must be in (0, 1]"),
+        ("activation", {"p_active": "half"}, "p_active: must be a number"),
+        ("activation", {"mode": 3}, "mode: unknown activation mode 3"),
+    ]
+    SECTIONS = {"comms": CommsConfig, "channel": ChannelModel, "activation": ActivationModel}
+
+    @pytest.mark.parametrize("section, values, message", BAD_FIELDS)
+    def test_one_rule_set_for_both_entry_points(self, section, values, message):
+        with pytest.raises(ValueError) as api:
+            self.SECTIONS[section](**values)
+        assert str(api.value) == message
+        with pytest.raises(ConfigError) as file:
+            run_config_from_dict({section: values})
+        assert str(file.value) == f"{section}.{message}"
+
+    def test_quantized_config_with_fractional_inner_cap_raises(self):
+        # the Python API used to accept this, and a run with it never returned
+        with pytest.raises(ValueError, match=r"^inner_step_cap: must be an integer$"):
+            CommsConfig(bits=12, inner_step_cap=2.5)
+
+    def test_checked_values_are_stored_as_floats_and_ints(self):
+        comms = CommsConfig(delta=0, tau_inner=np.float32(0.5), bits=np.int64(8), s_min=-1, inner_step_cap=np.int32(3))
+        assert [type(getattr(comms, name)) for name in ("delta", "tau_inner", "bits", "s_min", "inner_step_cap")] == [
+            float, float, int, float, int]
+        assert type(ChannelModel(drop_prob=0).drop_prob) is float
+        assert type(ActivationModel(p_active=1).p_active) is float
+        assert CommsConfig(delta=np.inf).delta == math.inf
 
     def test_bits_unquantized_sentinel(self):
         assert run_config_from_dict({"comms": {"bits": "unquantized"}}).comms.bits is None

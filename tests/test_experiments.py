@@ -310,7 +310,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("variable, values, message", [
         ("bits", (8.7, 12), r"sweep\.values: 8\.7: comms\.bits: must be an integer"),
-        ("bits", (8, 40), r"sweep\.values: 40: comms: bits must be an integer in \[1, 32\]"),
+        ("bits", (8, 40), r"sweep\.values: 40: comms\.bits: must be an integer in \[1, 32\]"),
         ("d", (8.0, 16), r"sweep\.values: 8\.0: problem\.d: must be an integer"),
         ("N", (4.5, 9), r"sweep\.values: 4\.5: network\.params: N=4\.5 is not a perfect square"),
         ("epsilon", (-1.0, 0.5), r"sweep\.values: -1\.0: problem\.epsilon: must be > 0"),
