@@ -112,11 +112,14 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     oracle = experiments.centralized_oracle(instance)
 
     # The always-on (delta=0) twin of the first seed, for trace.csv, is one
-    # more lane of the same batch (at an inert delta, the first seed's own lane).
+    # more lane of the same batch (at an inert delta, the first seed's own
+    # lane). Only these two keep per-round residuals.
     lanes = [(cfg.comms, seed) for seed in cfg.seeds]
     if cfg.comms.delta > 0:
         lanes.append((replace(cfg.comms, delta=0.0), cfg.seeds[0]))
-    results = experiments.run_lanes(instance, topology, lanes, cfg.channel, cfg.activation, oracle=oracle)
+    twin = len(lanes) - 1 if cfg.comms.delta > 0 else 0
+    results = experiments.run_lanes(instance, topology, lanes, cfg.channel, cfg.activation, oracle=oracle,
+                                    collect_residuals={0, twin})
     failed = [r for r in results if isinstance(r, Exception)]
     if failed:
         raise failed[0]
@@ -141,8 +144,7 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     )
 
     # Trace CSV: the seed-0 run plus its always-on twin for comparison.
-    twin = records[-1] if cfg.comms.delta > 0 else records[0]
-    rows = experiments.trace_rows("always_on", twin)
+    rows = experiments.trace_rows("always_on", records[twin])
     if cfg.comms.delta > 0:
         rows.extend(experiments.trace_rows("triggered", records[0]))
     experiments.write_csv(

@@ -30,9 +30,9 @@ A deterministic round (synchronous activation, no drops, no delays) draws
 no random numbers and leaves nothing in flight. When such a round sends
 nothing from a lane and leaves its z bit-for-bit unchanged, every later
 round of the outer iteration would repeat it, so it counts once for each
-round left up to the inner cap, and its copies go into the residual
-trace and round log. A lane's ``rounds_total`` is the sum of its
-``inner_steps_used``. Random channels never skip.
+round left up to the inner cap, and its copies go into the round log and,
+for a traced lane, the residual trace. A lane's ``rounds_total`` is the
+sum of its ``inner_steps_used``. Random channels never skip.
 """
 
 import copy
@@ -61,7 +61,8 @@ class RunRecord:
     broadcasts_per_agent: np.ndarray
     variation_per_agent: np.ndarray
     clip_active: bool  # some active node's z left [s_min, s_max] in some round, bootstrap included
-    per_outer: list  # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_trace
+    # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_last, consensus_residual_trace
+    per_outer: list
     wall_clock_seconds: float  # the run's share of its batch's time, by rounds
     round_log_v: list = field(default_factory=list)  # optional per-round Z copies; idle repeats share one
 
@@ -337,7 +338,7 @@ class NetworkEngine:
 
 
 def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=None, activation=None,
-                   collect_residuals: bool = True, collect_round_log_v: bool = False) -> list:
+                   collect_residuals=True, collect_round_log_v: bool = False) -> list:
     """Run the full decentralized barycenter loop for every ``(comms,
     seed)`` lane as one batch; returns one RunRecord per lane, in order.
 
@@ -354,6 +355,14 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     Each lane leaves the batch when it finishes; its wall_clock_seconds is
     its share of the batch's time, by rounds.
 
+    Every ``per_outer`` entry holds ``consensus_residual_last``, the
+    residual after the outer iteration's last round. The per-round
+    residuals, ``consensus_residual_trace``, are kept for the traced
+    requests: all with ``collect_residuals=True``, none with False, or
+    those whose indices it lists; the others get an empty trace. A round
+    computes residuals only for traced lanes, and visits only the lanes
+    that are traced or end their outer iteration in it.
+
     Requests run by the lane they key to: their seed and comms, with an
     inert quantized delta (``CommsConfig.inert_delta``) replaced by 0,
     which sends exactly the same packets. Requests with one key run once;
@@ -367,28 +376,37 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     index = [slot.setdefault(key, len(slot)) for key in keys]  # each request's distinct lane
     first = [index.index(j) for j in range(len(slot))]  # each distinct lane's first request
     runs = [keys[i] for i in first]  # the distinct lanes, in engine order
+    if isinstance(collect_residuals, bool):
+        chosen = range(len(runs)) if collect_residuals else ()
+    else:
+        chosen = {index[i] for i in collect_residuals}  # the lanes the chosen requests run
     kernel, mu = instance.kernel(), instance.histogram_matrix()
     eng = NetworkEngine(topology, runs, channel, activation)
     cm, (n, d) = eng.comms, mu.shape
+    cap = cm.inner_step_cap
     t0 = time.perf_counter()
     eng.bootstrap(np.zeros((len(runs) * n, d)))
     results, start = [None] * len(runs), np.zeros((n, d))
-    live = [SimpleNamespace(index=i, prev_log_v=start, outer=0, per_outer=[], round_log_v=[])
-            for i in range(len(runs))]  # each lane's progress, in engine order
+    live = [SimpleNamespace(index=i, pos=i, traced=i in chosen, prev_log_v=start, outer=0, start=None,
+                            per_outer=[], round_log_v=[]) for i in range(len(runs))]  # in engine order
+    now, due = 0, {}  # the batch's round, and the lanes whose inner cap falls in a round
 
-    def decide(pos, lane, change: float) -> bool:
+    def decide(lane, change: float) -> bool:
         """The lane's stop decision after an outer iteration whose log-v
-        changed by ``change``; True when the lane ends here."""
-        rows = slice(pos * n, (pos + 1) * n)
+        changed by ``change``; True when the lane ends here. A lane that
+        goes on opens its next outer iteration in round ``now``."""
+        rows = slice(lane.pos * n, (lane.pos + 1) * n)
         z = eng.z[rows]
+        lane.start = None  # voids the lane's pending inner-cap round in ``due``
         if change < cm.tau_outer or lane.outer == cm.outer_iter_cap:
             results[lane.index] = RunRecord(
                 otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
                 sum(p["inner_steps_used"] for p in lane.per_outer), eng.messages[rows].copy(),
-                eng.variation[rows].copy(), bool(eng.clip_active[pos]), lane.per_outer, 0.0, lane.round_log_v,
+                eng.variation[rows].copy(), bool(eng.clip_active[lane.pos]), lane.per_outer, 0.0,
+                lane.round_log_v,
             )
             return True
-        lane.outer, lane.inner, lane.residuals = lane.outer + 1, 0, []
+        lane.outer, lane.residuals = lane.outer + 1, []
         with np.errstate(over="ignore"):
             v = np.exp(z)
         if not np.all(np.isfinite(v)):
@@ -405,33 +423,61 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
                 f"node {exc.row} at outer iteration {lane.outer}: {exc}"
             )
             return True
+        lane.start = now  # its inner steps are the rounds after this one
+        due.setdefault(now + cap, []).append(lane)
         return False
 
-    done = [decide(pos, lane, np.inf) for pos, lane in enumerate(live)]
+    done, traced = [lane.pos for lane in live if decide(lane, np.inf)], None
     while True:
-        if any(done):
-            eng.retire(np.array(done))
-            live = [lane for lane, gone in zip(live, done) if not gone]
+        if done:
+            gone = np.zeros(len(live), dtype=bool)
+            gone[done] = True
+            eng.retire(gone)
+            live = [lane for lane in live if lane.pos not in done]
+            for pos, lane in enumerate(live):
+                lane.pos = pos
+        if done or traced is None:
+            traced = [lane for lane in live if lane.traced]
+            # a gather of the traced lanes' z, unless every live lane is traced
+            traced_at = None if len(traced) == len(live) else [lane.pos for lane in traced]
         if not live:
             break
         eng.step_round()
-        if collect_residuals:
-            residuals = netsim.consensus_residual(eng.z.reshape(eng.lanes, n, d)).tolist()
-        stop, idle = eng.all_inner_converged().tolist(), eng.idle
-        done = [False] * len(live)
-        for pos, lane in enumerate(live):
+        now += 1
+        zs = eng.z.reshape(eng.lanes, n, d)
+        if traced:
+            residuals = netsim.consensus_residual(zs if traced_at is None else zs[traced_at]).tolist()
+            for lane, residual in zip(traced, residuals):
+                lane.residuals.append(residual)
+        # the lanes whose outer iteration ends this round, and the rounds it
+        # counts for: an idle round would repeat up to the inner cap, so it
+        # counts once for every round left
+        ending = {}
+        for lane in due.pop(now, ()):
+            if lane.start == now - cap:
+                ending[lane.pos] = 1
+        stop = eng.all_inner_converged()
+        if True in stop.tolist():
+            ending.update(dict.fromkeys(np.flatnonzero(stop).tolist(), 1))
+        if eng.idle is not None:
+            for pos in np.flatnonzero(eng.idle).tolist():
+                ending.setdefault(pos, cap - (now - 1 - live[pos].start))
+        if collect_round_log_v:
+            for lane in live:
+                lane.round_log_v += [zs[lane.pos].copy()] * ending.get(lane.pos, 1)
+        done = []
+        if not ending:
+            continue
+        order = sorted(ending)
+        untraced = [pos for pos in order if not live[pos].traced]
+        if untraced:  # a traced lane's last residual is its trace's last value
+            last = netsim.consensus_residual(zs if len(untraced) == eng.lanes else zs[untraced]).tolist()
+            last = dict(zip(untraced, last))
+        for pos in order:
+            lane = live[pos]
+            if lane.traced:  # an idle round repeats in the trace up to the cap
+                lane.residuals += lane.residuals[-1:] * (ending[pos] - 1)
             z = eng.z[pos * n : (pos + 1) * n]
-            # an idle round would repeat up to the inner cap: it counts once
-            # for every round left
-            idle_here = idle is not None and idle[pos] and not stop[pos]
-            rounds = cm.inner_step_cap - lane.inner if idle_here else 1
-            lane.inner += rounds
-            if collect_residuals:
-                lane.residuals += [residuals[pos]] * rounds
-            if collect_round_log_v:
-                lane.round_log_v += [z.copy()] * rounds
-            if not (stop[pos] or lane.inner == cm.inner_step_cap):
-                continue
             # Remove each node's common log-v offset (a purely local step).
             # The raw shared update flips the offset's sign around its
             # equilibrium every outer iteration while softmax ignores it, so
@@ -439,10 +485,16 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             # outer stopping rule could never fire.
             z -= z.mean(axis=1, keepdims=True)
             change = float(np.abs(z - lane.prev_log_v).max())
-            lane.per_outer.append({"outer_iter": lane.outer, "inner_steps_used": lane.inner,
-                                   "log_v_change_linf": change, "consensus_residual_trace": lane.residuals})
+            lane.per_outer.append({
+                "outer_iter": lane.outer, "inner_steps_used": now - 1 - lane.start + ending[pos],
+                "log_v_change_linf": change,
+                "consensus_residual_last": lane.residuals[-1] if lane.traced else last[pos],
+                "consensus_residual_trace": lane.residuals,
+            })
             lane.prev_log_v = z.copy()
-            done[pos] = decide(pos, lane, change)
+            if decide(lane, change):
+                done.append(pos)
+        del z  # a view that would keep this round's z alive through later rounds
     wall = time.perf_counter() - t0
     # a lane's first request takes the run's result, every later one a copy
     results = [results[j] if first[j] == i else copy.deepcopy(results[j]) for i, j in enumerate(index)]

@@ -83,14 +83,16 @@ def centralized_oracle(instance) -> np.ndarray:
 
 
 def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracle=None,
-              compute_error: bool = True, collect_residuals: bool = True) -> list:
+              compute_error: bool = True, collect_residuals=True) -> list:
     """Every ``(comms, seed)`` lane as one engine batch, plus its metrics.
 
     Returns one ``(RunMetrics, RunRecord)`` per lane, in order, or the
     ``ClipRangeError``/``DegenerateStateError`` that ended the lane.
     ``oracle`` may carry a precomputed reference mass vector to avoid
     recomputing it inside sweeps; with ``compute_error=False`` the error
-    fields are NaN and no reference is solved at all.
+    fields are NaN and no reference is solved at all. ``collect_residuals``
+    picks the records that keep per-round residual traces (True, False, or
+    indices into ``lanes``); ``RunMetrics.per_outer_iter`` never holds them.
     """
     records = engine.simulate_lanes(instance, topology, lanes, channel, activation, collect_residuals)
     if compute_error and oracle is None:
@@ -110,7 +112,9 @@ def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracl
         wire = protocol.packet_wire_size(instance.support_size, comms.bits)
         metrics = RunMetrics(
             seed=seed, converged=record.converged, outer_iters=record.outer_iters,
-            rounds_total=record.rounds_total, per_outer_iter=record.per_outer,
+            rounds_total=record.rounds_total,
+            per_outer_iter=[{k: v for k, v in p.items() if k != "consensus_residual_trace"}
+                            for p in record.per_outer],
             l1_error_per_node=errors, l1_error_max=err_max, l1_error_mean=err_mean,
             broadcasts_per_agent=record.broadcasts_per_agent.copy(),
             variation_per_agent=record.variation_per_agent.copy(),

@@ -185,6 +185,8 @@ def build_topology(kind: str, **params) -> Topology:
         return Topology(n, tuple(edges), kind=kind, params={"n": n})
     if kind == "random_geometric":
         n = _int_param("n", params["n"])
+        if n < 1:
+            raise TopologyError(f"n must be >= 1, got {n}")
         radius = params["radius"]
         if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not radius > 0:
             raise TopologyError(f"radius must be a number > 0, got {radius!r}")
@@ -245,7 +247,11 @@ def consensus_residual(z_all: np.ndarray):
     every coordinate from its per-coordinate network mean. A stack of
     networks, shape (L, N, d), gives one value per network."""
     z = np.atleast_2d(np.asarray(z_all, dtype=np.float64))
-    dev = (z - z.mean(axis=-2, keepdims=True)).reshape(*z.shape[:-2], 1, -1)
+    # np.mean's own steps (a sum over nodes divided in place by their count),
+    # without its Python wrapper: this runs once per traced round
+    mean = np.add.reduce(z, axis=-2, keepdims=True)
+    mean /= z.shape[-2]
+    dev = (z - mean).reshape(*z.shape[:-2], 1, -1)
     residual = np.sqrt(dev @ dev.swapaxes(-1, -2))[..., 0, 0]  # one BLAS dot per network
     return float(residual) if z.ndim == 2 else residual
 

@@ -240,6 +240,36 @@ class TestRun:
         assert "warning" not in capsys.readouterr().err
 
 
+    def test_run_metrics_per_outer_iter_is_bounded(self, tmp_path):
+        # per-round residuals live only in trace.csv: the JSON keeps one
+        # summary per outer iteration, and the trace equals the one a batch
+        # that keeps every lane's residuals gives for seed 0 and its twin
+        tree = dict(_base_tree(), seeds=[4, 5, 6],
+                    channel={"drop_prob": 0.2, "max_staleness": 2},
+                    activation={"mode": "randomized_subset", "p_active": 0.5})
+        tree["comms"].update(bits=16, inner_step_cap=30, outer_iter_cap=4)
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write_cfg(tmp_path, tree), "--out", str(out)]) in (0, 2)
+        runs = json.loads((out / "run_metrics.json").read_text())["runs"]
+        assert len(runs) == 3
+        for run in runs:
+            assert len(run["per_outer_iter"]) == run["outer_iters"]
+            for entry in run["per_outer_iter"]:
+                assert list(entry) == ["outer_iter", "inner_steps_used", "log_v_change_linf",
+                                       "consensus_residual_last"]
+        resolved = cfgmod.run_config_from_dict(tree)
+        instance = cfgmod.build_instance(resolved)
+        topology = cfgmod.build_topology_from_spec(resolved.network)
+        lanes = [(resolved.comms, seed) for seed in resolved.seeds]
+        lanes.append((replace(resolved.comms, delta=0.0), resolved.seeds[0]))
+        records = simulate_lanes(instance, topology, lanes, resolved.channel, resolved.activation)
+        experiments.write_csv(str(tmp_path / "expected.csv"),
+                              ["variant", "round", "outer_iter", "inner_step", "residual"],
+                              experiments.trace_rows("always_on", records[-1])
+                              + experiments.trace_rows("triggered", records[0]))
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 class TestOverrides:
     def test_override_lands_in_resolved_config(self, tmp_path):
         cfg = _write_cfg(tmp_path, _base_tree())

@@ -180,6 +180,9 @@ class TestRunConfigValidation:
         *[({"network": {"topology_kind": "random_geometric", "params": {"n": 5, "radius": 0.9, "max_attempts": k}}},
            rf"^network\.params: max_attempts must be >= 1, got {k}$")
           for k in (0, -2)],
+        *[({"network": {"topology_kind": "random_geometric", "params": {"n": k, "radius": 0.5}}},
+           rf"^network\.params: n must be >= 1, got {k}$")
+          for k in (0, -1)],
     ])
     def test_field_errors_name_the_path(self, tree, message):
         with pytest.raises(ConfigError, match=message):

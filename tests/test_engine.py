@@ -842,6 +842,71 @@ def _annihilating(call: int):
     return local_scaling
 
 
+def _bitwise(value):
+    """``value`` with every float and array replaced by its bit pattern."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return int(np.float64(value).view(np.int64))
+    if isinstance(value, dict):
+        return {k: _bitwise(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bitwise(v) for v in value]
+    return value
+
+
+def _untraced(result):
+    """A lane's result, bit for bit, without its per-round residual traces
+    and wall time; an error as its type and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    del fields["wall_clock_seconds"]
+    fields["per_outer"] = [{k: v for k, v in p.items() if k != "consensus_residual_trace"}
+                           for p in result.per_outer]
+    return _bitwise(fields)
+
+
+class TestSelectedTraces:
+    """Residuals kept for some requests only change nothing else."""
+
+    def _check(self, instance, topology, lanes, channel, activation):
+        full = simulate_lanes(instance, topology, lanes, channel, activation)
+        records = [r for r in full if isinstance(r, RunRecord)]
+        assert records
+        for record in records:
+            for p in record.per_outer:
+                assert _bitwise(p["consensus_residual_last"]) == _bitwise(p["consensus_residual_trace"][-1])
+        for chosen in [False, *({i} for i in range(len(lanes)))]:
+            some = simulate_lanes(instance, topology, lanes, channel, activation, collect_residuals=chosen)
+            for i, (a, b) in enumerate(zip(full, some)):
+                assert _untraced(a) == _untraced(b), (chosen, i)
+                if chosen and i in chosen and isinstance(b, RunRecord):
+                    assert _bitwise(b.per_outer) == _bitwise(a.per_outer)
+        return full
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_every_regime(self, regime):
+        # lanes that retire at different rounds, and a repeated request
+        instance, topology = _regime_setup(regime)
+        lanes = [(regime["comms"], 5)] + TestLanes._companions(regime["comms"])
+        self._check(instance, topology, lanes + [lanes[1]], regime["channel"], regime["activation"])
+
+    def test_failing_lanes(self):
+        instance, topology, comms, channel, activation = _crafted_failures()
+        batch = self._check(instance, topology, [(comms, s) for s in range(6)], channel, activation)
+        assert any(isinstance(r, Exception) for r in batch)
+
+    def test_untraced_lanes_keep_empty_traces(self):
+        regime = _regime("sync-fixed-point-12bit")
+        instance, topology = _regime_setup(regime)
+        lanes = [(regime["comms"], s) for s in (5, 6, 5)]
+        batch = simulate_lanes(instance, topology, lanes, collect_residuals={2})
+        # request 2 repeats request 0, so both carry the trace of their one lane
+        assert all(p["consensus_residual_trace"] for r in (batch[0], batch[2]) for p in r.per_outer)
+        assert not any(p["consensus_residual_trace"] for p in batch[1].per_outer)
+
+
 class TestLaneFailures:
     def test_failing_lanes_retire_alone(self):
         instance, topology, comms, channel, activation = _crafted_failures()

@@ -175,6 +175,17 @@ class TestConsensusResidual:
             assert consensus_residual(z_next) <= sigma2 * consensus_residual(z) + 1e-12
             z = z_next
 
+    @pytest.mark.parametrize("shape", [(16, 64), (3, 16, 64), (1, 64, 256), (2, 1), (4, 1, 5)])
+    def test_bit_identical_to_np_mean_deviations(self, shape):
+        # trace.csv holds these values, so the node mean must stay np.mean's
+        rng = np.random.default_rng(3)
+        for scale in (1e-8, 1.0, 1e6):
+            z = rng.normal(size=shape) * scale + 1e3
+            dev = (z - z.mean(axis=-2, keepdims=True)).reshape(*z.shape[:-2], 1, -1)
+            want = np.sqrt(dev @ dev.swapaxes(-1, -2))[..., 0, 0]
+            got = np.asarray(consensus_residual(z))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestEffectiveWeights:
     def test_all_active_matches_metropolis(self):
