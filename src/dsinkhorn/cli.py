@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -85,14 +86,12 @@ def cmd_centralized(cfg: cfgmod.RunConfig) -> int:
     experiments.write_csv(
         os.path.join(outdir, "barycenter.csv"),
         ["support_x", "mass"],
-        [{"support_x": float(xj), "mass": float(bj)}
-         for xj, bj in zip(x, result.barycenter.weights)],
+        zip(x.tolist(), result.barycenter.weights.tolist()),
     )
     experiments.write_csv(
         os.path.join(outdir, "centralized_trace.csv"),
         ["iteration", "log_v_change_linf"],
-        [{"iteration": i + 1, "log_v_change_linf": c}
-         for i, c in enumerate(result.trace)],
+        enumerate(result.trace, start=1),
     )
     print(
         f"centralized: iterations={result.iterations} "
@@ -144,18 +143,14 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     )
 
     # Trace CSV: the seed-0 run plus its always-on twin for comparison.
-    rows = experiments.trace_rows("always_on", records[twin])
+    rows = experiments.trace_lines("always_on", records[twin])
     if cfg.comms.delta > 0:
-        rows.extend(experiments.trace_rows("triggered", records[0]))
-    experiments.write_csv(
-        os.path.join(outdir, "trace.csv"),
-        ["variant", "round", "outer_iter", "inner_step", "residual"],
-        rows,
-    )
+        rows = chain(rows, experiments.trace_lines("triggered", records[0]))
+    experiments.write_csv(os.path.join(outdir, "trace.csv"), experiments.TRACE_FIELDS, rows)
     experiments.write_csv(
         os.path.join(outdir, "overlap.csv"),
         ["support_x", "b_star", "b_tilde_min", "b_tilde_max"],
-        experiments.overlap_rows(oracle, records[0].barycenters),
+        map(dict.values, experiments.overlap_rows(oracle, records[0].barycenters)),
     )
     print(
         f"run: error_max={error_max:.6e} messages_total={messages_mean:.0f} "
@@ -178,7 +173,7 @@ def cmd_sweep(cfg: cfgmod.RunConfig, sweep_sec, jobs: int) -> int:
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg, extra={"sweep": {"variable": variable, "values": list(values)}})
     name, fields, rows, failures = experiments.run_sweep(spec, jobs)
-    experiments.write_csv(os.path.join(outdir, name), fields, rows)
+    experiments.write_csv(os.path.join(outdir, name), fields, map(dict.values, rows))
     if failures:
         experiments.write_json(os.path.join(outdir, "failures.json"), failures)
         print(f"sweep: {len(failures)} run(s) failed, table written to {name}",

@@ -27,12 +27,20 @@ per-agent oracle. One lane alone is the one-lane batch; with metrics, it
 is ``experiments.run_decentralized``.
 
 A deterministic round (synchronous activation, no drops, no delays) draws
-no random numbers and leaves nothing in flight. When such a round sends
-nothing from a lane and leaves its z bit-for-bit unchanged, every later
-round of the outer iteration would repeat it, so it counts once for each
-round left up to the inner cap, and its copies go into the round log and,
-for a traced lane, the residual trace. A lane's ``rounds_total`` is the
-sum of its ``inner_steps_used``. Random channels never skip.
+no random numbers and leaves nothing in flight. After such a round sends
+nothing in any lane, the loop takes the rounds that follow as one block
+(``NetworkEngine.step_block``): while nothing is sent the caches stay
+frozen and z follows one monotone map, so one set of stacked checks at
+the block's two ends shows that no round in it sends, stops a lane on the
+gap test or leaves a lane's z unchanged. Blocks double while they hold and
+never pass a lane's inner cap. When a round sends nothing from a lane and
+leaves its z bit-for-bit unchanged, every later round of the outer
+iteration would repeat it, so it counts once for each round left up to the
+inner cap, and its copies go into the round log and, for a traced lane,
+the residual trace. A lane's ``rounds_total`` is the sum of its
+``inner_steps_used``. Random channels take every round alone and never
+skip. Neither a block nor a skip changes a record: it is bit-identical to
+the record of the same rounds run one at a time.
 """
 
 import copy
@@ -47,6 +55,8 @@ from . import netsim, otcore, protocol
 __all__ = ["NetworkEngine", "RunRecord", "simulate_lanes", "consensus_trace"]
 
 _BLOCK = 64  # rounds of random draws taken per lane and stream in one call
+_STACK_BYTES = 1 << 20  # the z states of one block of quiet rounds, at most
+_FIRST_SPAN = 16  # rounds of the first block after a round that sent nothing
 
 
 @dataclass
@@ -64,7 +74,8 @@ class RunRecord:
     # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_last, consensus_residual_trace
     per_outer: list
     wall_clock_seconds: float  # the run's share of its batch's time, by rounds
-    round_log_v: list = field(default_factory=list)  # optional per-round Z copies; idle repeats share one
+    # optional per-round Z copies, a block's rounds included; idle repeats share one
+    round_log_v: list = field(default_factory=list)
 
 
 class NetworkEngine:
@@ -81,7 +92,10 @@ class NetworkEngine:
     takes its freshest packet due in one gather. Lanes may differ only in
     seed and delta. After a deterministic round in which some lane sent
     nothing, ``idle`` flags per lane a round that sent nothing and left z
-    bit-for-bit unchanged; otherwise it is None.
+    bit-for-bit unchanged; otherwise it is None. ``quiet`` is True after a
+    deterministic round that sent nothing in any lane, or after a block
+    that ran its full length: ``step_block`` may then take the next rounds
+    as one block and leave the z each of them reaches in ``block``.
     """
 
     def __init__(self, topology, lanes, channel=None, activation=None):
@@ -147,6 +161,7 @@ class NetworkEngine:
         # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell and node
         self._lane_gap, self._witness = np.full(self.lanes, -np.inf), None
         self._block = [None, None, None]
+        self.quiet, self._stack, self.block = False, None, None
 
     def retire(self, done: np.ndarray) -> None:
         """Remove the lanes flagged in ``done`` from the union."""
@@ -158,7 +173,7 @@ class NetworkEngine:
         self.ce = self.ce.reshape(self.slots, self.lanes, self.size * d)[:, keep].reshape(-1, d)
         self.ce_time, self.arrival, self.store = self.ce_time[edges], self.arrival[:, edges], self.store[:, nodes]
         self.clip_active, self._lane_gap = self.clip_active[keep], self._lane_gap[keep]
-        self._witness = self._sum = None
+        self._witness = self._sum = self._stack = None
         self.rngs = [r for r, k in zip(self.rngs, keep) if k]
         self._block = [None if b is None else b[keep] for b in self._block]
         self._layout(len(self.rngs))
@@ -272,10 +287,95 @@ class NetworkEngine:
         # aside, which only adds |z - anchor| = 0 to variation from now on),
         # so every later round would repeat this one.
         self.idle = None
+        self.quiet = self.deterministic and not len(fired)
         if self.deterministic and len(fired) <= self.n - self.size:
             still = self.z.view(np.int64) == z_before.view(np.int64)
             self.idle = still.reshape(self.lanes, -1).all(axis=1)
             self.idle[fired // self.size] = False
+
+    def step_block(self, rounds: int) -> int:
+        """Up to ``rounds`` deterministic rounds of every lane as one block
+        of rounds that send nothing, stop no lane and leave every lane's z
+        moving; returns how many it took, 0 when it cannot certify the
+        next round. ``block`` then holds z after each of them.
+
+        With nothing sent the caches and their sum stay frozen, so each
+        coordinate follows fl(fl(a*x) + b) with a > 0, a non-decreasing
+        map: its orbit is monotone. The trigger gap |fl(z - ref)| and the
+        cache gap |fl(z - c)| are quasi-convex in each coordinate and the
+        payload quantize(clip(z)) is monotone, so a send, or a clip-range
+        exit, anywhere in a block shows at one of the two states its
+        rounds evaluate first and last. A gap-test stop is ruled out when
+        a coordinate of the lane's witness edge stays at least tau_inner
+        on one side of its cache at both ends. Each check holds for a
+        block when it holds for a longer one; a lane at a fixed point
+        ends the block before that round, which is then an idle round.
+        """
+        cm = self.comms
+        if not (rounds > 0 and self.deterministic and self._sum is not None and self._witness is not None):
+            return 0
+        within, repeats = self._silent(self.z)  # round 1 evaluates the current z
+        if not (within | repeats).all():
+            return 0
+        if self._stack is None or self._stack.shape[2:] != self.z.shape:
+            # stack[0] is the anchor, stack[k + 1] the z that round k leaves;
+            # the second half takes the rounds' z moves
+            self._stack = np.empty((2, max(3, _STACK_BYTES // self.z.nbytes // 2), *self.z.shape))
+        (stack, moves), rounds = self._stack, min(rounds, self._stack.shape[1] - 2)
+        stack[0], stack[1] = self.anchor, self.z
+        diag = self.w_sync_diag[:, None]
+        for k in range(1, rounds + 1):
+            np.multiply(stack[k], diag, out=stack[k + 1])
+            stack[k + 1] += self._sum
+        bits, full = stack.view(np.int64), rounds
+        if (bits[rounds + 1] == bits[rounds]).reshape(self.lanes, -1).all(axis=1).any():
+            # the first round that leaves some lane's z unchanged is not in the block
+            moved = (bits[2 : rounds + 2] != bits[1 : rounds + 1]).reshape(rounds, self.lanes, -1)
+            rounds = int(np.argmin(moved.any(axis=2).all(axis=1)))
+        cells, nodes = self._witness
+        caches, tau = self.ce.take(cells, 0), cm.tau_inner
+        first = stack[2].take(nodes, 0) - caches  # the witness gaps after round 1
+
+        def certified(b):
+            last_within, last_repeats = self._silent(stack[b])
+            if not ((within & last_within) | (repeats & last_repeats)).all():
+                return False
+            last = stack[b + 1].take(nodes, 0) - caches
+            apart = (np.minimum(first, last) >= tau) | (np.maximum(first, last) <= -tau)
+            return bool(apart.any(axis=1).all())
+
+        taken = rounds
+        if rounds and not certified(rounds):
+            taken, fails = 0, rounds  # the longest certified block, by bisection
+            while fails - taken > 1:
+                mid = (taken + fails) // 2
+                taken, fails = (mid, fails) if certified(mid) else (taken, mid)
+        self.quiet = taken == full  # the next round may start another block
+        if not taken:
+            return 0
+        steps, moves = np.empty((taken + 1, self.n)), moves[:taken]
+        steps[0] = self.variation
+        np.subtract(stack[1 : taken + 1], stack[:taken], out=moves)
+        np.maximum.reduce(np.abs(moves, out=moves), axis=2, out=steps[1:])
+        self.variation = np.add.accumulate(steps, axis=0)[-1]  # round by round
+        ends = stack[[1, taken]]  # the states the block's first and last rounds evaluate
+        if np.fmin.reduce(ends, None) < cm.s_min or np.fmax.reduce(ends, None) > cm.s_max:
+            outside = ((ends < cm.s_min) | (ends > cm.s_max)).any(axis=(0, 2))
+            self.clip_active[outside.nonzero()[0] // self.size] = True
+        self.anchor, self.z = stack[taken].copy(), stack[taken + 1].copy()
+        self._lane_gap = np.maximum.reduce(np.abs(self.z.take(nodes, 0) - caches), axis=1)
+        self.send_counter += taken
+        self.idle, self.block = None, stack[2 : taken + 2]
+        return taken
+
+    def _silent(self, z: np.ndarray) -> tuple:
+        """Per node, for a state a round evaluates: whether z is within
+        delta of ref, so the trigger does not fire, and whether its payload
+        is ref, so a fired trigger sends nothing; False for NaN."""
+        cm = self.comms
+        within = np.maximum.reduce(np.abs(z - self.ref), axis=1) <= self.delta
+        payload = protocol.quantize(protocol.clip_log(z, cm.s_min, cm.s_max), cm)
+        return within, (payload == self.ref).all(axis=1)
 
     def _gossip(self, active: np.ndarray | None) -> None:
         if not self.n_edges:
@@ -390,6 +490,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     live = [SimpleNamespace(index=i, pos=i, traced=i in chosen, prev_log_v=start, outer=0, start=None,
                             per_outer=[], round_log_v=[]) for i in range(len(runs))]  # in engine order
     now, due = 0, {}  # the batch's round, and the lanes whose inner cap falls in a round
+    span = 0  # the rounds the next block may take; 0 takes one round
 
     def decide(lane, change: float) -> bool:
         """The lane's stop decision after an outer iteration whose log-v
@@ -442,17 +543,27 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             traced_at = None if len(traced) == len(live) else [lane.pos for lane in traced]
         if not live:
             break
-        eng.step_round()
-        now += 1
-        zs = eng.z.reshape(eng.lanes, n, d)
+        # a block of quiet rounds, which never passes a lane's inner cap,
+        # or else one round; zs holds z after each round taken
+        taken = eng.step_block(min(span, min(lane.start for lane in live) + cap - now)) if span else 0
+        if taken:
+            zs = eng.block.reshape(taken, eng.lanes, n, d)
+            span = min(2 * span, cap) if eng.quiet else 0
+        else:
+            eng.step_round()
+            taken, zs = 1, eng.z.reshape(1, eng.lanes, n, d)
+            span = _FIRST_SPAN if eng.quiet else 0
+        now += taken
         if traced:
-            residuals = netsim.consensus_residual(zs if traced_at is None else zs[traced_at]).tolist()
-            for lane, residual in zip(traced, residuals):
-                lane.residuals.append(residual)
+            residuals = netsim.consensus_residual(zs if traced_at is None else zs[:, traced_at]).T.tolist()
+            for lane, trace in zip(traced, residuals):
+                lane.residuals += trace
         # the lanes whose outer iteration ends this round, and the rounds it
         # counts for: an idle round would repeat up to the inner cap, so it
         # counts once for every round left
         ending = {}
+        for r in range(now - taken + 1, now):  # a block's earlier rounds end no lane's inner cap
+            due.pop(r, None)
         for lane in due.pop(now, ()):
             if lane.start == now - cap:
                 ending[lane.pos] = 1
@@ -464,10 +575,13 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
                 ending.setdefault(pos, cap - (now - 1 - live[pos].start))
         if collect_round_log_v:
             for lane in live:
-                lane.round_log_v += [zs[lane.pos].copy()] * ending.get(lane.pos, 1)
+                lane.round_log_v += [z[lane.pos].copy() for z in zs[:-1]]
+                lane.round_log_v += [zs[-1, lane.pos].copy()] * ending.get(lane.pos, 1)
         done = []
         if not ending:
             continue
+        span = 0  # a lane that opens its next outer iteration sends at once
+        zs = zs[-1]
         order = sorted(ending)
         untraced = [pos for pos in order if not live[pos].traced]
         if untraced:  # a traced lane's last residual is its trace's last value

@@ -21,6 +21,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -35,7 +36,8 @@ __all__ = [
     "centralized_oracle",
     "run_lanes",
     "run_decentralized",
-    "trace_rows",
+    "TRACE_FIELDS",
+    "trace_lines",
     "overlap_rows",
     "config_for_value",
     "downsample_reference",
@@ -98,7 +100,7 @@ def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracl
     if compute_error and oracle is None:
         oracle = centralized_oracle(instance)
     degrees = topology.degrees()
-    results = []
+    results, bias = [], {}
     for (comms, seed), record in zip(lanes, records):
         if isinstance(record, Exception):
             results.append(record)
@@ -108,6 +110,8 @@ def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracl
             err_max, err_mean = float(errors.max()), float(errors.mean())
         else:
             errors, err_max, err_mean = None, math.nan, math.nan
+        if comms not in bias:  # the bias bound depends on the comms alone
+            bias[comms] = otcore.theory_constants(instance, comms).steady_state_bias_bound
         link_messages = record.broadcasts_per_agent * degrees
         wire = protocol.packet_wire_size(instance.support_size, comms.bits)
         metrics = RunMetrics(
@@ -121,7 +125,7 @@ def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracl
             messages_per_agent=link_messages, messages_total=int(link_messages.sum()),
             bytes_total=int(link_messages.sum()) * wire,
             wall_clock_seconds=record.wall_clock_seconds,
-            bias_bound=otcore.theory_constants(instance, comms).steady_state_bias_bound,
+            bias_bound=bias[comms],
             clip_active=record.clip_active,
         )
         results.append((metrics, record))
@@ -140,23 +144,18 @@ def run_decentralized(instance, topology, comms, channel=None, activation=None, 
     return result
 
 
-def trace_rows(variant: str, record) -> list:
-    """Flatten a record's per-inner-step residuals into trace.csv rows."""
-    rows = []
+TRACE_FIELDS = ("variant", "round", "outer_iter", "inner_step", "residual")
+
+
+def trace_lines(variant: str, record):
+    """A record's per-round residuals as trace.csv rows (TRACE_FIELDS),
+    rounds numbered across outer iterations, inner steps within each."""
     rnd = 0
     for rec in record.per_outer:
-        for step, residual in enumerate(rec["consensus_residual_trace"], start=1):
-            rnd += 1
-            rows.append(
-                {
-                    "variant": variant,
-                    "round": rnd,
-                    "outer_iter": rec["outer_iter"],
-                    "inner_step": step,
-                    "residual": residual,
-                }
-            )
-    return rows
+        trace = rec["consensus_residual_trace"]
+        yield from zip(repeat(variant), range(rnd + 1, rnd + 1 + len(trace)), repeat(rec["outer_iter"]),
+                       range(1, 1 + len(trace)), trace)
+        rnd += len(trace)
 
 
 def overlap_rows(oracle, barycenters) -> list:
@@ -674,11 +673,12 @@ def _json_safe(obj):
 
 
 def write_csv(path: str, fieldnames, rows) -> None:
+    """A header line, then one line per row: its values in ``fieldnames`` order."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
+        writer.writerows(rows)
 
 
 def write_json(path: str, obj) -> None:

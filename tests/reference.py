@@ -12,7 +12,8 @@ exactly; ``test_engine.py`` pins the two together.
 ``dsinkhorn.protocol.packet_wire_size`` accounts for, and
 ``log_message_lse`` is the log-sum-exp form of ``otcore.log_message``.
 ``expected_weights`` is the exact mean of ``effective_weights`` under each
-activation model.
+activation model. ``trace_rows`` is the row-dict form of the trace.csv
+rows that ``dsinkhorn.experiments.trace_lines`` writes.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +35,25 @@ def log_message_lse(u: np.ndarray, kernel: otcore.GibbsKernel) -> np.ndarray:
         log_u = np.log(u)
     # (K^T u)_j = sum_k K[k, j] u[k]; axis -2 of the broadcast runs over k
     return logsumexp(kernel.log_entries + log_u[..., :, None], axis=-2)
+
+
+def trace_rows(variant: str, record) -> list:
+    """Flatten a record's per-inner-step residuals into trace.csv rows."""
+    rows = []
+    rnd = 0
+    for rec in record.per_outer:
+        for step, residual in enumerate(rec["consensus_residual_trace"], start=1):
+            rnd += 1
+            rows.append(
+                {
+                    "variant": variant,
+                    "round": rnd,
+                    "outer_iter": rec["outer_iter"],
+                    "inner_step": step,
+                    "residual": residual,
+                }
+            )
+    return rows
 
 
 # -- wire format -------------------------------------------------------------

@@ -14,6 +14,7 @@ from dsinkhorn import experiments
 from dsinkhorn.cli import main
 from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.experiments import CheckResult, VerificationReport
+from reference import trace_rows
 
 
 def _base_tree():
@@ -121,7 +122,7 @@ class TestRun:
         for variant, delta in (("always_on", 0.0), ("triggered", resolved.comms.delta)):
             (record,) = simulate_lanes(instance, topology, [(replace(resolved.comms, delta=delta), 3)],
                                        resolved.channel, resolved.activation)
-            expected += experiments.trace_rows(variant, record)
+            expected += trace_rows(variant, record)
         trace = _read_csv(out / "trace.csv")
         assert len(trace) == len(expected)
         for row, want in zip(trace, expected):
@@ -263,10 +264,10 @@ class TestRun:
         lanes = [(resolved.comms, seed) for seed in resolved.seeds]
         lanes.append((replace(resolved.comms, delta=0.0), resolved.seeds[0]))
         records = simulate_lanes(instance, topology, lanes, resolved.channel, resolved.activation)
-        experiments.write_csv(str(tmp_path / "expected.csv"),
-                              ["variant", "round", "outer_iter", "inner_step", "residual"],
-                              experiments.trace_rows("always_on", records[-1])
-                              + experiments.trace_rows("triggered", records[0]))
+        with open(tmp_path / "expected.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, ["variant", "round", "outer_iter", "inner_step", "residual"])
+            writer.writeheader()
+            writer.writerows(trace_rows("always_on", records[-1]) + trace_rows("triggered", records[0]))
         assert (out / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 

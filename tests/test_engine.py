@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dsinkhorn import config as cfgmod
 from dsinkhorn import otcore, protocol
 from dsinkhorn.config import mixture_histograms
 from dsinkhorn.engine import NetworkEngine, RunRecord, consensus_trace, simulate_lanes
@@ -261,16 +262,24 @@ def _is_deterministic(regime) -> bool:
         channel is None or (channel.drop_prob == 0 and channel.max_staleness == 0))
 
 
-def _count_step_rounds(monkeypatch) -> list:
-    """Patch NetworkEngine.step_round to count its calls in the returned
-    list, one entry per call holding the number of lanes it stepped."""
-    step_round, calls = NetworkEngine.step_round, []
+def _count_rounds_run(monkeypatch) -> list:
+    """Patch NetworkEngine.step_round and step_block to count the rounds
+    they compute in the returned list, one entry per round holding the
+    number of lanes it stepped: a block counts once for each round it
+    took. Idle rounds counted up to the inner cap are not run."""
+    step_round, step_block, calls = NetworkEngine.step_round, NetworkEngine.step_block, []
 
     def counted(eng):
         calls.append(eng.lanes)
         step_round(eng)
 
+    def counted_block(eng, rounds):
+        taken = step_block(eng, rounds)
+        calls.extend([eng.lanes] * taken)
+        return taken
+
     monkeypatch.setattr(NetworkEngine, "step_round", counted)
+    monkeypatch.setattr(NetworkEngine, "step_block", counted_block)
     return calls
 
 
@@ -324,7 +333,7 @@ class TestEngineMatchesReference:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_idle_rounds_are_skipped_only_on_deterministic_channels(self, regime, monkeypatch):
-        calls = _count_step_rounds(monkeypatch)
+        calls = _count_rounds_run(monkeypatch)
         instance, topology = _regime_setup(regime)
         record = _one_lane(instance, topology, regime["comms"], regime["channel"],
                            regime["activation"], seed=5)
@@ -456,7 +465,9 @@ class TestSingleNode:
 
 class TestIdleFlag:
     """``NetworkEngine.idle`` after a round: per lane, True only when a
-    deterministic round sent nothing and left z bit-for-bit unchanged."""
+    deterministic round sent nothing and left z bit-for-bit unchanged;
+    ``quiet``: True when a deterministic round sent nothing in any lane,
+    so that a block may follow (``TestBlocks``)."""
 
     @staticmethod
     def _engine(channel=None, activation=None):
@@ -470,16 +481,17 @@ class TestIdleFlag:
         eng.ref[2] = 1.0  # lane 1's node 0 last sent 1.0: it fires and sends 0.0
         eng.step_round()
         assert not eng.z.any() and eng.messages.tolist() == [1, 1, 2, 1]
-        assert eng.idle.tolist() == [True, False]
+        assert eng.idle.tolist() == [True, False] and not eng.quiet
         eng.step_round()
-        assert eng.idle.tolist() == [True, True]
+        assert eng.idle.tolist() == [True, True] and eng.quiet
+        assert eng.step_block(8) == 0  # the next round would be idle
 
     def test_a_lane_whose_z_moved_is_not_idle(self):
         eng = self._engine()
         eng.z[1] = 1e-4  # within delta, so nothing is sent, but the gossip moves it
         eng.step_round()
         assert eng.messages.tolist() == [1] * 4
-        assert eng.idle.tolist() == [False, True]
+        assert eng.idle.tolist() == [False, True] and eng.quiet
 
     @pytest.mark.parametrize("channel, activation", [
         (ChannelModel(drop_prob=0.1), None),
@@ -489,7 +501,7 @@ class TestIdleFlag:
     def test_random_rounds_are_never_idle(self, channel, activation):
         eng = self._engine(channel, activation)
         eng.step_round()
-        assert eng.idle is None
+        assert eng.idle is None and not eng.quiet
 
 
 class TestConsensusTrace:
@@ -613,8 +625,9 @@ class TestLanes:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_every_lane_matches_reference(self, regime, monkeypatch):
         # every broadcast carries a payload that differs from its sender's
-        # previous one, read from ref before and after each batch round
-        step_round, sent = NetworkEngine.step_round, []
+        # previous one, read from ref before and after each batch round,
+        # and a block of rounds sends nothing
+        step_round, step_block, sent = NetworkEngine.step_round, NetworkEngine.step_block, []
 
         def watched(eng):
             messages, ref = eng.messages.copy(), eng.ref.copy()
@@ -624,7 +637,14 @@ class TestLanes:
             assert not (fired & same).any()
             sent.append(int(fired.sum()))
 
+        def watched_block(eng, rounds):
+            messages, ref = eng.messages.copy(), eng.ref.copy()
+            taken = step_block(eng, rounds)
+            assert np.array_equal(eng.messages, messages) and np.array_equal(eng.ref, ref)
+            return taken
+
         monkeypatch.setattr(NetworkEngine, "step_round", watched)
+        monkeypatch.setattr(NetworkEngine, "step_block", watched_block)
         instance, topology = _regime_setup(regime)
         comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
         batch = simulate_lanes(instance, topology, [(comms, s) for s in self.SEEDS], channel, activation)
@@ -684,7 +704,7 @@ class TestLanes:
         instance, topology = _regime_setup(regime)
         lanes = [(dataclasses.replace(regime["comms"], delta=dv), 5) for dv in (1e-3, 1e-5, 0.0)]
         batch = simulate_lanes(instance, topology, lanes)
-        calls = _count_step_rounds(monkeypatch)
+        calls = _count_rounds_run(monkeypatch)
         skipped = []
         for (comms, seed), record in zip(lanes, batch):
             calls.clear()
@@ -727,7 +747,7 @@ class TestLanes:
         comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
         distinct = [(comms, 5)] + self._companions(comms)
         lanes = distinct + [distinct[0], distinct[3], distinct[0], distinct[1]]
-        calls = _count_step_rounds(monkeypatch)
+        calls = _count_rounds_run(monkeypatch)
         batch = simulate_lanes(instance, topology, lanes, channel, activation)
         assert max(calls) == len(distinct)
         for (lane_comms, seed), record in zip(lanes, batch):
@@ -777,7 +797,7 @@ class TestLanes:
         deltas = (0.0, comms.delta_q / 4, comms.delta_q / 2)
         lanes = [(dataclasses.replace(comms, delta=dv), s) for dv in deltas for s in (5, 6)]
         assert [c.inert_delta for c, _ in lanes] == [False, False, True, True, True, True]
-        calls = _count_step_rounds(monkeypatch)
+        calls = _count_rounds_run(monkeypatch)
         batch = simulate_lanes(instance, topology, lanes, channel, activation)
         assert max(calls) == 2
         for (lane_comms, seed), record in zip(lanes, batch):
@@ -797,7 +817,7 @@ class TestLanes:
         comms = regime["comms"]
         past = dataclasses.replace(comms, delta=float(np.nextafter(comms.delta_q / 2, np.inf)))
         assert not past.inert_delta and dataclasses.replace(comms, delta=comms.delta_q / 2).inert_delta
-        calls = _count_step_rounds(monkeypatch)
+        calls = _count_rounds_run(monkeypatch)
         simulate_lanes(instance, topology, [(dataclasses.replace(comms, delta=0.0), 5), (past, 5)])
         assert max(calls) == 2
 
@@ -806,7 +826,7 @@ class TestLanes:
         instance, topology = _regime_setup(regime)
         lanes = [(dataclasses.replace(regime["comms"], delta=dv), 5) for dv in (0.0, 5e-324, 1e-12, 1e-5)]
         assert not any(c.inert_delta for c, _ in lanes)
-        calls = _count_step_rounds(monkeypatch)
+        calls = _count_rounds_run(monkeypatch)
         simulate_lanes(instance, topology, lanes)
         assert max(calls) == len(lanes)
 
@@ -970,7 +990,7 @@ class TestRoundCount:
         instance, topology = _regime_setup(regime)
         lanes = [(dataclasses.replace(regime["comms"], delta=dv), 5) for dv in (1e-3, 0.0, np.inf, 1e-5)]
         monkeypatch.setattr(otcore, "_local_scaling", _annihilating(4))
-        calls = _count_step_rounds(monkeypatch)
+        calls = _count_rounds_run(monkeypatch)
         batch = simulate_lanes(instance, topology, lanes)
         assert isinstance(batch[3], otcore.DegenerateStateError)
         idle, busy, early = batch[:3]
@@ -979,3 +999,246 @@ class TestRoundCount:
         assert all(p["inner_steps_used"] == regime["comms"].inner_step_cap for p in idle.per_outer)
         assert all(p["inner_steps_used"] < regime["comms"].inner_step_cap for p in busy.per_outer)
         _assert_round_counts(batch)
+
+
+def _bits(result):
+    """A lane's result, bit for bit, wall time aside; an error as its type
+    and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return _bitwise({f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+                     if f.name != "wall_clock_seconds"})
+
+
+def _default_case(bits):
+    """The default 4x4 grid at d=64 with six outer iterations, as the CLI
+    runs it: seed 5 and its always-on twin."""
+    cfg = cfgmod.run_config_from_dict({"comms": {"bits": bits, "outer_iter_cap": 6}})
+    instance, topology = cfgmod.build_instance(cfg), cfgmod.build_topology_from_spec(cfg.network)
+    return instance, topology, [(cfg.comms, 5), (dataclasses.replace(cfg.comms, delta=0.0), 5)]
+
+
+def _regime_case(regime):
+    instance, topology = _regime_setup(regime)
+    return instance, topology, [(regime["comms"], 5)] + TestLanes._companions(regime["comms"])
+
+
+BLOCK_CASES = [
+    *(pytest.param(p.values[0], id=p.id) for p in REGIMES if _is_deterministic(p.values[0])),
+    pytest.param(12, id="default-12bit"),
+    pytest.param(16, id="default-16bit"),
+    pytest.param("unquantized", id="default-unquantized"),
+]
+
+
+def _crafted(comms, z, caches, lanes=1, topology=None):
+    """Lanes of the 2-node complete graph (self and neighbour weight 1/2),
+    or of ``topology``, after one round from z, with the neighbour caches
+    set by hand: on the 2-node graph each node's z halves its distance to
+    its cache every quiet round. ``z`` stacks the lanes' node rows and
+    ``caches`` one row per directed edge (receiver, sender) of the union,
+    in the engine's edge order; ref is the payload of the starting z."""
+    eng = NetworkEngine(topology or build_topology("complete", n=2), [(comms, s) for s in range(lanes)])
+    z = np.asarray(z, dtype=np.float64)
+    eng.bootstrap(z)
+    eng.ce[eng.cell] = np.asarray(caches, dtype=np.float64)
+    eng.step_round()
+    return eng
+
+
+def _block_against_rounds(eng, rounds):
+    """Take one block of at most ``rounds`` and, on a copy, as many single
+    rounds; each of those must send nothing, stop no lane and leave every
+    lane moving, and the two must end in the same state bit for bit.
+    Returns the rounds taken and the copy."""
+    single = copy.deepcopy(eng)
+    taken = eng.step_block(rounds)
+    for k in range(taken):
+        messages = single.messages.copy()
+        single.step_round()
+        assert np.array_equal(single.messages, messages)
+        assert not single.all_inner_converged().any()
+        assert single.idle is None or not single.idle.any()
+        assert _bitwise(eng.block[k]) == _bitwise(single.z), f"round {k + 1}"
+    for name in ("z", "anchor", "ref", "ce", "messages", "variation", "clip_active", "send_counter"):
+        assert _bitwise(getattr(eng, name)) == _bitwise(getattr(single, name)), name
+    return taken, single
+
+
+def _quiet_rounds(eng, limit=200):
+    """Rounds a copy of ``eng`` runs alone before one sends, stops a lane
+    or leaves a lane's z unchanged."""
+    eng = copy.deepcopy(eng)
+    for k in range(limit):
+        messages = eng.messages.copy()
+        eng.step_round()
+        if (eng.messages != messages).any() or eng.all_inner_converged().any() or (
+                eng.idle is not None and eng.idle.any()):
+            return k
+    return limit
+
+
+class TestBlocks:
+    """A deterministic lane's quiet stretch runs as one certified block
+    (``NetworkEngine.step_block``) and changes no record."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_blocks_change_no_record(self, case, monkeypatch):
+        instance, topology, lanes = _regime_case(case) if isinstance(case, dict) else _default_case(case)
+        calls = _count_rounds_run(monkeypatch)
+        blocks = [0]
+        counted = NetworkEngine.step_block
+
+        def block(eng, rounds):
+            taken = counted(eng, rounds)
+            blocks[0] += taken
+            return taken
+
+        monkeypatch.setattr(NetworkEngine, "step_block", block)
+        # the batch, and each lane alone: in some regimes only a lane alone
+        # ever has a round in which no lane sends
+        runs = [lanes] + [[lane] for lane in dict.fromkeys(lanes)]
+        with_blocks, run = [], []
+        for batch in runs:
+            calls.clear()
+            with_blocks.append(simulate_lanes(instance, topology, batch, collect_round_log_v=True))
+            run.append(len(calls))
+        assert blocks[0] > 0
+        monkeypatch.setattr(NetworkEngine, "step_block", lambda eng, rounds: 0)  # every round alone
+        for batch, results, rounds in zip(runs, with_blocks, run):
+            calls.clear()
+            alone = simulate_lanes(instance, topology, batch, collect_round_log_v=True)
+            assert len(calls) == rounds  # the same rounds run, one by one
+            assert [_bits(r) for r in results] == [_bits(r) for r in alone]
+
+    @pytest.mark.parametrize("channel, activation", [
+        (ChannelModel(drop_prob=0.1), None),
+        (ChannelModel(max_staleness=1), None),
+        (None, ActivationModel(mode="randomized_subset", p_active=0.5)),
+    ])
+    def test_random_rounds_take_no_block(self, channel, activation):
+        comms = CommsConfig(delta=np.inf, bits=None, tau_inner=1e-12)
+        eng = NetworkEngine(build_topology("complete", n=2), [(comms, 0)], channel, activation)
+        eng.bootstrap(np.array([[0.0], [1.0]]))
+        eng.step_round()
+        assert not eng.quiet and eng.step_block(8) == 0
+
+    def test_a_quantization_boundary_ends_the_block(self):
+        # node 0 starts in the cell of level 14 of a 4-bit quantizer over
+        # [-1, 1] and closes in on a cache just past the cell's top edge
+        comms = CommsConfig(delta=0.0, bits=4, s_min=-1.0, s_max=1.0, tau_inner=1e-12)
+        eng = _crafted(comms, [[0.81], [0.0]], [[0.934], [0.0]])
+        quiet = _quiet_rounds(eng)
+        assert 2 <= quiet < 16
+        taken, single = _block_against_rounds(eng, 16)
+        assert taken == quiet and not eng.quiet
+        messages = single.messages.copy()
+        single.step_round()
+        assert single.messages[0] == messages[0] + 1  # the next round sends
+
+    def test_a_send_in_the_first_round_alone_refuses_the_block(self):
+        # node 0's z sits in the cell of level 14 of a 4-bit quantizer over
+        # [-1, 1], its last payload is level 13 and its cache pulls it back
+        # into cell 13: only the round that evaluates the current z sends
+        comms = CommsConfig(delta=0.0, bits=4, s_min=-1.0, s_max=1.0, tau_inner=1e-12)
+        eng = _crafted(comms, [[0.95], [0.0]], [[0.7], [0.0]])
+        eng.ref[0] = eng.anchor[0] = protocol.quantize(np.array([0.7]), comms)
+        z, payload = eng.z[0], eng.ref[0]
+        assert protocol.quantize(z, comms) != payload
+        assert protocol.quantize(0.5 * z + 0.35, comms) == payload  # the next z would not send
+        taken, single = _block_against_rounds(eng, 8)
+        assert taken == 0
+        messages = single.messages.copy()
+        single.step_round()
+        assert single.messages[0] == messages[0] + 1
+
+    def test_a_gap_test_stop_ends_the_block(self):
+        # delta=inf never sends; node 0's cache gap 2^-k after round k is
+        # the lane's largest, and tau_inner = 2^-10 stops it at round 11
+        comms = CommsConfig(delta=np.inf, bits=None, tau_inner=2.0 ** -10)
+        eng = _crafted(comms, [[0.0], [0.0]], [[1.0], [0.5]])
+        quiet = _quiet_rounds(eng)
+        assert quiet == 9
+        taken, single = _block_against_rounds(eng, 16)
+        assert taken == quiet and not eng.quiet
+        single.step_round()
+        assert single.all_inner_converged().all()
+
+    def test_a_witness_that_crosses_its_cache_rules_out_no_stop(self):
+        # node 1 of the path 0-1-2 with leaves 3 and 4 on node 2 has weight
+        # 1/3 on node 0 and 1/4 on node 2, so z1 heads from about 5 to
+        # 0.814, between its caches 0 and 1.9; on the way it passes within
+        # tau = 1 of both, and the gap test stops the lane (every other
+        # node sits on its caches). The witness, the edge to node 2, is
+        # 1.9 - z1 >= tau at both ends of a long block, but on both sides
+        # of the cache, so it rules out no stop.
+        comms = CommsConfig(delta=np.inf, bits=None, tau_inner=1.0)
+        topology = Topology(5, ((0, 1), (1, 2), (2, 3), (2, 4)))
+        eng = _crafted(comms, [[0.0], [11.0], [5.0], [5.0], [5.0]],
+                       [[0.0], [0.0], [1.9], [5.0], [5.0], [5.0], [5.0], [5.0]], topology=topology)
+        edge = np.flatnonzero((eng.rcv == 1) & (eng.snd == 2))
+        eng._witness = eng.cell[edge], np.array([1])
+        quiet = _quiet_rounds(eng)
+        assert 0 < quiet < 8
+        taken, single = _block_against_rounds(eng, 8)
+        assert taken <= quiet
+        for _ in range(quiet - taken):
+            single.step_round()
+        single.step_round()
+        assert single.all_inner_converged().all()
+
+    @pytest.mark.parametrize("start, cache", [(0.0, 1 + 2.0 ** -6), (1.25, 1 - 2.0 ** -4)],
+                             ids=["exit-at-the-far-end", "exit-at-the-near-end"])
+    def test_a_clip_range_exit_at_one_end_raises_the_flag(self, start, cache):
+        # node 0 crosses s_max = 1 inside the block: upward, only the last
+        # state the block evaluates is outside; downward, only the first
+        comms = CommsConfig(delta=np.inf, bits=None, s_min=-1.0, s_max=1.0, tau_inner=1e-12)
+        eng = _crafted(comms, [[start], [0.0]], [[cache], [0.0]])
+        eng.clip_active[:] = False  # the round from the start may have left the range
+        evaluated = [eng.z[0, 0]]
+        for _ in range(9):
+            evaluated.append(0.5 * evaluated[-1] + 0.5 * cache)
+        outside = [z > 1.0 for z in evaluated]
+        assert outside[0] != outside[-1]
+        taken, _ = _block_against_rounds(eng, 10)
+        assert taken == 10 and eng.clip_active.tolist() == [True]
+
+    def test_a_nan_lane_takes_no_block(self):
+        comms = CommsConfig(delta=np.inf, bits=None, tau_inner=1e-12)
+        z, caches = [[0.0], [0.0]] * 2, [[1.0], [0.5]] * 2
+        eng = _crafted(comms, z, caches, lanes=2)
+        assert _block_against_rounds(copy.deepcopy(eng), 8)[0] == 8
+        eng.z[3, 0] = np.nan  # lane 1's node 1
+        assert eng.step_block(8) == 0
+
+    def test_a_lane_that_still_sends_ends_the_block_for_all(self):
+        # lane 0 is quiet for the whole block on its own; lane 1 sends first
+        # in the round after the first, or at once
+        comms = CommsConfig(delta=0.0, bits=4, s_min=-1.0, s_max=1.0, tau_inner=1e-12)
+        quiet_lane = ([[0.81], [0.0]], [[0.9], [0.0]])
+        assert _block_against_rounds(_crafted(comms, *quiet_lane), 8)[0] == 8
+        quiet = []
+        for start in (0.9, 0.0):
+            eng = _crafted(comms, quiet_lane[0] + [[start], [0.0]], quiet_lane[1] + [[0.934], [0.0]], lanes=2)
+            quiet.append(_quiet_rounds(eng))
+            taken, single = _block_against_rounds(eng, 8)
+            assert taken == quiet[-1]
+            messages = single.messages.copy()
+            single.step_round()
+            assert (single.messages > messages).tolist() == [False, False, True, False]
+        assert 0 == quiet[1] < quiet[0] < 8
+
+    def test_a_block_ends_before_a_fixed_point(self):
+        # on a 3-node path each z closes in on a point and stops moving
+        # there; the round that leaves the lane unchanged is idle. The
+        # middle node, pulled to 0.5 by caches 0 and 1, is the witness edge
+        # that keeps the gap test from stopping the lane.
+        comms = CommsConfig(delta=np.inf, bits=None, tau_inner=1e-300)
+        eng = _crafted(comms, [[0.0], [0.0], [0.0]], [[0.1], [0.0], [1.0], [0.9]],
+                       topology=build_topology("path", n=3))
+        quiet = _quiet_rounds(eng)
+        assert 40 < quiet < 128
+        taken, single = _block_against_rounds(eng, 128)
+        assert taken == quiet and not eng.quiet
+        single.step_round()
+        assert single.idle.tolist() == [True]

@@ -19,6 +19,7 @@ from dsinkhorn.config import ConfigError, run_config_from_dict
 from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.netsim import build_topology, metropolis_weights
 from dsinkhorn.protocol import CommsConfig, packet_wire_size
+from reference import trace_rows
 
 
 def _small_instance(d=16, n=4, epsilon=0.5):
@@ -88,6 +89,18 @@ class TestRunMetrics:
         b, _ = xp.run_decentralized(instance, topology, comms, seed=0)
         assert a.l1_error_max == b.l1_error_max
 
+    def test_one_bias_bound_per_distinct_comms(self, monkeypatch):
+        instance = _small_instance()
+        topology = build_topology("complete", n=4)
+        comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=10, outer_iter_cap=3)
+        lanes = [(comms, s) for s in range(4)] + [(replace(comms, delta=0.0), 0)]
+        real, calls = otcore.theory_constants, []
+        monkeypatch.setattr(otcore, "theory_constants", lambda *args: calls.append(args) or real(*args))
+        results = xp.run_lanes(instance, topology, lanes, compute_error=False)
+        assert [c for _, c in calls] == [comms, replace(comms, delta=0.0)]
+        for (lane_comms, _), (metrics, _) in zip(lanes, results):
+            assert metrics.bias_bound == real(instance, lane_comms).steady_state_bias_bound
+
     @pytest.mark.parametrize("compute_error", [True, False])
     def test_metrics_are_json_ready(self, compute_error):
         instance = _small_instance()
@@ -117,12 +130,13 @@ class TestTraceAndOverlapRows:
                  "consensus_residual_trace": [0.4, 0.2, 0.1]},
             ]
 
-        rows = xp.trace_rows("triggered", FakeRecord())
+        rows = [dict(zip(xp.TRACE_FIELDS, row)) for row in xp.trace_lines("triggered", FakeRecord())]
         assert [r["round"] for r in rows] == [1, 2, 3, 4, 5]
         assert [r["outer_iter"] for r in rows] == [1, 1, 2, 2, 2]
         assert [r["inner_step"] for r in rows] == [1, 2, 1, 2, 3]
         assert rows[0]["variant"] == "triggered"
         assert rows[-1]["residual"] == 0.1
+        assert rows == trace_rows("triggered", FakeRecord())
 
     def test_overlap_rows_envelope(self):
         oracle = np.array([0.25, 0.75])
@@ -149,7 +163,7 @@ def _convergence_trace(cfg):
         (records[name],) = simulate_lanes(
             instance, topology, [(comms, cfg.seeds[0])], cfg.channel, cfg.activation,
         )
-        rows.extend(xp.trace_rows(name, records[name]))
+        rows.extend(trace_rows(name, records[name]))
     return rows, records
 
 
@@ -643,14 +657,14 @@ class TestArtifactWriters:
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "t.csv"
-        xp.write_csv(str(path), ["a", "b"], [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+        xp.write_csv(str(path), ["a", "b"], [(1, 2), (3, 4)])
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
 
     def test_write_csv_creates_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.csv"
-        xp.write_csv(str(path), ["x"], [{"x": 0}])
+        xp.write_csv(str(path), ["x"], [(0,)])
         assert path.exists()
 
     def test_write_json(self, tmp_path):
