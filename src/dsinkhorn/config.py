@@ -12,17 +12,22 @@ A run is described by one key-tree (YAML or JSON) with sections
 
 Each section is a frozen dataclass (``ProblemSpec``, ``NetworkSpec``,
 ``protocol.CommsConfig``, ``netsim.ChannelModel``, ``netsim.ActivationModel``)
-and the dataclasses are the only place field names, their order and their
-defaults are declared: the parser reads them from ``dataclasses.fields``
-and ``RunConfig.resolved_dict`` writes them back in the same order.
+and the dataclasses are the only place field names, their order, their
+defaults and their type and range rules are declared: each checks its own
+fields on construction and raises ``ValueError("<field>: <rule>")``, for
+config files and callers alike. The parser reads the fields from
+``dataclasses.fields`` and only reads the file spellings (``.inf``,
+``unquantized``) and puts the section path in front of a dataclass's
+message; ``RunConfig.resolved_dict`` writes the fields back in the same order.
 
 Validation failures raise :class:`ConfigError` whose message starts with the
-dotted field path (e.g. ``problem.epsilon: must be > 0``).
+dotted field path (e.g. ``problem.epsilon: must be > 0.0``).
 """
 
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 
@@ -59,11 +64,33 @@ class ProblemSpec:
     cost_path: str | None = None
     density_seed: int = 7
 
+    def __post_init__(self):
+        keep = partial(object.__setattr__, self)  # frozen: store each checked value
+        keep("d", _integer("d", self.d, minimum=2))
+        keep("epsilon", _number("epsilon", self.epsilon, strict_min=0.0))
+        keep("ridge", _number("ridge", self.ridge, minimum=0.0))
+        if self.cost_kind not in ("grid_squared", "file"):
+            raise ValueError("cost_kind: must be 'grid_squared' or 'file'")
+        if not (self.cost_path is None or isinstance(self.cost_path, str)):
+            raise ValueError("cost_path: must be a string")
+        keep("density_seed", _integer("density_seed", self.density_seed))
+        if self.cost_kind == "file" and not self.cost_path:
+            raise ValueError("cost_path: required when cost_kind is 'file'")
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
     topology_kind: str = "grid2d"
     params: dict = field(default_factory=lambda: {"rows": 4, "cols": 4})
+
+    def __post_init__(self):
+        if not isinstance(self.params, Mapping):
+            raise ValueError("params: must be a mapping")
+        object.__setattr__(self, "params", dict(self.params))
+        try:
+            build_topology_from_spec(self)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"params: {exc}") from exc
 
     @property
     def num_nodes(self) -> int:
@@ -79,6 +106,14 @@ class RunConfig:
     activation: netsim.ActivationModel = field(default_factory=netsim.ActivationModel)
     seeds: tuple = (0, 1, 2, 3, 4)
     output_dir: str = "out"
+
+    def __post_init__(self):
+        seeds = self.seeds
+        if not (isinstance(seeds, (list, tuple)) and seeds and all(map(_is_int, seeds))):
+            raise ValueError("seeds: must be a nonempty list of integers")
+        object.__setattr__(self, "seeds", tuple(map(int, seeds)))
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ValueError("output_dir: must be a nonempty string")
 
     def resolved_dict(self) -> dict:
         """Full key-tree with every default materialized (JSON/YAML safe),
@@ -153,41 +188,11 @@ def apply_overrides(data: dict, overrides) -> dict:
     return out
 
 
-def _check(message, test, convert=lambda value: value):
-    """A field check that fails with ``message`` unless ``test`` holds."""
-
-    def check(path, raw):
-        if not test(raw):
-            raise ValueError(f"{path}: {message}")
-        return convert(raw)
-
-    return check
-
-
-# The type and range check of each field a key-tree may set, by field path;
-# a field without an entry is taken as written, and comms, channel and
-# activation check their own. Names, order and defaults come from the dataclasses.
-_CHECKS = {
-    "problem.d": partial(_integer, minimum=2),
-    "problem.epsilon": partial(_number, strict_min=0.0),
-    "problem.ridge": partial(_number, minimum=0.0),
-    "problem.cost_kind": _check("must be 'grid_squared' or 'file'", lambda v: v in ("grid_squared", "file")),
-    "problem.cost_path": _check("must be a string", lambda v: v is None or isinstance(v, str)),
-    "problem.density_seed": _integer,
-    "network.params": _check("must be a mapping", lambda v: isinstance(v, dict), dict),
-    "seeds": _check(
-        "must be a nonempty list of integers",
-        lambda v: isinstance(v, (list, tuple)) and v and all(map(_is_int, v)),
-        tuple,
-    ),
-    "output_dir": _check("must be a nonempty string", lambda v: isinstance(v, str) and v),
-}
-
-
 def _read(cls, tree: dict, path: str = ""):
-    """``cls`` built from ``tree``: each field the tree sets passes its
-    check (a section is read the same way), the others keep their defaults,
-    and a name that is no field of ``cls`` is an error."""
+    """``cls`` built from ``tree``: the fields the tree sets, in their file
+    spellings, go to ``cls``, which checks them (a section is read the same
+    way); the others keep their defaults, a name that is no field of ``cls``
+    is an error, and a ``ValueError`` of ``cls`` gets the section path."""
     unknown = sorted(set(tree) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{path or 'config'}.{unknown[0]}: unknown field")
@@ -204,29 +209,18 @@ def _read(cls, tree: dict, path: str = ""):
             raw = {} if raw is None else raw
             if not isinstance(raw, dict):
                 raise ConfigError(f"{key}: must be a mapping")
-            values[f.name] = _read(f.default_factory, raw, key)
-        else:
-            try:
-                values[f.name] = _CHECKS.get(key, lambda _, value: value)(key, raw)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            raw = _read(f.default_factory, raw, key)
+        values[f.name] = raw
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from exc
+        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     """Validate a raw key-tree into a :class:`RunConfig`; every field the
     tree leaves out keeps its dataclass default."""
-    cfg = _read(RunConfig, dict(data or {}))
-    if cfg.problem.cost_kind == "file" and not cfg.problem.cost_path:
-        raise ConfigError("problem.cost_path: required when cost_kind is 'file'")
-    try:
-        build_topology_from_spec(cfg.network)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"network.params: {exc}") from exc
-    return cfg
+    return _read(RunConfig, dict(data or {}))
 
 
 def _ndtr(a: np.ndarray) -> np.ndarray:

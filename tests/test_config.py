@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy.special import ndtr
 from dsinkhorn import config as cfgmod
 from dsinkhorn.config import (
     ConfigError,
+    NetworkSpec,
+    ProblemSpec,
     RunConfig,
     apply_overrides,
     build_instance,
@@ -188,9 +191,11 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match=message):
             run_config_from_dict(tree)
 
-    # (section, fields, constructor message) for one bad input each; the
-    # first twelve are the inputs on which the two entry points disagreed
-    # when config files and the dataclasses each kept a rule set
+    # (section, fields, constructor message) for one bad input each, None
+    # for a top-level field; the first twelve are the inputs on which the
+    # two entry points disagreed when config files and the dataclasses each
+    # kept a rule set, and the problem, network and top-level rows are
+    # inputs the constructors accepted while only files checked them
     BAD_FIELDS = [
         ("comms", {"tau_inner": math.inf}, "tau_inner: must be finite"),
         ("comms", {"tau_outer": math.inf}, "tau_outer: must be finite"),
@@ -224,8 +229,31 @@ class TestRunConfigValidation:
         ("activation", {"p_active": 1.5}, "p_active: must be in (0, 1]"),
         ("activation", {"p_active": "half"}, "p_active: must be a number"),
         ("activation", {"mode": 3}, "mode: unknown activation mode 3"),
+        ("problem", {"d": 1}, "d: must be >= 2"),
+        ("problem", {"d": 3.5}, "d: must be an integer"),
+        ("problem", {"epsilon": 0}, "epsilon: must be > 0.0"),
+        ("problem", {"epsilon": -0.5}, "epsilon: must be > 0.0"),
+        ("problem", {"epsilon": "fast"}, "epsilon: must be a number"),
+        ("problem", {"ridge": -1e-3}, "ridge: must be >= 0.0"),
+        ("problem", {"cost_kind": "euclidean"}, "cost_kind: must be 'grid_squared' or 'file'"),
+        ("problem", {"cost_kind": "file"}, "cost_path: required when cost_kind is 'file'"),
+        ("problem", {"cost_kind": "file", "cost_path": ""}, "cost_path: required when cost_kind is 'file'"),
+        ("problem", {"cost_path": 5}, "cost_path: must be a string"),
+        ("problem", {"density_seed": 1.5}, "density_seed: must be an integer"),
+        ("network", {"params": []}, "params: must be a mapping"),
+        ("network", {"topology_kind": "ring", "params": {"n": 2}}, "params: ring needs enough nodes"),
+        ("network", {"topology_kind": "ring"}, "params: ring needs n"),
+        ("network", {"topology_kind": "mesh"}, "params: unknown topology kind: 'mesh'"),
+        ("network", {"params": {"rows": 2, "cols": 2.5}}, "params: cols must be an integer, got 2.5"),
+        (None, {"seeds": ()}, "seeds: must be a nonempty list of integers"),
+        (None, {"seeds": [True]}, "seeds: must be a nonempty list of integers"),
+        (None, {"seeds": ["a"]}, "seeds: must be a nonempty list of integers"),
+        (None, {"seeds": 3}, "seeds: must be a nonempty list of integers"),
+        (None, {"output_dir": ""}, "output_dir: must be a nonempty string"),
+        (None, {"output_dir": 7}, "output_dir: must be a nonempty string"),
     ]
-    SECTIONS = {"comms": CommsConfig, "channel": ChannelModel, "activation": ActivationModel}
+    SECTIONS = {"problem": ProblemSpec, "network": NetworkSpec, "comms": CommsConfig,
+                "channel": ChannelModel, "activation": ActivationModel, None: RunConfig}
 
     @pytest.mark.parametrize("section, values, message", BAD_FIELDS)
     def test_one_rule_set_for_both_entry_points(self, section, values, message):
@@ -233,8 +261,8 @@ class TestRunConfigValidation:
             self.SECTIONS[section](**values)
         assert str(api.value) == message
         with pytest.raises(ConfigError) as file:
-            run_config_from_dict({section: values})
-        assert str(file.value) == f"{section}.{message}"
+            run_config_from_dict(values if section is None else {section: values})
+        assert str(file.value) == (message if section is None else f"{section}.{message}")
 
     def test_quantized_config_with_fractional_inner_cap_raises(self):
         # the Python API used to accept this, and a run with it never returned
@@ -248,6 +276,16 @@ class TestRunConfigValidation:
         assert type(ChannelModel(drop_prob=0).drop_prob) is float
         assert type(ActivationModel(p_active=1).p_active) is float
         assert CommsConfig(delta=np.inf).delta == math.inf
+        problem = ProblemSpec(d=np.int64(8), epsilon=np.float32(0.5), ridge=0, density_seed=np.int32(3))
+        assert [type(getattr(problem, name)) for name in ("d", "epsilon", "ridge", "density_seed")] == [
+            int, float, float, int]
+        params = {"n": 5}
+        network = NetworkSpec("ring", MappingProxyType(params))
+        assert type(network.params) is dict and network.params == params
+        params["n"] = 2  # the spec holds its own copy
+        assert network.num_nodes == 5
+        cfg = RunConfig(seeds=[np.int64(3), 4])
+        assert cfg.seeds == (3, 4) and [type(s) for s in cfg.seeds] == [int, int]
 
     def test_bits_unquantized_sentinel(self):
         assert run_config_from_dict({"comms": {"bits": "unquantized"}}).comms.bits is None
