@@ -12,16 +12,12 @@ A run is described by one key-tree (YAML or JSON) with sections
 
 Each section is a frozen dataclass (``ProblemSpec``, ``NetworkSpec``,
 ``protocol.CommsConfig``, ``netsim.ChannelModel``, ``netsim.ActivationModel``)
-and the dataclasses are the only place field names, their order, their
-defaults and their type and range rules are declared: each checks its own
-fields on construction and raises ``ValueError("<field>: <rule>")``, for
-config files and callers alike. The parser reads the fields from
-``dataclasses.fields`` and only reads the file spellings (``.inf``,
-``unquantized``) and puts the section path in front of a dataclass's
-message; ``RunConfig.resolved_dict`` writes the fields back in the same order.
-
-Validation failures raise :class:`ConfigError` whose message starts with the
-dotted field path (e.g. ``problem.epsilon: must be > 0.0``).
+that alone declares its field names, order, defaults and type and range
+rules, and checks its fields on construction (``ValueError("<field>: <rule>")``).
+The parser only reads the file spellings (``.inf``, ``unquantized``) and raises
+:class:`ConfigError` with the dotted field path in front of a dataclass's
+message (e.g. ``problem.epsilon: must be > 0.0``); ``RunConfig.resolved_dict``
+writes the fields back in the same order.
 """
 
 import json
@@ -108,10 +104,9 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        seeds = self.seeds
-        if not (isinstance(seeds, (list, tuple)) and seeds and all(map(_is_int, seeds))):
+        if not (isinstance(self.seeds, (list, tuple)) and self.seeds and all(map(_is_int, self.seeds))):
             raise ValueError("seeds: must be a nonempty list of integers")
-        object.__setattr__(self, "seeds", tuple(map(int, seeds)))
+        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise ValueError("output_dir: must be a nonempty string")
 

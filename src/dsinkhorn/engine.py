@@ -85,8 +85,8 @@ class NetworkEngine:
     directed edge (receiver, sender) of the union, sorted by receiver. The
     caches ``ce`` live in ``slots`` (the largest in-degree) blocks of n
     rows: the k-th in-edge of receiver r is row ``cell = k*n + r``, and the
-    rows no edge fills are zero with weight 0; ``_sum``, their weighted sum
-    in the last deterministic round, is what ``step_block`` adds. Delayed
+    rows no edge fills are zero with weight 0; ``_sum``, their weighted sum,
+    is kept under synchronous weights until a cache row is written. Delayed
     packets wait in ``store[send round % depth, sender]``, and
     ``arrival[slot, edge]`` is the round they land; each round every edge
     takes its freshest packet due in one gather. Lanes may differ only in
@@ -257,6 +257,7 @@ class NetworkEngine:
             # every node sent and every edge is lossless and undelayed
             self.ce_time[:] = now
             self.ce[self.cell] = self.ref.take(self.snd, 0)
+            self._sum = None
         elif len(fired) or depth:
             if len(fired):
                 sent = np.zeros(self.n, dtype=bool)
@@ -277,6 +278,7 @@ class NetworkEngine:
             if len(upd):
                 self.ce_time[upd] = due
                 self.ce[self.cell[upd]] = landed
+                self._sum = None
         z_before = self.z
         self._gossip(active)
 
@@ -380,6 +382,7 @@ class NetworkEngine:
             return
         ce = self.ce.reshape(self.slots, self.n, -1)
         buf = self._scratch[: ce.size].reshape(ce.shape)
+        total = self._sum  # kept while the weights are fixed and no cache row changed
         if active is None:
             rows, w, diag, caches, prod = slice(None), self.w_sync, self.w_sync_diag, ce, buf
         else:
@@ -395,15 +398,16 @@ class NetworkEngine:
             w[self.cell[both]] = w_e
             shape = (self.slots, len(rows), ce.shape[2])
             caches = prod = ce.take(rows, 1, self._scratch[: np.prod(shape)].reshape(shape), "clip")
-        np.multiply(w.reshape(self.slots, self.n, 1)[:, rows], caches, out=prod)
-        # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for
-        # add.reduce over at most 8 rows (zero pads change nothing)
-        first, *rest = *range(1, self.slots), 0
-        for s in rest:
-            prod[first] += prod[s]
-        total = prod[first]
-        if self.deterministic:
-            self._sum = total.copy()  # the frozen-cache sum a following block adds
+        if total is None:
+            np.multiply(w.reshape(self.slots, self.n, 1)[:, rows], caches, out=prod)
+            # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for
+            # add.reduce over at most 8 rows (zero pads change nothing)
+            first, *rest = *range(1, self.slots), 0
+            for s in rest:
+                prod[first] += prod[s]
+            total = prod[first]
+            if active is None:
+                self._sum = total = total.copy()
         z = self.z[rows] * diag[:, None]
         z += total
         if active is None:
