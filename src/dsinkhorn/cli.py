@@ -107,7 +107,6 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
         print(f"warning: comms.delta={cfg.comms.delta:g} is at most half the quantizer step "
               f"(delta_q={cfg.comms.delta_q:g}): it sends exactly what delta=0 sends", file=sys.stderr)
     instance = cfgmod.build_instance(cfg)
-    topology = cfgmod.build_topology_from_spec(cfg.network)
     oracle = experiments.centralized_oracle(instance)
 
     # The always-on (delta=0) twin of the first seed, for trace.csv, is one
@@ -117,8 +116,8 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     if cfg.comms.delta > 0:
         lanes.append((replace(cfg.comms, delta=0.0), cfg.seeds[0]))
     twin = len(lanes) - 1 if cfg.comms.delta > 0 else 0
-    results = experiments.run_lanes(instance, topology, lanes, cfg.channel, cfg.activation, oracle=oracle,
-                                    collect_residuals={0, twin})
+    results = experiments.run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
+                                    oracle=oracle, collect_residuals={0, twin})
     failed = [r for r in results if isinstance(r, Exception)]
     if failed:
         raise failed[0]
@@ -187,8 +186,7 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg)
     instance = cfgmod.build_instance(cfg)
-    topology = cfgmod.build_topology_from_spec(cfg.network)
-    report = experiments.verify_theory(instance, cfg.comms, topology)
+    report = experiments.verify_theory(instance, cfg.comms, cfg.network.topology)
     experiments.write_json(os.path.join(outdir, "verify.json"), report.to_dict())
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)

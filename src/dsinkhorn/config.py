@@ -76,6 +76,9 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A graph family and its parameters; the graph, built on construction,
+    is kept as ``topology``, a plain attribute and not a field."""
+
     topology_kind: str = "grid2d"
     params: dict = field(default_factory=lambda: {"rows": 4, "cols": 4})
 
@@ -84,13 +87,10 @@ class NetworkSpec:
             raise ValueError("params: must be a mapping")
         object.__setattr__(self, "params", dict(self.params))
         try:
-            build_topology_from_spec(self)
+            topology = netsim.build_topology(self.topology_kind, **self.params)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"params: {exc}") from exc
-
-    @property
-    def num_nodes(self) -> int:
-        return build_topology_from_spec(self).num_nodes
+        object.__setattr__(self, "topology", topology)
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,10 @@ _SPELLED = {"comms.delta": (math.inf, ".inf"), "comms.bits": (None, "unquantized
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 exponent floats such as ``1e-6``
-    or ``1.0e6``, which YAML 1.1 leaves as strings (JSON writes them)."""
+    """SafeLoader that reads YAML 1.2 exponent floats such as ``1e-6`` (JSON
+    writes them; YAML 1.1 leaves them as strings). As in YAML 1.2, a date
+    such as ``2020-01-01`` is a string, and a binary or set value (no field
+    takes one) is an error, so that every loaded tree passes through JSON."""
 
 
 _Loader.add_implicit_resolver(
@@ -141,16 +143,19 @@ _Loader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
     list("-+0123456789."),
 )
+_Loader.add_constructor("tag:yaml.org,2002:timestamp", yaml.SafeLoader.construct_yaml_str)
+_Loader.add_constructor("tag:yaml.org,2002:binary", yaml.SafeLoader.construct_undefined)
+_Loader.add_constructor("tag:yaml.org,2002:set", yaml.SafeLoader.construct_undefined)
 
 
 def load_config_file(path: str) -> dict:
     """Read a YAML (or JSON; YAML is a superset here) key-tree."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_Loader)
+            data = json.loads(json.dumps(yaml.load(fh, Loader=_Loader)))  # keys as JSON spells them
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: not UTF-8, or an alias inside itself
         raise ConfigError(f"config: {path!r} is not valid YAML/JSON: {exc}") from exc
     if data is None:
         data = {}
@@ -170,8 +175,8 @@ def apply_overrides(data: dict, overrides) -> dict:
         if not all(keys):
             raise ConfigError(f"override {ov!r}: empty path component")
         try:
-            value = yaml.load(raw, Loader=_Loader)
-        except yaml.YAMLError as exc:
+            value = json.loads(json.dumps(yaml.load(raw, Loader=_Loader)))
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"override {ov!r}: bad value: {exc}") from exc
         node = out
         for k in keys[:-1]:
@@ -271,9 +276,9 @@ def build_instance(cfg: RunConfig) -> otcore.ProblemInstance:
             cost = otcore.CostMatrix(entries)
         except (OSError, EOFError, ValueError) as exc:
             raise ConfigError(f"problem.cost_path: {exc}") from exc
-    hists = mixture_histograms(p.d, cfg.network.num_nodes, p.density_seed)
+    hists = mixture_histograms(p.d, cfg.network.topology.num_nodes, p.density_seed)
     return otcore.ProblemInstance(cost=cost, epsilon=p.epsilon, ridge=p.ridge, histograms=tuple(hists))
 
 
 def build_topology_from_spec(network: NetworkSpec) -> netsim.Topology:
-    return netsim.build_topology(network.topology_kind, **network.params)
+    return network.topology

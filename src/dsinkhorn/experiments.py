@@ -205,7 +205,8 @@ class SweepSpec:
     numeric and ascending, and each must pass the checks its config field
     gets in a config file; d values must also divide the largest one. For
     ``bits``, ``None`` or ``"unquantized"`` (stored as ``None``) means
-    float64 payloads and sorts first.
+    float64 payloads and sorts first. The spec keeps the ``RunConfig`` of
+    each value, which the check builds, as ``configs`` (a plain attribute).
     """
 
     variable: str
@@ -226,19 +227,17 @@ class SweepSpec:
         keys = [(-1 if v is None else v) for v in values]
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise cfgmod.ConfigError("sweep.values: must be sorted ascending")
+        configs = []
         for v in values:
             try:
-                config_for_value(self.base, self.variable, v)
+                configs.append(config_for_value(self.base, self.variable, v))
             except cfgmod.ConfigError as exc:
                 raise cfgmod.ConfigError(f"sweep.values: {v!r}: {exc}") from exc
         if self.variable == "d" and any(values[-1] % v for v in values):
             # every d is scored against the largest-d reference, binned down
             raise cfgmod.ConfigError(f"sweep.values: every d must divide the largest, {values[-1]}")
         object.__setattr__(self, "values", values)
-
-    @property
-    def seeds(self):
-        return self.base.seeds
+        object.__setattr__(self, "configs", tuple(configs))
 
 
 def config_for_value(base: cfgmod.RunConfig, variable: str, value) -> cfgmod.RunConfig:
@@ -308,25 +307,23 @@ def _t975(df: int) -> float:
 
 
 def _sweep_point(task):
-    """Run all seeds at one sweep value as one batch; returns (samples per
-    statistic, failures). Errors are measured against ``oracle`` when one
-    is given, else against one centralized solve at this value."""
-    spec, value, oracle = task
-    *_, statistics = SWEEPS[spec.variable]
+    """Run all seeds of one sweep point's ``cfg`` as one batch; returns
+    (samples per statistic, failures). Errors are measured against ``oracle``
+    when one is given, else against one centralized solve at this value."""
+    variable, value, cfg, oracle = task
+    *_, statistics = SWEEPS[variable]
     samples = {stat: [] for stat in statistics}
     try:
-        cfg = config_for_value(spec.base, spec.variable, value)
         instance = cfgmod.build_instance(cfg)
-        topology = cfgmod.build_topology_from_spec(cfg.network)
         if "error" in statistics and oracle is None:
             oracle = centralized_oracle(instance)
-        lanes = [(cfg.comms, seed) for seed in spec.seeds]
-        results = run_lanes(instance, topology, lanes, cfg.channel, cfg.activation, oracle=oracle,
-                            compute_error="error" in statistics, collect_residuals=False)
+        lanes = [(cfg.comms, seed) for seed in cfg.seeds]
+        results = run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
+                            oracle=oracle, compute_error="error" in statistics, collect_residuals=False)
     except Exception as exc:  # noqa: BLE001 - value-level failures become rows too
-        return samples, [{"value": value, "seed": seed, "error": str(exc)} for seed in spec.seeds]
+        return samples, [{"value": value, "seed": seed, "error": str(exc)} for seed in cfg.seeds]
     failures = []
-    for seed, result in zip(spec.seeds, results):
+    for seed, result in zip(cfg.seeds, results):
         if isinstance(result, Exception):  # failures become table rows
             failures.append({"value": value, "seed": seed, "error": str(result)})
             continue
@@ -356,16 +353,14 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     _, table, label, statistics = SWEEPS[spec.variable]
     oracles = [None] * len(spec.values)
     if spec.variable == "d":
-        fine = centralized_oracle(
-            cfgmod.build_instance(config_for_value(spec.base, "d", spec.values[-1]))
-        )
+        fine = centralized_oracle(cfgmod.build_instance(spec.configs[-1]))
         oracles = [downsample_reference(fine, v) for v in spec.values]
-    tasks = [(spec, v, oracle) for v, oracle in zip(spec.values, oracles)]
+    tasks = [(spec.variable, v, cfg, oracle) for v, cfg, oracle in zip(spec.values, spec.configs, oracles)]
     if jobs > 1:
         # the largest points (nodes x d; every point runs all seeds) go
         # first, so that no long one starts last; rows keep value order
-        cfgs = [config_for_value(spec.base, spec.variable, v) for v in spec.values]
-        order = sorted(range(len(tasks)), key=lambda i: -cfgs[i].network.num_nodes * cfgs[i].problem.d)
+        size = [cfg.network.topology.num_nodes * cfg.problem.d for cfg in spec.configs]
+        order = sorted(range(len(tasks)), key=lambda i: -size[i])
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             done = dict(zip(order, pool.map(_sweep_point, [tasks[i] for i in order])))
         results = [done[i] for i in range(len(tasks))]

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from dsinkhorn import config as cfgmod
-from dsinkhorn import experiments
+from dsinkhorn import experiments, netsim
 from dsinkhorn.cli import main
 from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.experiments import CheckResult, VerificationReport
@@ -374,6 +374,18 @@ class TestSweep:
         assert rc == 1
         assert "sweep.step: unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, message", [
+        ("{1: 2, foo: 3, variable: N, values: [4]}", "sweep.1: unknown field"),
+        ("{variable: N, values: [2020-01-01]}", "sweep.values: '2020-01-01' is not a number"),
+    ])
+    def test_sweep_section_keys_and_dates(self, tmp_path, capsys, section, message):
+        cfg = _write_cfg(tmp_path, _base_tree())
+        with open(cfg, "a") as fh:
+            fh.write(f"sweep: {section}\n")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_variable(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, self._sweep_tree("gamma", [1]))
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -412,14 +424,15 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("variable, values, table", [
-        ("delta", [1e-3, 1e-2, 5e-2], "sweep.csv"),
-        ("N", [4, 9, 16], "scaling.csv"),
+    @pytest.mark.parametrize("variable, values, table, network", [
+        ("delta", [1e-3, 1e-2, 5e-2], "sweep.csv", ("grid2d", {"rows": 2, "cols": 2})),
+        ("N", [4, 9, 16], "scaling.csv", ("grid2d", {"rows": 2, "cols": 2})),
+        ("N", [5, 8, 12], "scaling.csv", ("random_geometric", {"n": 5, "radius": 0.6, "seed": 3})),
     ])
-    def test_jobs_do_not_change_tables(self, tmp_path, variable, values, table):
+    def test_jobs_do_not_change_tables(self, tmp_path, variable, values, table, network):
         tree = self._sweep_tree(variable, values)
         tree["problem"]["d"] = 8
-        tree["network"] = {"topology_kind": "grid2d", "params": {"rows": 2, "cols": 2}}
+        tree["network"] = {"topology_kind": network[0], "params": network[1]}
         tree["comms"]["outer_iter_cap"] = 4
         cfg = _write_cfg(tmp_path, tree)
         tables = []
@@ -509,6 +522,60 @@ class TestConfigErrors:
         rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: problem.cost_path: ")
+
+
+class TestYamlDates:
+    @pytest.mark.parametrize("command", ["centralized", "run", "sweep", "verify"])
+    def test_date_seed_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seeds: [2020-01-01]\nsweep: {variable: delta, values: [0.001]}\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seeds: must be a nonempty list of integers\n"
+
+    def test_date_output_dir_is_a_string(self, tmp_path, monkeypatch):
+        tree = _base_tree()
+        tree["comms"]["outer_iter_cap"] = 2
+        cfg = _write_cfg(tmp_path, tree)
+        with open(cfg, "a") as fh:
+            fh.write("output_dir: 2020-01-01\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["centralized", "--config", cfg]) in (0, 2)
+        resolved = json.loads((tmp_path / "2020-01-01" / "config_resolved.json").read_text())
+        assert resolved["output_dir"] == "2020-01-01"
+
+
+class TestBuildsOnce:
+    """A command builds its graph once, and a sweep each point's config once,
+    with the point's graph; the counts wrap the two builders."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"build_topology": 0, "config_for_value": 0}
+        for module, name in ((netsim, "build_topology"), (experiments, "config_for_value")):
+            def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_run_and_verify_build_the_graph_once(self, tmp_path, calls, command):
+        tree = _base_tree()
+        tree["comms"].update(bits=16, inner_step_cap=20, outer_iter_cap=3)
+        rc = main([command, "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "o")])
+        assert rc in (0, 2, 4)
+        assert calls == {"build_topology": 1, "config_for_value": 0}
+
+    def test_sweep_builds_each_point_once(self, tmp_path, calls):
+        tree = _base_tree()
+        tree["problem"]["d"] = 8
+        tree["network"] = {"topology_kind": "grid2d", "params": {"rows": 2, "cols": 2}}
+        tree["comms"]["outer_iter_cap"] = 2
+        tree["sweep"] = {"variable": "N", "values": [4, 9, 16]}
+        rc = main(["sweep", "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "o"), "--jobs", "1"])
+        assert rc == 0
+        assert calls == {"build_topology": 1 + 3, "config_for_value": 3}
 
 
 class TestModuleInvocation:

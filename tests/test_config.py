@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -119,13 +120,97 @@ class TestApplyOverrides:
             apply_overrides({}, ["comms..delta=1"])
 
 
+class TestLoadedValues:
+    """Every value the loader returns, explicit tags included, passes its
+    field's check or fails it with a ConfigError; none ends in a traceback."""
+
+    @staticmethod
+    def _cases(value):
+        """(file text, overrides) that put ``value`` at every field, at every
+        section, and at the graph parameters of two kinds."""
+        for s in fields(RunConfig):
+            yield f"{s.name}: {value}", [f"{s.name}={value}"]
+            for f in fields(s.default_factory) if is_dataclass(s.default_factory) else ():
+                yield f"{s.name}: {{{f.name}: {value}}}", [f"{s.name}.{f.name}={value}"]
+        yield f"network: {{params: {{rows: {value}, cols: 2}}}}", [f"network.params.rows={value}",
+                                                                  "network.params.cols=2"]
+        for key, other in (("n", "radius: 0.9"), ("radius", "n: 4")):
+            yield (f"network: {{topology_kind: random_geometric, params: {{{key}: {value}, {other}}}}}",
+                   ["network.topology_kind=random_geometric", f"network.params.{key}={value}",
+                    "network.params." + other.replace(": ", "=")])
+
+    @pytest.mark.parametrize("value", [
+        "2020-01-01", "!!timestamp 2020-01-01 10:00:00", "!!binary aGVsbG8=", "!!set {a: null}",
+        "!!omap [a: 1]", "!!pairs [a: 1, a: 2]", "{1: 2, foo: 3}", "{? !!binary aGk= : 1}",
+        "!!float 8", "!!str 8",
+    ])
+    def test_no_traceback_at_any_field(self, tmp_path, value):
+        p = tmp_path / "cfg.yaml"
+        for text, overrides in self._cases(value):
+            p.write_text(text + "\n")
+            for read in (lambda: apply_overrides(load_config_file(str(p)), []),
+                         lambda: apply_overrides({}, overrides)):
+                try:
+                    run_config_from_dict(read())
+                except ConfigError:
+                    pass
+
+    def test_dates_read_as_strings(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("output_dir: 2020-01-01\nactivation: {mode: !!timestamp 2020-01-01}\n")
+        data = load_config_file(str(p))
+        assert data == {"output_dir": "2020-01-01", "activation": {"mode": "2020-01-01"}}
+        assert run_config_from_dict({"output_dir": data["output_dir"]}).output_dir == "2020-01-01"
+        assert apply_overrides({}, ["output_dir=2020-01-01"]) == {"output_dir": "2020-01-01"}
+        p.write_text("seeds: [2020-01-01]\n")
+        with pytest.raises(ConfigError, match=r"^seeds: must be a nonempty list of integers$"):
+            run_config_from_dict(apply_overrides(load_config_file(str(p)), []))
+
+    @pytest.mark.parametrize("text, message", [
+        ("problem: {1: 2, foo: 3}", "problem.1: unknown field"),
+        ("problem: {true: 2}", "problem.true: unknown field"),
+        ("problem: {1.5: 2}", "problem.1.5: unknown field"),
+    ])
+    def test_keys_are_spelled_as_json_writes_them(self, tmp_path, text, message):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text + "\n")
+        for tree in (apply_overrides(load_config_file(str(p)), []),
+                     apply_overrides({}, [text.replace(": ", "=", 1)])):
+            with pytest.raises(ConfigError) as exc:
+                run_config_from_dict(tree)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, reason", [
+        ("output_dir: !!binary aGk=", "could not determine a constructor for the tag 'tag:yaml.org,2002:binary'"),
+        ("seeds: !!set {1: null}", "could not determine a constructor for the tag 'tag:yaml.org,2002:set'"),
+        ("problem: {? !!binary aGk= : 2}", "could not determine a constructor"),
+        ("seeds: &x [1, *x]", "Circular reference detected"),
+    ])
+    def test_values_no_field_takes_are_yaml_errors(self, tmp_path, text, reason):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=r"^config: '.*' is not valid YAML/JSON: ") as exc:
+            load_config_file(str(p))
+        assert reason in str(exc.value)
+        override = text.replace(": ", "=", 1)
+        with pytest.raises(ConfigError, match=r"^override .*: bad value: ") as exc:
+            apply_overrides({}, [override])
+        assert reason in str(exc.value)
+
+    def test_a_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_bytes(b"problem: {d: 8}\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match=r"^config: '.*' is not valid YAML/JSON: 'utf-8' codec"):
+            load_config_file(str(p))
+
+
 class TestRunConfigValidation:
     def test_empty_tree_gives_defaults(self):
         cfg = run_config_from_dict({})
         assert cfg.problem.d == 64
         assert cfg.problem.epsilon == 0.1
         assert cfg.network.topology_kind == "grid2d"
-        assert cfg.network.num_nodes == 16
+        assert cfg.network.topology.num_nodes == 16
         assert cfg.comms.bits == 16
         assert cfg.channel.drop_prob == 0.0
         assert cfg.activation.mode == "synchronous"
@@ -283,7 +368,7 @@ class TestRunConfigValidation:
         network = NetworkSpec("ring", MappingProxyType(params))
         assert type(network.params) is dict and network.params == params
         params["n"] = 2  # the spec holds its own copy
-        assert network.num_nodes == 5
+        assert network.topology.num_nodes == 5
         cfg = RunConfig(seeds=[np.int64(3), 4])
         assert cfg.seeds == (3, 4) and [type(s) for s in cfg.seeds] == [int, int]
 
@@ -300,8 +385,8 @@ class TestRunConfigValidation:
         cfg = run_config_from_dict(
             {"network": {"topology_kind": "ring", "params": {"n": 7}}}
         )
-        assert cfg.network.num_nodes == 7
-        assert build_topology_from_spec(cfg.network).num_nodes == 7
+        assert cfg.network.topology.num_nodes == 7
+        assert build_topology_from_spec(cfg.network) is cfg.network.topology
 
     def test_seeds_tuple_accepted(self):
         assert run_config_from_dict({"seeds": (3, 4)}).seeds == (3, 4)

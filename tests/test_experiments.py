@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.special import stdtrit
 
 from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments as xp
-from dsinkhorn import otcore
+from dsinkhorn import netsim, otcore
 from dsinkhorn.config import ConfigError, run_config_from_dict
 from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.netsim import build_topology, metropolis_weights
@@ -304,7 +305,9 @@ class TestSweepSpec:
     def test_valid(self):
         spec = xp.SweepSpec("delta", (1e-4, 1e-3), _small_cfg())
         assert spec.values == (1e-4, 1e-3)
-        assert spec.seeds == (0, 1)
+        # the spec keeps the config of each point, built by its check
+        assert [(c.comms.delta, c.seeds) for c in spec.configs] == [(1e-4, (0, 1)), (1e-3, (0, 1))]
+        assert spec.configs[0] == xp.config_for_value(spec.base, "delta", 1e-4)
 
     def test_unknown_variable(self):
         with pytest.raises(ConfigError, match="sweep.variable"):
@@ -349,7 +352,7 @@ class TestConfigForValue:
     def test_grid_n(self):
         cfg = xp.config_for_value(_small_cfg(), "N", 9)
         assert cfg.network.params == {"rows": 3, "cols": 3}
-        assert cfg.network.num_nodes == 9
+        assert cfg.network.topology.num_nodes == 9
 
     def test_grid_n_rejects_non_square(self):
         with pytest.raises(ConfigError, match="not a perfect square"):
@@ -516,8 +519,12 @@ class TestScalingSweep:
 
     def test_pool_has_no_more_workers_than_points_and_runs_the_largest_first(self, monkeypatch):
         # an in-process stand-in for the pool: it records its size and the
-        # order the points were handed over, and runs them in that order
-        pools = []
+        # order the points were handed over, and runs them in that order,
+        # each from a pickled copy as a worker gets it, counting the graphs
+        # built while they run
+        pools, builds = [], []
+        build = netsim.build_topology
+        monkeypatch.setattr(netsim, "build_topology", lambda *a, **k: builds.append(a) or build(*a, **k))
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -532,8 +539,11 @@ class TestScalingSweep:
 
             def map(self, fn, tasks):
                 tasks = list(tasks)
-                self.values = [value for _, value, _ in tasks]
-                return [fn(t) for t in tasks]
+                self.values = [value for _, value, _, _ in tasks]
+                start = len(builds)
+                results = [fn(pickle.loads(pickle.dumps(t))) for t in tasks]
+                self.built = len(builds) - start
+                return results
 
         monkeypatch.setattr(xp, "ProcessPoolExecutor", RecordingPool)
         base = _small_cfg(**{"problem.d": 8, "comms.inner_step_cap": 5, "comms.outer_iter_cap": 2,
@@ -548,6 +558,7 @@ class TestScalingSweep:
         spec = xp.SweepSpec("d", (4, 8), _small_cfg(**{"comms.outer_iter_cap": 2, "seeds": [0]}))
         xp.run_sweep(spec, jobs=2)
         assert [(p.max_workers, p.values) for p in pools[1:]] == [(2, [8, 4])]
+        assert [p.built for p in pools] == [0, 0]
 
 
 class TestSupportSweep:
