@@ -547,7 +547,8 @@ class TestYamlDates:
 
 class TestBuildsOnce:
     """A command builds its graph once, and a sweep each point's config once,
-    with the point's graph; the counts wrap the two builders."""
+    with the point's graph; counted by wrapping ``netsim.build_topology`` and
+    ``experiments.config_for_value``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
