@@ -213,10 +213,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         raise AssertionError(f"unhandled command {args.command}")
-    except cfgmod.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (protocol.ClipRangeError, otcore.KernelUnderflowError,
+    except (cfgmod.ConfigError, protocol.ClipRangeError, otcore.KernelUnderflowError,
             otcore.DegenerateStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

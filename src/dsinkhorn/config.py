@@ -188,6 +188,14 @@ def apply_overrides(data: dict, overrides) -> dict:
     return out
 
 
+def _unspell(key: str, kind, raw):
+    """What ``raw`` spells in a config file's field ``key`` of type ``kind``:
+    inf for an inf string in a float field, None for ``comms.bits: unquantized``."""
+    if isinstance(raw, str) and kind is float and raw.strip().lstrip(".").lower() in ("inf", "infinity"):
+        return math.inf
+    return None if key == "comms.bits" and raw == "unquantized" else raw
+
+
 def _read(cls, tree: dict, path: str = ""):
     """``cls`` built from ``tree``: the fields the tree sets, in their file
     spellings, go to ``cls``, which checks them (a section is read the same
@@ -200,11 +208,8 @@ def _read(cls, tree: dict, path: str = ""):
     for f in fields(cls):
         if f.name not in tree:
             continue
-        key, raw = f"{path}.{f.name}" if path else f.name, tree[f.name]
-        if isinstance(raw, str) and f.type is float and raw.strip().lstrip(".").lower() in ("inf", "infinity"):
-            raw = math.inf  # the file spellings: an inf string in a float field, and bits: unquantized
-        elif key == "comms.bits" and raw == "unquantized":
-            raw = None
+        key = f"{path}.{f.name}" if path else f.name
+        raw = _unspell(key, f.type, tree[f.name])
         if is_dataclass(f.default_factory):
             raw = {} if raw is None else raw
             if not isinstance(raw, dict):

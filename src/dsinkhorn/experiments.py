@@ -85,31 +85,25 @@ def centralized_oracle(instance) -> np.ndarray:
 
 
 def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracle=None,
-              compute_error: bool = True, collect_residuals=True) -> list:
+              collect_residuals=True) -> list:
     """Every ``(comms, seed)`` lane as one engine batch, plus its metrics.
 
     Returns one ``(RunMetrics, RunRecord)`` per lane, in order, or the
-    ``ClipRangeError``/``DegenerateStateError`` that ended the lane.
-    ``oracle`` may carry a precomputed reference mass vector to avoid
-    recomputing it inside sweeps; with ``compute_error=False`` the error
-    fields are NaN and no reference is solved at all. ``collect_residuals``
-    picks the records that keep per-round residual traces (True, False, or
-    indices into ``lanes``); ``RunMetrics.per_outer_iter`` never holds them.
+    ``ClipRangeError``/``DegenerateStateError`` that ended the lane. Errors
+    are measured against ``oracle``, a reference mass vector such as
+    :func:`centralized_oracle` returns, and are NaN (``l1_error_per_node``
+    None) without one. ``collect_residuals`` picks the records that keep
+    per-round residual traces (True, False, or indices into ``lanes``);
+    ``RunMetrics.per_outer_iter`` never holds them.
     """
     records = engine.simulate_lanes(instance, topology, lanes, channel, activation, collect_residuals)
-    if compute_error and oracle is None:
-        oracle = centralized_oracle(instance)
     degrees = topology.degrees()
     results, bias = [], {}
     for (comms, seed), record in zip(lanes, records):
         if isinstance(record, Exception):
             results.append(record)
             continue
-        if compute_error:
-            errors = np.abs(record.barycenters - np.asarray(oracle)[None, :]).sum(axis=1)
-            err_max, err_mean = float(errors.max()), float(errors.mean())
-        else:
-            errors, err_max, err_mean = None, math.nan, math.nan
+        errors = None if oracle is None else np.abs(record.barycenters - np.asarray(oracle)).sum(axis=1)
         if comms not in bias:  # the bias bound depends on the comms alone
             bias[comms] = otcore.theory_constants(instance, comms).steady_state_bias_bound
         link_messages = record.broadcasts_per_agent * degrees
@@ -119,7 +113,9 @@ def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracl
             rounds_total=record.rounds_total,
             per_outer_iter=[{k: v for k, v in p.items() if k != "consensus_residual_trace"}
                             for p in record.per_outer],
-            l1_error_per_node=errors, l1_error_max=err_max, l1_error_mean=err_mean,
+            l1_error_per_node=errors,
+            l1_error_max=math.nan if errors is None else float(errors.max()),
+            l1_error_mean=math.nan if errors is None else float(errors.mean()),
             broadcasts_per_agent=record.broadcasts_per_agent.copy(),
             variation_per_agent=record.variation_per_agent.copy(),
             messages_per_agent=link_messages, messages_total=int(link_messages.sum()),
@@ -133,12 +129,12 @@ def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracl
 
 
 def run_decentralized(instance, topology, comms, channel=None, activation=None, seed: int = 0, *,
-                      oracle=None, compute_error: bool = True, collect_residuals: bool = True):
+                      oracle=None, collect_residuals: bool = True):
     """One full decentralized run plus its metrics, ``(RunMetrics,
     RunRecord)``: the one-lane :func:`run_lanes`, raising the error that
     ended a failed run."""
     (result,) = run_lanes(instance, topology, [(comms, seed)], channel, activation, oracle=oracle,
-                          compute_error=compute_error, collect_residuals=collect_residuals)
+                          collect_residuals=collect_residuals)
     if isinstance(result, Exception):
         raise result
     return result
@@ -175,24 +171,18 @@ def overlap_rows(oracle, barycenters) -> list:
     ]
 
 
-# Swept variable -> (config field it overrides, table file, label column,
-# statistics). Each statistic becomes a <stat>_mean and a <stat>_ci column
-# over the seeds, taken from the RunMetrics field in STATISTICS. Runtime
-# gets no _ci: the seeds of a point run as one batch whose time is shared
-# out by rounds, so their runtimes carry no seed-to-seed spread.
+# Swept variable -> (config section that owns the field, table file, label
+# column, statistics); the field is the variable's namesake, but N sets the
+# network's params. Each statistic becomes a <stat>_mean and a <stat>_ci
+# column over the seeds, taken from the RunMetrics field in STATISTICS.
+# Runtime gets no _ci: the seeds of a point run as one batch whose time is
+# shared out by rounds, so their runtimes carry no seed-to-seed spread.
 SWEEPS = {
-    "N": ("network.params.n", "scaling.csv", "N", ("messages", "runtime")),
-    "d": ("problem.d", "support.csv", "d", ("error",)),
-    **{
-        variable: (path, "sweep.csv", "value", ("error", "messages", "runtime"))
-        for variable, path in (
-            ("delta", "comms.delta"),
-            ("bits", "comms.bits"),
-            ("tau_inner", "comms.tau_inner"),
-            ("epsilon", "problem.epsilon"),
-            ("drop_prob", "channel.drop_prob"),
-        )
-    },
+    "N": ("network", "scaling.csv", "N", ("messages", "runtime")),
+    "d": ("problem", "support.csv", "d", ("error",)),
+    **{variable: (section, "sweep.csv", "value", ("error", "messages", "runtime"))
+       for variable, section in (("delta", "comms"), ("bits", "comms"), ("tau_inner", "comms"),
+                                 ("epsilon", "problem"), ("drop_prob", "channel"))},
 }
 STATISTICS = {"error": "l1_error_max", "messages": "messages_total", "runtime": "wall_clock_seconds"}
 
@@ -241,23 +231,27 @@ class SweepSpec:
 
 
 def config_for_value(base: cfgmod.RunConfig, variable: str, value) -> cfgmod.RunConfig:
-    """Derive the config at one sweep point: the swept field is set in the
-    base key-tree, which is then validated like a config file. On a grid2d
-    network, N must be a perfect square and sets rows = cols = sqrt(N)."""
+    """The config at one sweep point: ``dataclasses.replace`` on the section
+    that owns the swept field, which checks the value as in a config file;
+    the other sections are the base's own objects, graph included. On a
+    grid2d network, N must be a perfect square and sets rows = cols = sqrt(N)."""
     if variable not in SWEEPS:
         raise cfgmod.ConfigError(f"sweep.variable: unsupported variable {variable!r}")
-    tree = base.resolved_dict()
-    *sections, key = SWEEPS[variable][0].split(".")
-    node = tree
-    for name in sections:
-        node = node[name]
-    node[key] = value
-    if variable == "N" and base.network.topology_kind == "grid2d":
-        side = math.isqrt(value) if isinstance(value, int) and value > 0 else 0
+    section = SWEEPS[variable][0]
+    part, name = getattr(base, section), "params" if variable == "N" else variable
+    if variable == "N" and part.topology_kind == "grid2d":
+        side = math.isqrt(value) if netsim._is_int(value) and value > 0 else 0
         if side * side != value:
             raise cfgmod.ConfigError(f"network.params: N={value!r} is not a perfect square for grid2d")
-        tree["network"]["params"] = {"rows": side, "cols": side}
-    return cfgmod.run_config_from_dict(tree)
+        value = {"rows": side, "cols": side}
+    elif variable == "N":
+        value = {**part.params, "n": value}
+    kind = next(f.type for f in dataclasses.fields(part) if f.name == name)
+    try:
+        part = replace(part, **{name: cfgmod._unspell(f"{section}.{name}", kind, value)})
+        return replace(base, **{section: part})
+    except ValueError as exc:
+        raise cfgmod.ConfigError(f"{section}.{exc}") from exc
 
 
 def _mean_ci(samples) -> tuple:
@@ -315,11 +309,11 @@ def _sweep_point(task):
     samples = {stat: [] for stat in statistics}
     try:
         instance = cfgmod.build_instance(cfg)
-        if "error" in statistics and oracle is None:
+        if "error" in statistics and oracle is None:  # epsilon: each value its own problem
             oracle = centralized_oracle(instance)
         lanes = [(cfg.comms, seed) for seed in cfg.seeds]
         results = run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
-                            oracle=oracle, compute_error="error" in statistics, collect_residuals=False)
+                            oracle=oracle, collect_residuals=False)
     except Exception as exc:  # noqa: BLE001 - value-level failures become rows too
         return samples, [{"value": value, "seed": seed, "error": str(exc)} for seed in cfg.seeds]
     failures = []
@@ -345,16 +339,19 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     """Run every seed at every swept value; returns ``(table_name,
     fieldnames, rows, failures)`` with one row per value.
 
-    Scaling (N) tables solve no oracle. A support (d) sweep measures every
-    value against one reference: the centralized barycenter at the largest
-    d, downsampled by bin aggregation onto each coarser grid. Every other
-    variable solves one oracle per value.
+    A reference that several values share is solved once, here (a failed
+    solve raises): a support (d) sweep scores every value against the
+    centralized barycenter at the largest d, binned down onto each coarser
+    grid, and a comms or channel sweep against the base's barycenter. N
+    sweeps solve none, and an epsilon sweep one per value, in its task.
     """
-    _, table, label, statistics = SWEEPS[spec.variable]
+    section, table, label, statistics = SWEEPS[spec.variable]
     oracles = [None] * len(spec.values)
     if spec.variable == "d":
         fine = centralized_oracle(cfgmod.build_instance(spec.configs[-1]))
         oracles = [downsample_reference(fine, v) for v in spec.values]
+    elif section in ("comms", "channel"):  # every value poses the base's problem
+        oracles = [centralized_oracle(cfgmod.build_instance(spec.base))] * len(spec.values)
     tasks = [(spec.variable, v, cfg, oracle) for v, cfg, oracle in zip(spec.values, spec.configs, oracles)]
     if jobs > 1:
         # the largest points (nodes x d; every point runs all seeds) go

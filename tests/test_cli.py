@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from dsinkhorn import config as cfgmod
-from dsinkhorn import experiments, netsim
+from dsinkhorn import experiments, netsim, otcore
 from dsinkhorn.cli import main
 from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.experiments import CheckResult, VerificationReport
@@ -147,7 +147,7 @@ class TestRun:
         for seed in resolved.seeds:
             try:
                 experiments.run_decentralized(instance, topology, resolved.comms, resolved.channel,
-                                              resolved.activation, seed=seed, compute_error=False)
+                                              resolved.activation, seed=seed)
             except ValueError as exc:
                 errors.append(str(exc))
         assert len(errors) == len(resolved.seeds) and len(set(errors)) == len(errors)
@@ -211,8 +211,10 @@ class TestRun:
         resolved = cfgmod.run_config_from_dict(tree)
         instance = cfgmod.build_instance(resolved)
         topology = cfgmod.build_topology_from_spec(resolved.network)
+        oracle = experiments.centralized_oracle(instance)
         alone = [experiments.run_decentralized(instance, topology, resolved.comms, resolved.channel,
-                                               resolved.activation, seed=seed)[0] for seed in tree["seeds"]]
+                                               resolved.activation, seed=seed, oracle=oracle)[0]
+                 for seed in tree["seeds"]]
         experiments.write_json(str(tmp_path / "alone.json"), alone)
 
         def timeless(runs):
@@ -350,6 +352,21 @@ class TestSweep:
         assert rc == 0
         rows = _read_csv(out / "support.csv")
         assert [r["d"] for r in rows] == ["8", "16"]
+
+    @pytest.mark.parametrize("variable, values", [
+        ("delta", [1e-3, 1e-2]), ("bits", [8, 16]), ("tau_inner", [1e-5, 1e-4]), ("drop_prob", [0.0, 0.1]),
+        ("d", [8, 16]),
+    ])
+    def test_unsolvable_shared_reference_exits_one(self, tmp_path, capsys, variable, values):
+        # every value shares the base's reference (d: the largest d's), which
+        # is solved once, before any run: its failure is the command's
+        tree = self._sweep_tree(variable, values)
+        tree["problem"]["epsilon"] = 1e-9  # exp(-C/epsilon) underflows
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", _write_cfg(tmp_path, tree), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: exp(-C/epsilon) underflowed")
+        assert not (out / "failures.json").exists()
 
     def test_failed_runs_exit_three(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, self._sweep_tree("epsilon", [1e-9]))
@@ -546,14 +563,17 @@ class TestYamlDates:
 
 
 class TestBuildsOnce:
-    """A command builds its graph once, and a sweep each point's config once,
-    with the point's graph; counted by wrapping ``netsim.build_topology`` and
-    ``experiments.config_for_value``."""
+    """A command builds its graph once, a sweep each point's config once, and
+    each reference barycenter is solved once; counted by wrapping
+    ``netsim.build_topology``, ``experiments.config_for_value`` and
+    ``otcore.centralized_barycenter``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"build_topology": 0, "config_for_value": 0}
-        for module, name in ((netsim, "build_topology"), (experiments, "config_for_value")):
+        wrapped = ((netsim, "build_topology"), (experiments, "config_for_value"),
+                   (otcore, "centralized_barycenter"))
+        calls = dict.fromkeys([name for _, name in wrapped], 0)
+        for module, name in wrapped:
             def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _build(*args, **kwargs)
@@ -566,17 +586,23 @@ class TestBuildsOnce:
         tree["comms"].update(bits=16, inner_step_cap=20, outer_iter_cap=3)
         rc = main([command, "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "o")])
         assert rc in (0, 2, 4)
-        assert calls == {"build_topology": 1, "config_for_value": 0}
+        assert calls == {"build_topology": 1, "config_for_value": 0, "centralized_barycenter": 1}
 
-    def test_sweep_builds_each_point_once(self, tmp_path, calls):
+    @pytest.mark.parametrize("variable, values, builds, solves", [
+        ("N", [4, 9, 16], 1 + 3, 0),  # each N is a graph of its own, and no error is scored
+        ("delta", [1e-4, 1e-3, 1e-2], 1, 1),  # every point shares the base's graph and problem
+        ("d", [4, 8], 1, 1),  # one fine reference, binned down onto each d
+        ("epsilon", [0.4, 0.5, 0.6], 1, 3),  # every epsilon poses its own problem
+    ])
+    def test_sweep_builds_each_point_once(self, tmp_path, calls, variable, values, builds, solves):
         tree = _base_tree()
         tree["problem"]["d"] = 8
         tree["network"] = {"topology_kind": "grid2d", "params": {"rows": 2, "cols": 2}}
         tree["comms"]["outer_iter_cap"] = 2
-        tree["sweep"] = {"variable": "N", "values": [4, 9, 16]}
+        tree["sweep"] = {"variable": variable, "values": values}
         rc = main(["sweep", "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert rc == 0
-        assert calls == {"build_topology": 1 + 3, "config_for_value": 3}
+        assert calls == {"build_topology": builds, "config_for_value": len(values), "centralized_barycenter": solves}
 
 
 class TestModuleInvocation:

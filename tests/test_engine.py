@@ -352,7 +352,7 @@ class TestEngineMatchesReference:
         instance = _instance(d=16, n=topology.num_nodes)
         metrics, _ = run_decentralized(
             instance, topology, regime["comms"], channel=regime["channel"],
-            activation=regime["activation"], seed=5, compute_error=False,
+            activation=regime["activation"], seed=5,
         )
         ref = reference_run(
             instance, topology, regime["comms"],
@@ -967,7 +967,7 @@ class TestLaneFailures:
         instance, topology, comms, channel, activation = _crafted_failures()
         held = _one_lane(instance, topology, comms, channel, activation, seed=1)
         with pytest.raises(protocol.ClipRangeError, match=r"^node \d at outer iteration \d") as raised:
-            run_decentralized(instance, topology, comms, channel, activation, seed=1, compute_error=False)
+            run_decentralized(instance, topology, comms, channel, activation, seed=1)
         assert str(raised.value) == str(held)
 
 

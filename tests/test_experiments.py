@@ -64,31 +64,23 @@ class TestRunMetrics:
         topology = build_topology("complete", n=4)
         comms = CommsConfig(delta=0.0, bits=None, tau_inner=1e-8, tau_outer=1e-8,
                             inner_step_cap=100, outer_iter_cap=100)
-        metrics, _ = xp.run_decentralized(instance, topology, comms, seed=0)
+        metrics, _ = xp.run_decentralized(instance, topology, comms, seed=0,
+                                          oracle=xp.centralized_oracle(instance))
         assert metrics.l1_error_per_node is not None
         assert metrics.l1_error_per_node.shape == (4,)
         assert 0.0 <= metrics.l1_error_mean <= metrics.l1_error_max
         assert metrics.l1_error_max < 1e-4
 
-    def test_no_error_when_disabled(self):
+    def test_no_error_without_oracle(self, monkeypatch):
+        # without an oracle the error fields are NaN, and no reference is solved
+        monkeypatch.setattr(otcore, "centralized_barycenter", None)
         instance = _small_instance()
         topology = build_topology("complete", n=4)
         comms = CommsConfig(inner_step_cap=10, outer_iter_cap=5)
-        metrics, _ = xp.run_decentralized(
-            instance, topology, comms, seed=0, compute_error=False
-        )
+        metrics, _ = xp.run_decentralized(instance, topology, comms, seed=0)
         assert metrics.l1_error_per_node is None
         assert math.isnan(metrics.l1_error_max)
         assert math.isnan(metrics.l1_error_mean)
-
-    def test_precomputed_oracle_matches_internal(self):
-        instance = _small_instance()
-        topology = build_topology("complete", n=4)
-        comms = CommsConfig(inner_step_cap=20, outer_iter_cap=10)
-        oracle = xp.centralized_oracle(instance)
-        a, _ = xp.run_decentralized(instance, topology, comms, seed=0, oracle=oracle)
-        b, _ = xp.run_decentralized(instance, topology, comms, seed=0)
-        assert a.l1_error_max == b.l1_error_max
 
     def test_one_bias_bound_per_distinct_comms(self, monkeypatch):
         instance = _small_instance()
@@ -97,24 +89,24 @@ class TestRunMetrics:
         lanes = [(comms, s) for s in range(4)] + [(replace(comms, delta=0.0), 0)]
         real, calls = otcore.theory_constants, []
         monkeypatch.setattr(otcore, "theory_constants", lambda *args: calls.append(args) or real(*args))
-        results = xp.run_lanes(instance, topology, lanes, compute_error=False)
+        results = xp.run_lanes(instance, topology, lanes)
         assert [c for _, c in calls] == [comms, replace(comms, delta=0.0)]
         for (lane_comms, _), (metrics, _) in zip(lanes, results):
             assert metrics.bias_bound == real(instance, lane_comms).steady_state_bias_bound
 
-    @pytest.mark.parametrize("compute_error", [True, False])
-    def test_metrics_are_json_ready(self, compute_error):
+    @pytest.mark.parametrize("with_oracle", [True, False])
+    def test_metrics_are_json_ready(self, with_oracle):
         instance = _small_instance()
         topology = build_topology("complete", n=4)
         metrics, _ = xp.run_decentralized(
             instance, topology, CommsConfig(inner_step_cap=10, outer_iter_cap=5), seed=0,
-            compute_error=compute_error,
+            oracle=xp.centralized_oracle(instance) if with_oracle else None,
         )
         tree = json.loads(json.dumps(xp._json_safe(metrics)))
         assert list(tree) == [f.name for f in dataclasses.fields(xp.RunMetrics)]
         assert tree["seed"] == 0
         assert tree["broadcasts_per_agent"] == metrics.broadcasts_per_agent.tolist()
-        if compute_error:
+        if with_oracle:
             assert tree["l1_error_per_node"] == metrics.l1_error_per_node.tolist()
         else:
             assert tree["l1_error_per_node"] is None
@@ -348,6 +340,13 @@ class TestSweepSpec:
             xp.SweepSpec("N", (4.5, 9), base)
 
 
+_NETWORKS = {
+    "grid2d": {"topology_kind": "grid2d", "params": {"rows": 2, "cols": 2}},
+    "ring": {"topology_kind": "ring", "params": {"n": 4}},
+    "random_geometric": {"topology_kind": "random_geometric", "params": {"n": 6, "radius": 0.6, "seed": 3}},
+}
+
+
 class TestConfigForValue:
     def test_grid_n(self):
         cfg = xp.config_for_value(_small_cfg(), "N", 9)
@@ -385,6 +384,75 @@ class TestConfigForValue:
         assert cfg.problem == base.problem
         assert cfg.network == base.network
         assert cfg.comms.tau_inner == base.comms.tau_inner
+
+    @pytest.mark.parametrize("variable, value", [
+        ("d", 8), ("epsilon", 0.7), ("delta", 5e-3), ("tau_inner", 1e-5), ("bits", 8), ("drop_prob", 0.2),
+    ])
+    def test_other_sections_are_the_base_objects(self, variable, value):
+        # a point replaces the one section that owns its field; the network,
+        # graph included, is built once, with the base
+        base = _small_cfg()
+        cfg = xp.config_for_value(base, variable, value)
+        for section in ("problem", "network", "comms", "channel", "activation"):
+            kept = getattr(cfg, section) is getattr(base, section)
+            assert kept == (section != xp.SWEEPS[variable][0]), section
+
+    @pytest.mark.parametrize("network", _NETWORKS.values(), ids=list(_NETWORKS))
+    def test_bool_n_is_rejected(self, network):
+        base = _small_cfg(**{"network": network})
+        with pytest.raises(ConfigError, match=r"^network\.params: "):
+            xp.config_for_value(base, "N", True)
+
+
+def _through_key_tree(base, variable, value):
+    """The sweep point the way a config file would state it: the swept field
+    set in the base's key-tree, which is then read like a config file."""
+    tree = base.resolved_dict()
+    section = xp.SWEEPS[variable][0]
+    if variable != "N":
+        tree[section][variable] = value
+    elif base.network.topology_kind != "grid2d":
+        tree["network"]["params"]["n"] = value
+    else:
+        side = math.isqrt(value) if isinstance(value, int) and value > 0 else 0
+        if side * side != value:
+            raise ConfigError(f"network.params: N={value!r} is not a perfect square for grid2d")
+        tree["network"]["params"] = {"rows": side, "cols": side}
+    return run_config_from_dict(tree)
+
+
+# valid, out of range, fractional, unquantized, strings (file spellings
+# among them), inf and NaN, for every variable alike
+_POINT_VALUES = (0, 1, 2, 4, 9, 16, 40, -1, 33, 1e-3, 0.5, 0.999, 1.0, 2.5, 8.0, -0.1, None, "unquantized",
+                 ".inf", "inf", "abc", "8", math.inf, -math.inf, math.nan, True, False)
+
+
+class TestReplaceMatchesKeyTree:
+    """config_for_value replaces one section field; reading the base's
+    key-tree with that field set gives the same config or the same error."""
+
+    @pytest.mark.parametrize("network", list(_NETWORKS))
+    @pytest.mark.parametrize("variable", list(xp.SWEEPS))
+    def test_same_config_or_same_error(self, network, variable):
+        base = _small_cfg(**{"network": _NETWORKS[network]})
+        differ = []
+        for value in _POINT_VALUES:
+            outcome = []
+            for derive in (xp.config_for_value, _through_key_tree):
+                try:
+                    cfg = derive(base, variable, value)
+                    outcome.append((cfg, cfg.network.topology.edges))
+                except ConfigError as exc:
+                    outcome.append(str(exc))
+            if outcome[0] != outcome[1]:
+                differ.append((value, *outcome))
+        if (network, variable) == ("grid2d", "N"):
+            # the one difference: a bool is no N (the key-tree path took True for 1)
+            ((value, replaced, read),) = differ
+            assert value is True and replaced.startswith("network.params: ")
+            assert read[0].network.params == {"rows": 1, "cols": 1}
+        else:
+            assert differ == []
 
 
 class TestParameterSweep:
@@ -426,11 +494,12 @@ class TestParameterSweep:
         cfg = xp.config_for_value(base, "drop_prob", 0.9)
         instance = cfgmod.build_instance(cfg)
         topology = cfgmod.build_topology_from_spec(cfg.network)
+        oracle = xp.centralized_oracle(instance)
         alone = {}
         for seed in base.seeds:
             try:
                 alone[seed], _ = xp.run_decentralized(
-                    instance, topology, cfg.comms, cfg.channel, cfg.activation, seed=seed)
+                    instance, topology, cfg.comms, cfg.channel, cfg.activation, seed=seed, oracle=oracle)
             except ValueError as exc:
                 alone[seed] = str(exc)
         assert failures == [{"value": 0.9, "seed": s, "error": e}
@@ -467,16 +536,20 @@ class TestParameterSweep:
             b = {k: v for k, v in b.items() if not k.startswith("runtime")}
             assert a == b
 
-    def test_one_oracle_per_value(self, monkeypatch):
+    @pytest.mark.parametrize("variable, values, solves", [
+        ("delta", (1e-3, 1e-2, 5e-2), 1),  # every value poses the base's problem
+        ("epsilon", (0.4, 0.5, 0.6), 3),  # every value poses its own
+    ])
+    def test_one_oracle_per_problem(self, monkeypatch, variable, values, solves):
         calls = []
         solve = otcore.centralized_barycenter
         monkeypatch.setattr(otcore, "centralized_barycenter",
                             lambda *a, **k: calls.append(1) or solve(*a, **k))
         base = _small_cfg(**{"comms.outer_iter_cap": 3, "seeds": [0, 1, 2]})
-        _, _, rows, failures = xp.run_sweep(xp.SweepSpec("delta", (1e-3, 1e-2, 5e-2), base))
+        _, _, rows, failures = xp.run_sweep(xp.SweepSpec(variable, values, base))
         assert failures == []
         assert all(np.isfinite(r["error_mean"]) for r in rows)
-        assert len(calls) == 3
+        assert len(calls) == solves
 
 
 class TestScalingSweep:
