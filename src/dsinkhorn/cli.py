@@ -75,6 +75,12 @@ def _write_resolved(outdir: str, cfg: cfgmod.RunConfig, extra: dict | None = Non
     experiments.write_json(os.path.join(outdir, "config_resolved.json"), resolved)
 
 
+def _warn_inert(comms: protocol.CommsConfig) -> None:
+    if comms.inert_delta:
+        print(f"warning: comms.delta={comms.delta:g} is at most half the quantizer step "
+              f"(delta_q={comms.delta_q:g}): it sends exactly what delta=0 sends", file=sys.stderr)
+
+
 def cmd_centralized(cfg: cfgmod.RunConfig) -> int:
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg)
@@ -103,9 +109,7 @@ def cmd_centralized(cfg: cfgmod.RunConfig) -> int:
 def cmd_run(cfg: cfgmod.RunConfig) -> int:
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg)
-    if cfg.comms.inert_delta:
-        print(f"warning: comms.delta={cfg.comms.delta:g} is at most half the quantizer step "
-              f"(delta_q={cfg.comms.delta_q:g}): it sends exactly what delta=0 sends", file=sys.stderr)
+    _warn_inert(cfg.comms)
     instance = cfgmod.build_instance(cfg)
     oracle = experiments.centralized_oracle(instance)
 
@@ -171,6 +175,8 @@ def cmd_sweep(cfg: cfgmod.RunConfig, sweep_sec, jobs: int) -> int:
     spec = experiments.SweepSpec(variable=variable, values=tuple(values), base=cfg)
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg, extra={"sweep": {"variable": variable, "values": list(values)}})
+    for point in spec.configs:
+        _warn_inert(point.comms)
     name, fields, rows, failures = experiments.run_sweep(spec, jobs)
     experiments.write_csv(os.path.join(outdir, name), fields, map(dict.values, rows))
     if failures:

@@ -31,16 +31,16 @@ no random numbers and leaves nothing in flight. After such a round sends
 nothing in any lane, the loop takes the rounds that follow as one block
 (``NetworkEngine.step_block``): while nothing is sent the caches stay
 frozen and z follows one monotone map, so one set of stacked checks at
-the block's two ends shows that no round in it sends, stops a lane on the
-gap test or leaves a lane's z unchanged. Blocks double while they hold and
-never pass a lane's inner cap. When a round sends nothing from a lane and
-leaves its z bit-for-bit unchanged, every later round of the outer
-iteration would repeat it, so it counts once for each round left up to the
-inner cap, and its copies go into the round log and, for a traced lane,
-the residual trace. A lane's ``rounds_total`` is the sum of its
-``inner_steps_used``. Random channels take every round alone and never
-skip. Neither a block nor a skip changes a record: it is bit-identical to
-the record of the same rounds run one at a time.
+the block's two ends shows that no round in it sends or stops a lane on
+the gap test. Blocks double while they hold and never pass a lane's inner
+cap. A block ends with the first round that leaves some lane's z
+bit-for-bit unchanged: that lane is at a fixed point, every later round of
+the outer iteration would repeat the round, so it counts once for each
+round left up to the inner cap, and its copies go into the round log and,
+for a traced lane, the residual trace; a round run alone never skips. A
+lane's ``rounds_total`` is the sum of its ``inner_steps_used``. Neither a
+block nor a skip changes a record: it is bit-identical to the record of
+the same rounds run one at a time.
 """
 
 import copy
@@ -90,12 +90,12 @@ class NetworkEngine:
     packets wait in ``store[send round % depth, sender]``, and
     ``arrival[slot, edge]`` is the round they land; each round every edge
     takes its freshest packet due in one gather. Lanes may differ only in
-    seed and delta. After a deterministic round in which some lane sent
-    nothing, ``idle`` flags per lane a round that sent nothing and left z
-    bit-for-bit unchanged; otherwise it is None. ``quiet`` is True after a
-    deterministic round that sent nothing in any lane, or after a block
-    that ran its full length: ``step_block`` may then take the next rounds
-    as one block and leave the z each of them reaches in ``block``.
+    seed and delta. ``idle`` is None, or flags per lane whether the last
+    round of a block left z bit-for-bit unchanged; a round run alone sets
+    it to None. ``quiet`` is True after a deterministic round that sent
+    nothing in any lane, or after a block that ran its full length:
+    ``step_block`` may then take the next rounds as one block and leave
+    the z each of them reaches in ``block``.
     """
 
     def __init__(self, topology, lanes, channel=None, activation=None):
@@ -106,7 +106,7 @@ class NetworkEngine:
         self.channel = channel or netsim.ChannelModel()
         self.activation = activation or netsim.ActivationModel()
         self.size, self.edges = topology.num_nodes, topology.directed_edges()
-        w_sync = netsim.metropolis_weights(topology).w if self.size > 1 else np.ones((1, 1))
+        w_sync = netsim.metropolis_weights(topology).w
         self.w_edges, self.w_diag = w_sync[self.edges[:, 0], self.edges[:, 1]], np.diag(w_sync)
         # each edge's rank among its receiver's in-edges picks its slot
         self.rank = np.arange(len(self.edges)) - np.searchsorted(self.edges[:, 0], self.edges[:, 0])
@@ -140,7 +140,6 @@ class NetworkEngine:
         ``z0`` stacks the lanes' (N, d) states."""
         cm, d = self.comms, z0.shape[1]
         self.z = z0.astype(np.float64)
-        self.idle = None
         self.ref = protocol.quantize(protocol.clip_log(self.z, cm.s_min, cm.s_max), cm)
         self.anchor = self.ref.copy()
         self.ce = np.zeros((self.slots * self.n, d))
@@ -161,7 +160,7 @@ class NetworkEngine:
         # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell and node
         self._lane_gap, self._witness = np.full(self.lanes, -np.inf), None
         self._block = [None, None, None]
-        self.quiet, self._stack, self.block = False, None, None
+        self.quiet, self.idle, self._stack, self.block = False, None, None, None
 
     def retire(self, done: np.ndarray) -> None:
         """Remove the lanes flagged in ``done`` from the union."""
@@ -279,25 +278,14 @@ class NetworkEngine:
                 self.ce_time[upd] = due
                 self.ce[self.cell[upd]] = landed
                 self._sum = None
-        z_before = self.z
         self._gossip(active)
-
-        # A deterministic round that sent nothing and left z bit-for-bit
-        # unchanged leaves the lane's whole state as it found it (anchor
-        # aside, which only adds |z - anchor| = 0 to variation from now on),
-        # so every later round would repeat this one.
-        self.idle = None
-        self.quiet = self.deterministic and not len(fired)
-        if self.deterministic and len(fired) <= self.n - self.size:
-            still = self.z.view(np.int64) == z_before.view(np.int64)
-            self.idle = still.reshape(self.lanes, -1).all(axis=1)
-            self.idle[fired // self.size] = False
+        self.idle, self.quiet = None, self.deterministic and not len(fired)
 
     def step_block(self, rounds: int) -> int:
         """Up to ``rounds`` deterministic rounds of every lane as one block
-        of rounds that send nothing, stop no lane and leave every lane's z
-        moving; returns how many it took, 0 when it cannot certify the
-        next round. ``block`` then holds z after each of them.
+        of rounds that send nothing and stop no lane; returns how many it
+        took, 0 when it cannot certify the next round. ``block`` then holds
+        z after each of them.
 
         With nothing sent the caches and their sum stay frozen, so each
         coordinate follows fl(fl(a*x) + b) with a > 0, a non-decreasing
@@ -308,8 +296,10 @@ class NetworkEngine:
         rounds evaluate first and last. A gap-test stop is ruled out when
         a coordinate of the lane's witness edge stays at least tau_inner
         on one side of its cache at both ends. Each check holds for a
-        block when it holds for a longer one; a lane at a fixed point
-        ends the block before that round, which is then an idle round.
+        block when it holds for a longer one. A block ends with the first
+        round that leaves some lane's z bit-for-bit unchanged, and ``idle``
+        flags those lanes: every later round would repeat that one (anchor
+        aside, which adds |z - anchor| = 0 to the variation).
         """
         cm = self.comms
         if not (rounds > 0 and self.deterministic and self._sum is not None and self._witness is not None):
@@ -327,11 +317,10 @@ class NetworkEngine:
         for k in range(1, rounds + 1):
             np.multiply(stack[k], diag, out=stack[k + 1])
             stack[k + 1] += self._sum
-        bits, full = stack.view(np.int64), rounds
+        bits, full, moved = stack.view(np.int64), rounds, None
         if (bits[rounds + 1] == bits[rounds]).reshape(self.lanes, -1).all(axis=1).any():
-            # the first round that leaves some lane's z unchanged is not in the block
-            moved = (bits[2 : rounds + 2] != bits[1 : rounds + 1]).reshape(rounds, self.lanes, -1)
-            rounds = int(np.argmin(moved.any(axis=2).all(axis=1)))
+            moved = (bits[2 : rounds + 2] != bits[1 : rounds + 1]).reshape(rounds, self.lanes, -1).any(axis=2)
+            rounds = int(np.argmin(moved.all(axis=1))) + 1
         cells, nodes = self._witness
         caches, tau = self.ce.take(cells, 0), cm.tau_inner
         first = stack[2].take(nodes, 0) - caches  # the witness gaps after round 1
@@ -365,7 +354,7 @@ class NetworkEngine:
         self.anchor, self.z = stack[taken].copy(), stack[taken + 1].copy()
         self._lane_gap = np.maximum.reduce(np.abs(self.z.take(nodes, 0) - caches), axis=1)
         self.send_counter += taken
-        self.idle, self.block = None, stack[2 : taken + 2]
+        self.idle, self.block = None if moved is None else ~moved[taken - 1], stack[2 : taken + 2]
         return taken
 
     def _silent(self, z: np.ndarray) -> tuple:
@@ -411,7 +400,7 @@ class NetworkEngine:
         z = self.z[rows] * diag[:, None]
         z += total
         if active is None:
-            self.z = z  # a new array, so that an idle test can compare it with the old z
+            self.z = z
         else:
             self.z[rows] = z
         if self._witness is not None:

@@ -12,6 +12,11 @@ import pytest
 from dsinkhorn import otcore
 
 
+def pytest_addoption(parser):
+    parser.addoption("--differential-configs", type=int, default=40, metavar="N",
+                     help="generated configs the engine's differential check runs (test_engine.py)")
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

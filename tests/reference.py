@@ -261,7 +261,7 @@ def gossip_step(state: AgentState, weights_row: np.ndarray) -> None:
 
     Raises if a positive-weight neighbor has no cached packet.
     """
-    z_new = weights_row[state.agent_id] * state.z
+    terms = []  # w_ik * payload, by sender k
     for k, w in enumerate(weights_row):
         if k == state.agent_id or w == 0.0:
             continue
@@ -270,7 +270,16 @@ def gossip_step(state: AgentState, weights_row: np.ndarray) -> None:
             raise RuntimeError(
                 f"agent {state.agent_id}: no cached packet from positive-weight neighbor {k}"
             )
-        z_new = z_new + w * pkt.payload
+        terms.append(w * pkt.payload)
+    # the order of NetworkEngine._gossip: the neighbour terms as
+    # (k1 + k2 + ...) + k0, then w_ii z plus that sum
+    z_new = weights_row[state.agent_id] * state.z
+    if terms:
+        ordered = terms[1:] + terms[:1]  # k1, k2, ..., k0
+        total = ordered[0]
+        for term in ordered[1:]:
+            total = total + term
+        z_new = z_new + total
     state.z = z_new
 
 

@@ -330,6 +330,24 @@ class TestSweep:
         resolved = json.loads((out / "config_resolved.json").read_text())
         assert resolved["sweep"] == {"variable": "delta", "values": [1e-3, 1e-2]}
 
+    def test_an_inert_delta_sweep_warns_for_each_value(self, tmp_path, capsys):
+        # at 12 bits both deltas are at most delta_q/2 (3.7e-3), so both
+        # rows hold the delta=0 run, and each value warns as ``run`` does
+        tree = dict(self._sweep_tree("delta", [1e-4, 1e-3]), seeds=[0])
+        tree["comms"].update(bits=12, outer_iter_cap=5)
+        assert main(["sweep", "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "sweep")]) == 0
+        warnings = capsys.readouterr().err
+        rows = [{k: v for k, v in r.items() if k != "value" and not k.startswith("runtime")}
+                for r in _read_csv(tmp_path / "sweep" / "sweep.csv")]
+        assert len(rows) == 2 and rows[0] == rows[1]
+        run_warnings = ""
+        for delta in (1e-4, 1e-3):
+            run = {k: v for k, v in tree.items() if k != "sweep"}
+            run["comms"] = dict(tree["comms"], delta=delta)
+            assert main(["run", "--config", _write_cfg(tmp_path, run), "--out", str(tmp_path / "run")]) in (0, 2)
+            run_warnings += capsys.readouterr().err
+        assert warnings == run_warnings and warnings.count("warning: comms.delta=") == 2
+
     def test_n_sweep_writes_scaling_table(self, tmp_path):
         tree = self._sweep_tree("N", [4, 9])
         tree["problem"]["d"] = 8
@@ -365,7 +383,10 @@ class TestSweep:
         out = tmp_path / "out"
         rc = main(["sweep", "--config", _write_cfg(tmp_path, tree), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: exp(-C/epsilon) underflowed")
+        # an inert value (delta=1e-3 at 8 bits) warns first, as in ``run``
+        *warnings, error = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: exp(-C/epsilon) underflowed")
+        assert len(warnings) == (variable == "bits") and all(w.startswith("warning: comms.delta=") for w in warnings)
         assert not (out / "failures.json").exists()
 
     def test_failed_runs_exit_three(self, tmp_path, capsys):

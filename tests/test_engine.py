@@ -5,6 +5,8 @@ as it would alone."""
 
 import copy
 import dataclasses
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -253,6 +255,15 @@ REGIMES = [
     ),
 ]
 IDLING = ("sync-fixed-point-12bit", "sync-fixed-point-unquantized")
+# The final values engine and reference agree on bit for bit, by regime;
+# the reference sums the gossip in the engine's order. Every other final
+# value, and every round's z and residual, differs by a few ulps at most,
+# from a source not yet found.
+BIT_EXACT = {
+    "clean-sync-8bit": ("log_v", "variation"),
+    **dict.fromkeys(("lossy-delayed-sync", "lossy-pairwise-12bit", "padded-grid-subset", "sync-fixed-point-12bit",
+                     "sync-drops-undelayed", "delayed-pairwise"), ("log_v",)),
+}
 
 
 def _is_deterministic(regime) -> bool:
@@ -302,8 +313,12 @@ class TestEngineMatchesReference:
         assert record.rounds_total == ref["rounds_total"]
         assert [p["inner_steps_used"] for p in record.per_outer] == ref["inner_steps"]
         assert np.array_equal(record.broadcasts_per_agent, ref["messages"])
-        assert_allclose(record.log_v, ref["log_v"], atol=1e-12)
-        assert_allclose(record.variation_per_agent, ref["variation"], atol=1e-12)
+        exact = next(BIT_EXACT.get(p.id, ()) for p in REGIMES if p.values[0] is regime)
+        for name, value in (("log_v", record.log_v), ("variation", record.variation_per_agent)):
+            if name in exact:
+                assert _bitwise(value) == _bitwise(ref[name]), name
+            else:  # the source of the difference is still unknown
+                assert_allclose(value, ref[name], atol=1e-12)
 
     @pytest.mark.parametrize("regime_id", ["clean-subset", "path-ends", "geometric-sparse-subset"])
     def test_regimes_stop_on_the_gap_test(self, regime_id):
@@ -327,7 +342,7 @@ class TestEngineMatchesReference:
         assert [p["inner_steps_used"] for p in record.per_outer] == ref["inner_steps"]
         assert len(record.round_log_v) == len(ref["round_z"]) == record.rounds_total
         for z, z_ref in zip(record.round_log_v, ref["round_z"]):
-            assert_allclose(z, z_ref, atol=1e-12)
+            assert_allclose(z, z_ref, atol=1e-12)  # the source of the difference is still unknown
         traces = [r for p in record.per_outer for r in p["consensus_residual_trace"]]
         assert_allclose(traces, [consensus_residual(z) for z in ref["round_z"]], atol=1e-12)
 
@@ -464,10 +479,11 @@ class TestSingleNode:
 
 
 class TestIdleFlag:
-    """``NetworkEngine.idle`` after a round: per lane, True only when a
-    deterministic round sent nothing and left z bit-for-bit unchanged;
-    ``quiet``: True when a deterministic round sent nothing in any lane,
-    so that a block may follow (``TestBlocks``)."""
+    """``NetworkEngine.idle``: None after a round run alone; after a block
+    that ends at a fixed point, per lane, True only when the block's last
+    round left z bit-for-bit unchanged. ``quiet``: True when a
+    deterministic round sent nothing in any lane, so that a block may
+    follow (``TestBlocks``)."""
 
     @staticmethod
     def _engine(channel=None, activation=None):
@@ -476,22 +492,26 @@ class TestIdleFlag:
         eng.bootstrap(np.zeros((4, 3)))  # consensus at 0: the gossip maps it to itself exactly
         return eng
 
-    def test_a_lane_that_sent_is_not_idle(self):
+    def test_a_round_alone_flags_no_lane(self):
+        # lane 0 stays at its fixed point in both rounds, lane 1 sends in
+        # the first: neither round run alone flags a lane
         eng = self._engine()
         eng.ref[2] = 1.0  # lane 1's node 0 last sent 1.0: it fires and sends 0.0
         eng.step_round()
         assert not eng.z.any() and eng.messages.tolist() == [1, 1, 2, 1]
-        assert eng.idle.tolist() == [True, False] and not eng.quiet
+        assert eng.idle is None and not eng.quiet
         eng.step_round()
-        assert eng.idle.tolist() == [True, True] and eng.quiet
-        assert eng.step_block(8) == 0  # the next round would be idle
+        assert not eng.z.any() and eng.idle is None and eng.quiet
 
-    def test_a_lane_whose_z_moved_is_not_idle(self):
-        eng = self._engine()
-        eng.z[1] = 1e-4  # within delta, so nothing is sent, but the gossip moves it
-        eng.step_round()
-        assert eng.messages.tolist() == [1] * 4
-        assert eng.idle.tolist() == [False, True] and eng.quiet
+    def test_a_block_flags_the_lanes_at_a_fixed_point(self):
+        # lane 1 starts further from its point than lane 0, so the block's
+        # last round leaves lane 0 unchanged and still moves lane 1
+        comms = CommsConfig(delta=np.inf, bits=None, tau_inner=1e-300)
+        caches = [[0.1], [0.0], [1.0], [0.9], [10.0], [0.0], [100.0], [90.0]]
+        eng = _crafted(comms, [[0.0], [0.0], [0.0]] * 2, caches, lanes=2, topology=build_topology("path", n=3))
+        quiet = _quiet_rounds(eng)
+        taken, _ = _block_against_rounds(eng, 128)
+        assert taken == quiet + 1 and eng.idle.tolist() == [True, False]
 
     @pytest.mark.parametrize("channel, activation", [
         (ChannelModel(drop_prob=0.1), None),
@@ -534,27 +554,31 @@ class TestConsensusTrace:
         assert residuals[1] <= 1e-13
         assert_allclose(z_final, np.tile(z0.mean(axis=0), (5, 1)), atol=1e-12)
 
-    def test_engine_matches_scheduler_on_pure_gossip(self):
-        topology = build_topology("grid2d", rows=2, cols=3)
-        comms = CommsConfig(delta=1e-3, bits=12, s_min=-30.0, s_max=30.0)
-        channel = ChannelModel(drop_prob=0.2, max_staleness=1)
-        rng = np.random.default_rng(7)
-        z0 = rng.normal(size=(6, 2))
-        residuals, z_final = consensus_trace(
-            topology, comms, z0, steps=25, channel=channel, seed=9
-        )
-        agents = [
-            AgentState(agent_id=i, u=np.ones(2), s=np.zeros(2), z=z0[i].copy())
-            for i in range(6)
-        ]
-        sched = RoundScheduler(topology, comms, channel=channel, seed=9)
+    @pytest.mark.parametrize("topology, comms, channel, activation", [
+        (("grid2d", {"rows": 2, "cols": 3}), CommsConfig(delta=1e-3, bits=12, s_min=-30.0, s_max=30.0),
+         ChannelModel(drop_prob=0.2, max_staleness=1), None),
+        # in-degree 4 at the centre: the order of the neighbour sum shows
+        (("grid2d", {"rows": 3, "cols": 3}), CommsConfig(delta=0.0, bits=None), None, None),
+    ], ids=["grid-2x3-lossy", "grid-3x3-sync"])
+    def test_engine_matches_scheduler_on_pure_gossip(self, topology, comms, channel, activation):
+        # under synchronous weights and without local scaling the engine and
+        # the reference agree bit for bit in every round, the neighbour
+        # sum's order included
+        kind, params = topology
+        topology = build_topology(kind, **params)
+        n = topology.num_nodes
+        z0 = np.random.default_rng(7).normal(size=(n, 2))
+        residuals, z_final = consensus_trace(topology, comms, z0, steps=25, channel=channel,
+                                             activation=activation, seed=9)
+        agents = [AgentState(agent_id=i, u=np.ones(2), s=np.zeros(2), z=z0[i].copy()) for i in range(n)]
+        sched = RoundScheduler(topology, comms, channel=channel, activation=activation, seed=9)
         sched.bootstrap(agents)
+        ref = [consensus_residual(z0)]
         for r in range(1, 26):
             sched.schedule_round(agents, r, 0, r)
-        assert_allclose(z_final, np.stack([a.z for a in agents]), atol=1e-13)
-        assert residuals[-1] == pytest.approx(
-            consensus_residual(np.stack([a.z for a in agents])), abs=1e-12
-        )
+            ref.append(consensus_residual(np.stack([a.z for a in agents])))
+        assert _bitwise(z_final) == _bitwise(np.stack([a.z for a in agents]))
+        assert _bitwise(residuals) == _bitwise(np.array(ref))
 
 
 class TestRepeatRule:
@@ -1046,23 +1070,41 @@ def _crafted(comms, z, caches, lanes=1, topology=None):
     return eng
 
 
+def _still(eng, z):
+    """Per lane: whether ``eng.z`` is ``z`` bit for bit."""
+    return (eng.z.view(np.int64) == z.view(np.int64)).reshape(eng.lanes, -1).all(axis=1)
+
+
 def _block_against_rounds(eng, rounds):
     """Take one block of at most ``rounds`` and, on a copy, as many single
-    rounds; each of those must send nothing, stop no lane and leave every
-    lane moving, and the two must end in the same state bit for bit.
-    Returns the rounds taken and the copy."""
+    rounds; each of those must send nothing and stop no lane, all but the
+    last must leave every lane moving, the block must flag as idle the
+    lanes the last leaves unchanged, and the two must end in the same
+    state bit for bit. Returns the rounds taken and the copy."""
     single = copy.deepcopy(eng)
     taken = eng.step_block(rounds)
     for k in range(taken):
-        messages = single.messages.copy()
+        messages, z = single.messages.copy(), single.z.copy()
         single.step_round()
         assert np.array_equal(single.messages, messages)
         assert not single.all_inner_converged().any()
-        assert single.idle is None or not single.idle.any()
+        still = _still(single, z)
+        assert k == taken - 1 or not still.any()
         assert _bitwise(eng.block[k]) == _bitwise(single.z), f"round {k + 1}"
+    if taken:
+        flagged = np.zeros(eng.lanes, dtype=bool) if eng.idle is None else eng.idle
+        assert flagged.tolist() == still.tolist()
     for name in ("z", "anchor", "ref", "ce", "messages", "variation", "clip_active", "send_counter"):
         assert _bitwise(getattr(eng, name)) == _bitwise(getattr(single, name)), name
     return taken, single
+
+
+def _lane_rounds(batch, results):
+    """The lane-rounds a batch counts: the rounds_total of each lane it
+    runs, once for all the requests that share the lane."""
+    lanes = {(dataclasses.replace(c, delta=0.0) if c.inert_delta else c, seed): r
+             for (c, seed), r in zip(batch, results)}
+    return sum(r.rounds_total for r in lanes.values())
 
 
 def _quiet_rounds(eng, limit=200):
@@ -1070,10 +1112,9 @@ def _quiet_rounds(eng, limit=200):
     or leaves a lane's z unchanged."""
     eng = copy.deepcopy(eng)
     for k in range(limit):
-        messages = eng.messages.copy()
+        messages, z = eng.messages.copy(), eng.z.copy()
         eng.step_round()
-        if (eng.messages != messages).any() or eng.all_inner_converged().any() or (
-                eng.idle is not None and eng.idle.any()):
+        if (eng.messages != messages).any() or eng.all_inner_converged().any() or _still(eng, z).any():
             return k
     return limit
 
@@ -1098,17 +1139,14 @@ class TestBlocks:
         # the batch, and each lane alone: in some regimes only a lane alone
         # ever has a round in which no lane sends
         runs = [lanes] + [[lane] for lane in dict.fromkeys(lanes)]
-        with_blocks, run = [], []
-        for batch in runs:
-            calls.clear()
-            with_blocks.append(simulate_lanes(instance, topology, batch, collect_round_log_v=True))
-            run.append(len(calls))
+        with_blocks = [simulate_lanes(instance, topology, batch, collect_round_log_v=True) for batch in runs]
         assert blocks[0] > 0
         monkeypatch.setattr(NetworkEngine, "step_block", lambda eng, rounds: 0)  # every round alone
-        for batch, results, rounds in zip(runs, with_blocks, run):
+        for batch, results in zip(runs, with_blocks):
             calls.clear()
             alone = simulate_lanes(instance, topology, batch, collect_round_log_v=True)
-            assert len(calls) == rounds  # the same rounds run, one by one
+            # a round run alone never skips: every counted round runs
+            assert sum(calls) == _lane_rounds(batch, alone)
             assert [_bits(r) for r in results] == [_bits(r) for r in alone]
 
     @pytest.mark.parametrize("channel, activation", [
@@ -1228,17 +1266,125 @@ class TestBlocks:
             assert (single.messages > messages).tolist() == [False, False, True, False]
         assert 0 == quiet[1] < quiet[0] < 8
 
-    def test_a_block_ends_before_a_fixed_point(self):
+    def test_a_block_ends_at_a_fixed_point(self):
         # on a 3-node path each z closes in on a point and stops moving
-        # there; the round that leaves the lane unchanged is idle. The
-        # middle node, pulled to 0.5 by caches 0 and 1, is the witness edge
-        # that keeps the gap test from stopping the lane.
+        # there; the block takes the round that leaves the lane unchanged
+        # and flags the lane idle. The middle node, pulled to 0.5 by caches
+        # 0 and 1, is the witness edge that keeps the gap test from
+        # stopping the lane.
         comms = CommsConfig(delta=np.inf, bits=None, tau_inner=1e-300)
         eng = _crafted(comms, [[0.0], [0.0], [0.0]], [[0.1], [0.0], [1.0], [0.9]],
                        topology=build_topology("path", n=3))
         quiet = _quiet_rounds(eng)
         assert 40 < quiet < 128
-        taken, single = _block_against_rounds(eng, 128)
-        assert taken == quiet and not eng.quiet
-        single.step_round()
-        assert single.idle.tolist() == [True]
+        taken, _ = _block_against_rounds(eng, 128)
+        assert taken == quiet + 1 and not eng.quiet
+        assert eng.idle.tolist() == [True]
+
+
+def pytest_generate_tests(metafunc):
+    if "differential_index" in metafunc.fixturenames:
+        metafunc.parametrize("differential_index", range(metafunc.config.getoption("differential_configs")))
+
+
+def _differential_config(index):
+    """Config ``index`` of a seeded stream of small deterministic runs:
+    instance, topology and requests. Every topology family with N in
+    [2, 9], d in [2, 16], every width from unquantized to 16 bits, a
+    default, tight or wide clip range, inner caps 1-60 (mostly 40-60, so
+    that lanes reach fixed points), outer caps 1-6, and 1-4 requests
+    whose deltas mix 0, inert, past delta_q/2 and inf, with repeats."""
+    rng = np.random.default_rng([2026, index])
+    kind = ("ring", "path", "grid2d", "complete", "random_geometric")[index % 5]
+    n = int(rng.integers(3 if kind == "ring" else 2, 10))
+    if kind == "grid2d":
+        rows = int(rng.integers(1, 4))
+        params = {"rows": rows, "cols": int(rng.integers(-(-2 // rows), 9 // rows + 1))}
+    elif kind == "random_geometric":
+        params = {"n": n, "radius": float(rng.uniform(0.5, 0.9)), "seed": int(rng.integers(100))}
+    else:
+        params = {"n": n}
+    topology = build_topology(kind, **params)
+    d = int(rng.integers(2, 17))
+    instance = otcore.ProblemInstance(
+        cost=otcore.grid_cost(d), epsilon=float(rng.uniform(0.1, 1.0)), ridge=1e-16,
+        histograms=mixture_histograms(d, topology.num_nodes, density_seed=int(rng.integers(100))))
+    # a 4-bit quantizer over the wide range sends about -2136 or 2131 for z below
+    # or above -2.5, so exp(z) may overflow in a later local scaling
+    s_min, s_max = ((-30.0, 30.0), (-3.0, 1.0), (-1.5, 0.5), (-32002.5, 31997.5))[rng.integers(4)]
+    comms = CommsConfig(
+        delta=0.0, bits=(None, 4, 8, 12, 16)[rng.integers(5)], s_min=s_min, s_max=s_max,
+        tau_inner=float(10 ** rng.uniform(-12, -1)), tau_outer=float(10 ** rng.uniform(-8, -2)),
+        inner_step_cap=int(rng.integers(1 if rng.random() < 0.25 else 40, 61)),
+        outer_iter_cap=int(rng.integers(1, 7)))
+    step = comms.delta_q if comms.bits else 1e-3
+    deltas = {"zero": 0.0, "inert": step * rng.uniform(0.05, 0.5), "active": step * rng.uniform(0.6, 3.0),
+              "inf": np.inf}
+    requests = [(dataclasses.replace(comms, delta=float(deltas[rng.choice(list(deltas))])), int(rng.integers(2)))
+                for _ in range(rng.integers(1, 5))]
+    if len(requests) < 4 and rng.random() < 0.3:
+        requests.append(requests[rng.integers(len(requests))])
+    return instance, topology, requests
+
+
+@functools.lru_cache(maxsize=None)
+def _differential_outcome(index):
+    """Run config ``index`` with the engine's shortcuts and with every
+    round alone. Returns the fields that differ, as (request, field), the
+    rounds blocks took, the lane-rounds each run executed, and the
+    lane-rounds the records count (None when a lane failed)."""
+    instance, topology, requests = _differential_config(index)
+    traced = True if index % 3 else set(range(0, len(requests), 2))
+    step_round, step_block, executed = NetworkEngine.step_round, NetworkEngine.step_block, [0, 0]
+
+    def counted_round(eng):
+        executed[0] += eng.lanes
+        step_round(eng)
+
+    def counted_block(eng, rounds):
+        taken = step_block(eng, rounds)
+        executed[0] += eng.lanes * taken
+        executed[1] += taken
+        return taken
+
+    def run():
+        return simulate_lanes(instance, topology, requests, collect_residuals=traced, collect_round_log_v=True)
+
+    with mock.patch.object(NetworkEngine, "step_round", counted_round), \
+            mock.patch.object(NetworkEngine, "step_block", counted_block):
+        shortcut = run()
+    fast, blocks = executed
+    executed[0] = 0
+    with mock.patch.object(NetworkEngine, "step_round", counted_round), \
+            mock.patch.object(NetworkEngine, "step_block", lambda eng, rounds: 0):
+        alone = run()
+    differ = []
+    for i, (a, b) in enumerate(zip(shortcut, alone)):
+        a, b = _bits(a), _bits(b)
+        if isinstance(a, dict) and isinstance(b, dict):
+            differ += [(i, name) for name in a if a[name] != b[name]]
+        elif a != b:
+            differ.append((i, "error"))
+    failed = any(isinstance(r, Exception) for r in alone)
+    return differ, blocks, fast, executed[0], None if failed else _lane_rounds(requests, alone)
+
+
+class TestShortcutsDifferential:
+    """Quiet blocks and the skip of a lane's fixed point, on generated
+    deterministic configs: a run with them is bit-identical to the run of
+    every round alone, errors included (type and message). Tier-1 checks
+    40 configs; ``--differential-configs`` sets the count. Over the first
+    40 at least, blocks take rounds and some lane's fixed point is
+    skipped."""
+
+    def test_shortcuts_change_no_record(self, differential_index):
+        differ, _, fast, slow, counted = _differential_outcome(differential_index)
+        assert not differ, f"config {differential_index}: (request, field) {differ}"
+        assert fast <= slow
+        assert counted is None or slow == counted  # alone, every counted round runs
+
+    def test_the_configs_take_blocks_and_skip(self, request):
+        count = max(40, request.config.getoption("differential_configs"))
+        outcomes = [_differential_outcome(i) for i in range(count)]
+        assert sum(blocks for _, blocks, *_ in outcomes) > 0
+        assert sum(slow - fast for *_, fast, slow, _ in outcomes) > 0
