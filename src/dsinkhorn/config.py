@@ -132,17 +132,36 @@ _SPELLED = {"comms.delta": (math.inf, ".inf"), "comms.bits": (None, "unquantized
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that reads YAML 1.2 exponent floats such as ``1e-6`` (JSON
-    writes them; YAML 1.1 leaves them as strings). As in YAML 1.2, a date
-    such as ``2020-01-01`` is a string, and a binary or set value (no field
-    takes one) is an error, so that every loaded tree passes through JSON."""
+    """SafeLoader that reads scalars as YAML 1.2's core schema does (JSON
+    writes them the same way): bools are only ``true`` and ``false``, ints
+    are decimal (``017`` is 17), ``0o`` octal or ``0x`` hex, and floats
+    include exponent forms such as ``1e-6`` and ``.inf``/``.nan``. YAML 1.1's
+    other spellings (``yes``/``off``, ``1:30`` as 90, ``0b11``, ``1_000``) are
+    strings, which a number or mode field rejects by name. A date such as
+    ``2020-01-01`` is a string, and a binary or set value (no field takes
+    one) is an error, so that every loaded tree passes through JSON."""
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+_CORE = {f"tag:yaml.org,2002:{tag}": pattern for tag, pattern in (
+    ("bool", r"true|True|TRUE|false|False|FALSE"),
+    ("int", r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+"),
+    ("float", r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)"),
+)}
+_Loader.yaml_implicit_resolvers = {  # YAML 1.1's bool, int and float resolvers go
+    first: [(tag, rx) for tag, rx in pairs if tag not in _CORE]
+    for first, pairs in yaml.SafeLoader.yaml_implicit_resolvers.items()
+}
+for _tag, _pattern in _CORE.items():  # ints before floats, as the schema resolves them
+    _Loader.add_implicit_resolver(_tag, re.compile(f"^(?:{_pattern})$"), list("tTfF-+0123456789."))
+
+
+def _construct_int(loader, node) -> int:
+    """A YAML 1.2 core int: decimal, leading zeros included, or 0o/0x."""
+    text = loader.construct_scalar(node)
+    return int(text, 0 if text[:2] in ("0o", "0x") else 10)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _construct_int)
 _Loader.add_constructor("tag:yaml.org,2002:timestamp", yaml.SafeLoader.construct_yaml_str)
 _Loader.add_constructor("tag:yaml.org,2002:binary", yaml.SafeLoader.construct_undefined)
 _Loader.add_constructor("tag:yaml.org,2002:set", yaml.SafeLoader.construct_undefined)

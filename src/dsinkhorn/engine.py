@@ -57,6 +57,7 @@ __all__ = ["NetworkEngine", "RunRecord", "simulate_lanes", "consensus_trace"]
 _BLOCK = 64  # rounds of random draws taken per lane and stream in one call
 _STACK_BYTES = 1 << 20  # the z states of one block of quiet rounds, at most
 _FIRST_SPAN = 16  # rounds of the first block after a round that sent nothing
+_TRACE_BYTES = 1 << 17  # the traced z of the single rounds whose residuals wait for one call, at most
 
 
 @dataclass
@@ -89,7 +90,12 @@ class NetworkEngine:
     is kept under synchronous weights until a cache row is written. Delayed
     packets wait in ``store[send round % depth, sender]``, and
     ``arrival[slot, edge]`` is the round they land; each round every edge
-    takes its freshest packet due in one gather. Lanes may differ only in
+    takes its freshest packet due in one gather, fresher than its
+    ``ce_time``, which only a delaying channel keeps (it stays 0
+    otherwise). ``marks`` stacks each node's ``anchor`` (the state its
+    variation is measured from) and ``ref`` (its last payload), so the
+    trigger's two distances take one subtraction and a send one scatter.
+    The views of these arrays a round reads are built once per layout. Lanes may differ only in
     seed and delta. ``idle`` is None, or flags per lane whether the last
     round of a block left z bit-for-bit unchanged; a round run alone sets
     it to None. ``quiet`` is True after a deterministic round that sent
@@ -106,11 +112,12 @@ class NetworkEngine:
         self.channel = channel or netsim.ChannelModel()
         self.activation = activation or netsim.ActivationModel()
         self.size, self.edges = topology.num_nodes, topology.directed_edges()
-        w_sync = netsim.metropolis_weights(topology).w
+        w_sync = netsim._metropolis_matrix(topology)
         self.w_edges, self.w_diag = w_sync[self.edges[:, 0], self.edges[:, 1]], np.diag(w_sync)
         # each edge's rank among its receiver's in-edges picks its slot
         self.rank = np.arange(len(self.edges)) - np.searchsorted(self.edges[:, 0], self.edges[:, 0])
         self.slots = int(self.rank.max(initial=-1)) + 1
+        self._order = [*range(1, self.slots), 0][: self.slots]  # in-edges add as (k1 + k2 + ...) + k0
         self.rngs = [netsim._rng_streams(seed) for _, seed in lanes]
         self.delta = np.repeat([c.delta for c, _ in lanes], self.size)
         # synchronous, lossless and undelayed: a round draws no random
@@ -128,9 +135,31 @@ class NetworkEngine:
         self.cell = np.tile(self.rank, lanes) * self.n + self.rcv
         self.pad = np.ones(self.slots * self.n, dtype=bool)
         self.pad[self.cell] = False
-        self.w_sync = np.zeros(self.slots * self.n)
-        self.w_sync[self.cell] = np.tile(self.w_edges, lanes)
-        self.w_sync_diag = np.tile(self.w_diag, lanes)
+        w_sync = np.zeros(self.slots * self.n)
+        w_sync[self.cell] = np.tile(self.w_edges, lanes)
+        # shaped as they multiply the (slots, n, d) caches and the (n, d) z
+        self.w_sync = w_sync.reshape(self.slots, self.n, 1)
+        self.w_sync_diag = np.tile(self.w_diag, lanes)[:, None]
+
+    def _views(self) -> None:
+        """Views of the caches and the scratch buffer for the current layout:
+        the (slots, n, d) caches, the gossip products and each slot's row of
+        them in summation order, and the trigger's (2, n, d) diffs."""
+        self._ce3 = self.ce.reshape(self.slots, self.n, self.ce.shape[1])
+        self._prod = self._scratch[: self.ce.size].reshape(self._ce3.shape)
+        self._terms = [self._prod[s] for s in self._order]
+        self._diff = self._scratch[: 2 * self.z.size].reshape(2, *self.z.shape)
+        self.anchor, self.ref = self.marks
+
+    _VIEWS = ("_ce3", "_prod", "_terms", "_diff", "anchor", "ref")
+
+    def __getstate__(self):  # a copy builds its views of its own arrays
+        return {k: v for k, v in self.__dict__.items() if k not in self._VIEWS}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if "ce" in state:
+            self._views()
 
     # -- state ------------------------------------------------------------
 
@@ -140,10 +169,10 @@ class NetworkEngine:
         ``z0`` stacks the lanes' (N, d) states."""
         cm, d = self.comms, z0.shape[1]
         self.z = z0.astype(np.float64)
-        self.ref = protocol.quantize(protocol.clip_log(self.z, cm.s_min, cm.s_max), cm)
-        self.anchor = self.ref.copy()
+        self.marks = np.empty((2, *self.z.shape))  # the anchor and ref rows of every node
+        self.marks[:] = protocol.quantize(protocol.clip_log(self.z, cm.s_min, cm.s_max), cm)
         self.ce = np.zeros((self.slots * self.n, d))
-        self.ce[self.cell] = self.ref[self.snd]
+        self.ce[self.cell] = self.marks[1, self.snd]
         self.ce_time = np.zeros(self.n_edges, dtype=np.int64)
         self.messages = np.ones(self.n, dtype=np.int64)
         self.variation = np.zeros(self.n)
@@ -156,6 +185,7 @@ class NetworkEngine:
         self.store = np.zeros((depth, self.n, d))
         self.arrival = np.zeros((depth, self.n_edges), dtype=np.int64)
         self._scratch = np.empty(max(self.slots, 2) * self.z.size)  # trigger diffs, gossip products, gaps
+        self._views()
         self._sum = None
         # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell and node
         self._lane_gap, self._witness = np.full(self.lanes, -np.inf), None
@@ -166,8 +196,9 @@ class NetworkEngine:
         """Remove the lanes flagged in ``done`` from the union."""
         keep = ~done
         nodes, edges = np.repeat(keep, self.size), np.repeat(keep, len(self.edges))
-        for name in ("z", "ref", "anchor", "messages", "variation", "delta"):
+        for name in ("z", "messages", "variation", "delta"):
             setattr(self, name, getattr(self, name)[nodes])
+        self.marks = self.marks[:, nodes]
         d = self.ce.shape[1]
         self.ce = self.ce.reshape(self.slots, self.lanes, self.size * d)[:, keep].reshape(-1, d)
         self.ce_time, self.arrival, self.store = self.ce_time[edges], self.arrival[:, edges], self.store[:, nodes]
@@ -176,16 +207,15 @@ class NetworkEngine:
         self.rngs = [r for r, k in zip(self.rngs, keep) if k]
         self._block = [None if b is None else b[keep] for b in self._block]
         self._layout(len(self.rngs))
+        self._views()
 
     # -- one round ---------------------------------------------------------
 
     def _draws(self, now: int) -> list:
         """This round's active mask, kept (not dropped) links and delays
-        over the union; None where the round draws nothing (a synchronous
-        one activates all). Each lane's streams are read _BLOCK rounds at a
-        time, as one-round draws would."""
-        if self.deterministic:
-            return None, None, None
+        over the union of a round that is not deterministic; None where it
+        draws nothing (a synchronous one activates all). Each lane's streams
+        are read _BLOCK rounds at a time, as one-round draws would."""
         if (now - 1) % _BLOCK == 0:
             rngs, e, ch, depth = self.rngs, len(self.edges), self.channel, len(self.store)
             self._block = [None, None, None]  # the spent block goes before the next is drawn
@@ -208,53 +238,63 @@ class NetworkEngine:
         bootstrap, and a packet's send time is the round it left in."""
         cm, now, depth = self.comms, self.send_counter, len(self.store)
         self.send_counter += 1
-        active, kept, delays = self._draws(now)
+        active, kept, delays = (None, None, None) if self.deterministic else self._draws(now)
 
-        # trigger evaluation on activated nodes (a slice when synchronous):
-        # |z - anchor| for the variation and |z - ref| for the trigger in one pass
-        rows = slice(None) if active is None else active.nonzero()[0]
-        z_act = self.z[rows]
-        diff = self._scratch[: 2 * z_act.size].reshape(2, *z_act.shape)
-        np.subtract(z_act, self.anchor[rows], out=diff[0])
-        np.subtract(z_act, self.ref[rows], out=diff[1])
+        # trigger evaluation on activated nodes (the arrays themselves when
+        # synchronous): |z - anchor| for the variation and |z - ref| for the
+        # trigger in one pass
+        if active is None:
+            z_act, marks, delta, diff = self.z, self.marks, self.delta, self._diff
+        else:
+            rows = active.nonzero()[0]
+            z_act, marks, delta = self.z.take(rows, 0), self.marks.take(rows, 1), self.delta[rows]
+            diff = self._scratch[: 2 * z_act.size].reshape(2, *z_act.shape)
+        np.subtract(z_act, marks, out=diff)
         step, gap = np.maximum.reduce(np.abs(diff, out=diff), axis=2)
-        self.variation[rows] += step
-        self.anchor[rows] = z_act
-        hot = gap > self.delta[rows]
-        fired = hot.nonzero()[0] if active is None else rows[hot]
+        hot = gap > delta
+        if active is None:
+            self.variation += step
+            self.anchor[...] = z_act
+            fired = hot.nonzero()[0]
+        else:
+            self.variation[rows] += step
+            self.anchor[rows] = z_act
+            fired = rows[hot]
         # the clip range is in use when an active node's z leaves it, fired
         # or not; entries inside [s_min, s_max] are their own clip (NaN is
         # never outside)
         clipped = False
         if z_act.size and (np.fmin.reduce(z_act, None) < cm.s_min or np.fmax.reduce(z_act, None) > cm.s_max):
-            outside = ((z_act < cm.s_min) | (z_act > cm.s_max)).any(axis=1)
+            outside = np.logical_or.reduce((z_act < cm.s_min) | (z_act > cm.s_max), axis=1)
             self.clip_active[(outside.nonzero()[0] if active is None else rows[outside]) // self.size] = True
-            clipped = outside[hot].any()
+            clipped = np.logical_or.reduce(outside[hot])
         raw = z_act if len(fired) == len(hot) else z_act[hot]  # read only: clip and quantize copy
-        del z_act, diff, step, gap  # z_act is a gathered copy on random activation
+        del z_act, marks, diff, step, gap  # z_act is a gathered copy on random activation
         if clipped:
             raw = protocol.clip_log(raw, cm.s_min, cm.s_max)
         payload = protocol.quantize(raw, cm)
         del raw
         # only a payload that differs from the last one sent goes out (an
         # unclipped, unquantized one is z, more than delta away from ref);
-        # rows are a slice while every node sends
-        sel = slice(None) if len(fired) == self.n else fired
+        # while every node sends, whole arrays are written
+        everyone = len(fired) == self.n
         if clipped or cm.bits is not None:
-            new = (payload != self.ref[sel]).any(axis=1)
-            if np.count_nonzero(new) < len(new):
-                fired, payload = fired[new], payload[new]
-                sel = fired
-        self.ref[sel] = payload
-        self.anchor[sel] = payload
-        self.messages[sel] += 1
+            new = np.logical_or.reduce(payload != (self.ref if everyone else self.ref[fired]), axis=1)
+            if not np.logical_and.reduce(new):
+                fired, payload, everyone = fired[new], payload[new], False
+        if everyone:
+            self.marks[...] = payload
+            self.messages += 1
+        else:
+            self.marks[:, fired] = payload
+            self.messages[fired] += 1
 
         # each fired node's packet leaves on its kept out-edges; where packets
         # can be delayed it enters the store, and every edge then takes the
-        # freshest packet due now, delay 0 included
-        if len(fired) == self.n and kept is None and delays is None:
+        # freshest packet due now, delay 0 included; only that test reads
+        # ``ce_time``, so an undelayed channel leaves it at 0
+        if everyone and kept is None and not depth:
             # every node sent and every edge is lossless and undelayed
-            self.ce_time[:] = now
             self.ce[self.cell] = self.ref.take(self.snd, 0)
             self._sum = None
         elif len(fired) or depth:
@@ -263,19 +303,19 @@ class NetworkEngine:
                 sent[fired] = True
                 sent = sent[self.snd] if kept is None else sent[self.snd] & kept
             if not depth:  # undelayed: every kept packet lands now, and ref holds its payload
-                upd = np.flatnonzero(sent)
-                due, landed = now, self.ref.take(self.snd[upd], 0)
+                upd = sent.nonzero()[0]
+                landed = self.ref.take(self.snd[upd], 0)
             else:
                 if len(fired):
                     self.store[now % depth, fired] = payload
                     self.arrival[now % depth, sent] = now + delays[sent]
                 sent_at = now - (now - np.arange(depth)) % depth
-                due = np.where(self.arrival == now, sent_at[:, None], 0).max(axis=0)
-                upd = np.flatnonzero(due > self.ce_time)
+                due = np.maximum.reduce(np.where(self.arrival == now, sent_at[:, None], 0), axis=0)
+                upd = (due > self.ce_time).nonzero()[0]
                 due = due[upd]
                 landed = self.store.reshape(-1, self.z.shape[1]).take(due % depth * self.n + self.snd[upd], 0)
-            if len(upd):
                 self.ce_time[upd] = due
+            if len(upd):
                 self.ce[self.cell[upd]] = landed
                 self._sum = None
         self._gossip(active)
@@ -313,9 +353,8 @@ class NetworkEngine:
             self._stack = np.empty((2, max(3, _STACK_BYTES // self.z.nbytes // 2), *self.z.shape))
         (stack, moves), rounds = self._stack, min(rounds, self._stack.shape[1] - 2)
         stack[0], stack[1] = self.anchor, self.z
-        diag = self.w_sync_diag[:, None]
         for k in range(1, rounds + 1):
-            np.multiply(stack[k], diag, out=stack[k + 1])
+            np.multiply(stack[k], self.w_sync_diag, out=stack[k + 1])
             stack[k + 1] += self._sum
         bits, full, moved = stack.view(np.int64), rounds, None
         if (bits[rounds + 1] == bits[rounds]).reshape(self.lanes, -1).all(axis=1).any():
@@ -351,7 +390,7 @@ class NetworkEngine:
         if np.fmin.reduce(ends, None) < cm.s_min or np.fmax.reduce(ends, None) > cm.s_max:
             outside = ((ends < cm.s_min) | (ends > cm.s_max)).any(axis=(0, 2))
             self.clip_active[outside.nonzero()[0] // self.size] = True
-        self.anchor, self.z = stack[taken].copy(), stack[taken + 1].copy()
+        self.anchor[...], self.z = stack[taken], stack[taken + 1].copy()
         self._lane_gap = np.maximum.reduce(np.abs(self.z.take(nodes, 0) - caches), axis=1)
         self.send_counter += taken
         self.idle, self.block = None if moved is None else ~moved[taken - 1], stack[2 : taken + 2]
@@ -369,39 +408,39 @@ class NetworkEngine:
     def _gossip(self, active: np.ndarray | None) -> None:
         if not self.n_edges:
             return
-        ce = self.ce.reshape(self.slots, self.n, -1)
-        buf = self._scratch[: ce.size].reshape(ce.shape)
+        ce, buf = self._ce3, self._prod
         total = self._sum  # kept while the weights are fixed and no cache row changed
         if active is None:
-            rows, w, diag, caches, prod = slice(None), self.w_sync, self.w_sync_diag, ce, buf
+            if total is None:
+                np.multiply(self.w_sync, ce, out=buf)
+                # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for
+                # add.reduce over at most 8 rows (zero pads change nothing)
+                total, *rest = self._terms
+                for term in rest:
+                    np.add(total, term, out=total)
+                self._sum = total = total.copy()
+            z = self.z * self.w_sync_diag
+            z += total
+            self.z = z
         else:
             # only receivers with an active in-edge move: every other row has
             # self weight 1 and cache weight 0, so it keeps its z
-            both = np.flatnonzero(active[self.rcv] & active[self.snd])
+            both = (active[self.rcv] & active[self.snd]).nonzero()[0]
             rcv = self.rcv[both]
             deg_a = np.bincount(rcv, minlength=self.n)
             w_e = 1.0 / (1.0 + np.maximum(deg_a[rcv], deg_a[self.snd[both]]))
-            rows = np.flatnonzero(deg_a)
+            rows = deg_a.nonzero()[0]
             diag = 1.0 - np.bincount(rcv, weights=w_e, minlength=self.n)[rows]
             w = np.zeros(self.slots * self.n)
             w[self.cell[both]] = w_e
-            shape = (self.slots, len(rows), ce.shape[2])
-            caches = prod = ce.take(rows, 1, self._scratch[: np.prod(shape)].reshape(shape), "clip")
-        if total is None:
-            np.multiply(w.reshape(self.slots, self.n, 1)[:, rows], caches, out=prod)
-            # in-edges are added as (k1 + k2 + ...) + k0, numpy's order for
-            # add.reduce over at most 8 rows (zero pads change nothing)
-            first, *rest = *range(1, self.slots), 0
-            for s in rest:
-                prod[first] += prod[s]
-            total = prod[first]
-            if active is None:
-                self._sum = total = total.copy()
-        z = self.z[rows] * diag[:, None]
-        z += total
-        if active is None:
-            self.z = z
-        else:
+            k, d = len(rows), ce.shape[2]
+            prod = ce.take(rows, 1, self._scratch[: self.slots * k * d].reshape(self.slots, k, d), "clip")
+            np.multiply(w.reshape(self.slots, self.n, 1).take(rows, 1), prod, out=prod)
+            total, *rest = (prod[s] for s in self._order)
+            for term in rest:
+                np.add(total, term, out=total)
+            z = self.z.take(rows, 0) * diag[:, None]
+            z += total
             self.z[rows] = z
         if self._witness is not None:
             cells, nodes = self._witness
@@ -409,7 +448,7 @@ class NetworkEngine:
             if np.minimum.reduce(gap) >= self.comms.tau_inner:  # no lane can stop: skip the scan
                 self._lane_gap = gap
                 return
-        gaps = np.abs(np.subtract(ce, self.z, out=buf), out=buf).max(axis=2).ravel()
+        gaps = np.maximum.reduce(np.abs(np.subtract(ce, self.z, out=buf), out=buf), axis=2).ravel()
         gaps[self.pad] = -np.inf
         per_lane = gaps.reshape(self.slots, self.lanes, self.size).transpose(1, 0, 2).reshape(self.lanes, -1)
         best = per_lane.argmax(axis=1)
@@ -448,9 +487,12 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     residual after the outer iteration's last round. The per-round
     residuals, ``consensus_residual_trace``, are kept for the traced
     requests: all with ``collect_residuals=True``, none with False, or
-    those whose indices it lists; the others get an empty trace. A round
-    computes residuals only for traced lanes, and visits only the lanes
-    that are traced or end their outer iteration in it.
+    those whose indices it lists; the others get an empty trace. Residuals
+    are computed only for traced lanes: single rounds hold their z in a
+    stack of at most ``_TRACE_BYTES`` that one call covers when a lane ends
+    its outer iteration or the stack is full (the values of one call per
+    round, bit for bit). A round visits only the lanes that are traced or
+    end their outer iteration in it.
 
     Requests run by the lane they key to: their seed and comms, with an
     inert quantized delta (``CommsConfig.inert_delta``) replaced by 0,
@@ -517,6 +559,19 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         due.setdefault(now + cap, []).append(lane)
         return False
 
+    def trace(zs):
+        """Append to each traced lane its residuals after the rounds of
+        ``zs``, stacked (rounds, traced lanes, n, d)."""
+        for lane, values in zip(traced, netsim.consensus_residual(zs).T.tolist()):
+            lane.residuals += values
+
+    def flush():
+        """Trace the held rounds."""
+        nonlocal held
+        if held:
+            trace(hold[:held])
+            held = 0
+
     done, traced = [lane.pos for lane in live if decide(lane, np.inf)], None
     while True:
         if done:
@@ -530,6 +585,10 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             traced = [lane for lane in live if lane.traced]
             # a gather of the traced lanes' z, unless every live lane is traced
             traced_at = None if len(traced) == len(live) else [lane.pos for lane in traced]
+            # single rounds' traced z, held until a lane ends its outer
+            # iteration or the stack is full; none when one round fills it
+            room = _TRACE_BYTES // (8 * max(len(traced), 1) * n * d)
+            held, hold = 0, np.empty((room, len(traced), n, d)) if traced and room > 1 else None
         if not live:
             break
         # a block of quiet rounds, which never passes a lane's inner cap,
@@ -544,9 +603,17 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             span = _FIRST_SPAN if eng.quiet else 0
         now += taken
         if traced:
-            residuals = netsim.consensus_residual(zs if traced_at is None else zs[:, traced_at]).T.tolist()
-            for lane, trace in zip(traced, residuals):
-                lane.residuals += trace
+            if taken > 1 or hold is None:  # a block is a stack already
+                flush()  # the held rounds come first
+                trace(zs if traced_at is None else zs[:, traced_at])
+            else:
+                if traced_at is None:
+                    hold[held] = zs[0]
+                else:
+                    zs[0].take(traced_at, 0, hold[held])
+                held += 1
+                if held == room:
+                    flush()
         # the lanes whose outer iteration ends this round, and the rounds it
         # counts for: an idle round would repeat up to the inner cap, so it
         # counts once for every round left
@@ -570,6 +637,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         if not ending:
             continue
         span = 0  # a lane that opens its next outer iteration sends at once
+        flush()
         zs = zs[-1]
         order = sorted(ending)
         untraced = [pos for pos in order if not live[pos].traced]

@@ -220,18 +220,25 @@ class GossipWeights:
     beta: float
 
 
-def metropolis_weights(topology: Topology) -> GossipWeights:
+def _metropolis_matrix(topology: Topology) -> np.ndarray:
     """Metropolis-Hastings weights: w_ik = 1/(1 + max(deg_i, deg_k)) on
     edges, diagonal takes the remainder. Symmetric and doubly stochastic by
-    construction."""
+    construction; O(N^2), without the spectral data."""
     n = topology.num_nodes
     deg = topology.degrees()
     w = np.zeros((n, n))
     for i, k in topology.edges:
         w[i, k] = w[k, i] = 1.0 / (1.0 + max(deg[i], deg[k]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def metropolis_weights(topology: Topology) -> GossipWeights:
+    """The Metropolis-Hastings matrix (``_metropolis_matrix``) with its
+    spectral gap (a full SVD) and smallest positive weight."""
+    w = _metropolis_matrix(topology)
     sigma2, _ = spectral_gap(w)
-    beta = float(w[w > 0].min()) if n > 1 else 1.0
+    beta = float(w[w > 0].min()) if topology.num_nodes > 1 else 1.0
     return GossipWeights(w=w, sigma2=sigma2, beta=beta)
 
 

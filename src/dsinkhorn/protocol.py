@@ -22,6 +22,11 @@ import numpy as np
 
 from .netsim import _integer, _is_int, _number
 
+try:  # the ufunc np.clip calls, without np.clip's Python frames
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 __all__ = ["CommsConfig", "ClipRangeError", "clip_log", "quantize", "packet_wire_size"]
 
 _HEADER = struct.Struct("<IIIBI")  # sender, outer_iter, inner_step, bits, d
@@ -95,7 +100,7 @@ class CommsConfig:
 
 def clip_log(values: np.ndarray, s_min: float, s_max: float) -> np.ndarray:
     """Clamp entries into [s_min, s_max] (a copy; locals are never clipped in place)."""
-    return np.clip(values, s_min, s_max)
+    return _clip(values, s_min, s_max)
 
 
 def quantize(values: np.ndarray, config: CommsConfig) -> np.ndarray:
@@ -104,20 +109,23 @@ def quantize(values: np.ndarray, config: CommsConfig) -> np.ndarray:
 
     Entries are expected to be pre-clipped; anything outside the range is
     clamped to the boundary level. Unquantized configs return the values
-    unchanged. Idempotent: levels map to themselves exactly.
+    unchanged. Idempotent: levels map to themselves exactly. Bare ufuncs
+    only: the engine quantizes once per round.
     """
-    values = np.asarray(values, dtype=np.float64)
     if config.bits is None:
-        return values.copy()
-    n = config.num_levels - 1
-    step = (config.s_max - config.s_min) / n
-    k = np.asarray(values - config.s_min)  # one scratch array, updated in place
+        return np.array(values, dtype=np.float64)
+    n = (1 << config.bits) - 1
+    s_min = config.s_min
+    step = (config.s_max - s_min) / n
+    k = np.subtract(values, s_min, dtype=np.float64)  # one scratch array, updated in place
+    if not k.ndim:  # a scalar: a 0-d array, to update in place
+        k = np.array(k)
     k /= step
     k -= 0.5
     np.ceil(k, out=k)  # nearest level, exact halves round down
-    np.clip(k, 0, n, out=k)
+    _clip(k, 0, n, out=k)
     k *= step
-    k += config.s_min
+    k += s_min
     return k
 
 

@@ -22,9 +22,39 @@ import numpy as np
 from scipy.special import logsumexp
 
 from dsinkhorn import netsim, otcore
-from dsinkhorn.protocol import _HEADER, ClipRangeError, CommsConfig, clip_log, quantize
+from dsinkhorn.protocol import _HEADER, ClipRangeError, CommsConfig
 
 _UNQUANTIZED_WIRE_BITS = 0  # wire sentinel for float64 payloads
+
+
+# -- clip and quantize ---------------------------------------------------------
+# Literal np.clip-based copies of dsinkhorn.protocol.clip_log and
+# dsinkhorn.protocol.quantize, kept here so that parity tests see a change
+# to the package's own.
+
+
+def clip_log(values, s_min: float, s_max: float) -> np.ndarray:
+    """Mirrors ``protocol.clip_log``: clamp into [s_min, s_max], a copy."""
+    return np.clip(values, s_min, s_max)
+
+
+def quantize(values, config: CommsConfig) -> np.ndarray:
+    """Mirrors ``protocol.quantize``: the nearest of the 2^bits uniform
+    levels over [s_min, s_max], exact halves down, outside values clamped
+    to the boundary level; a copy when unquantized."""
+    values = np.asarray(values, dtype=np.float64)
+    if config.bits is None:
+        return values.copy()
+    n = config.num_levels - 1
+    step = (config.s_max - config.s_min) / n
+    k = np.asarray(values - config.s_min)
+    k /= step
+    k -= 0.5
+    np.ceil(k, out=k)
+    np.clip(k, 0, n, out=k)
+    k *= step
+    k += config.s_min
+    return k
 
 
 def log_message_lse(u: np.ndarray, kernel: otcore.GibbsKernel) -> np.ndarray:

@@ -120,6 +120,53 @@ class TestApplyOverrides:
             apply_overrides({}, ["comms..delta=1"])
 
 
+class TestYaml12Scalars:
+    """The loader reads scalars as YAML 1.2's core schema does, in files and
+    in overrides alike: no YAML 1.1 spelling changes a value silently."""
+
+    @pytest.mark.parametrize("raw, value", [
+        ("017", 17), ("-017", -17), ("00", 0), ("+3", 3), ("0o17", 15), ("0x1F", 31),
+        ("true", True), ("False", False), ("TRUE", True),
+        (".inf", math.inf), ("-.inf", -math.inf), ("+.Inf", math.inf), ("1e-6", 1e-6), ("1.", 1.0), (".5", 0.5),
+        # YAML 1.1 spellings, strings in YAML 1.2
+        ("1:30", "1:30"), ("1:30.5", "1:30.5"), ("0b11", "0b11"), ("1_000", "1_000"), ("0o9", "0o9"),
+        ("off", "off"), ("on", "on"), ("yes", "yes"), ("no", "no"), ("y", "y"), ("N", "N"),
+    ])
+    def test_scalars(self, tmp_path, raw, value):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"x: {raw}\ny: [{raw}]\n")
+        for tree in (load_config_file(str(p)), apply_overrides({}, [f"x={raw}", f"y=[{raw}]"])):
+            assert tree == {"x": value, "y": [value]}
+            assert type(tree["x"]) is type(value)
+
+    def test_nan(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        for raw in (".nan", ".NaN", ".NAN"):
+            p.write_text(f"x: {raw}\n")
+            for tree in (load_config_file(str(p)), apply_overrides({}, [f"x={raw}"])):
+                assert math.isnan(tree["x"])
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("seeds: [1:30]", "seeds: must be a nonempty list of integers"),  # 90 in YAML 1.1
+        ("seeds: [017]", (17,)),  # 15 in YAML 1.1
+        ("seeds: [0o17, 0x1F]", (15, 31)),
+        ("activation: {mode: off}", "activation.mode: unknown activation mode 'off'"),  # False in YAML 1.1
+        ("comms: {bits: 0b1100}", "comms.bits: must be an integer in [1, 32] or None (unquantized)"),
+        ("comms: {outer_iter_cap: 1_000}", "comms.outer_iter_cap: must be an integer"),
+        ("comms: {delta: 1:30}", "comms.delta: must be a number"),
+    ])
+    def test_a_yaml11_spelling_reads_as_yaml12_or_fails_naming_its_field(self, tmp_path, text, outcome):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text + "\n")
+        for tree in (load_config_file(str(p)), apply_overrides({}, [text.replace(": ", "=", 1)])):
+            if isinstance(outcome, str):
+                with pytest.raises(ConfigError) as exc:
+                    run_config_from_dict(tree)
+                assert str(exc.value) == outcome
+            else:
+                assert run_config_from_dict(tree).seeds == outcome
+
+
 class TestLoadedValues:
     """Every value the loader returns, explicit tags included, passes its
     field's check or fails it with a ConfigError; none ends in a traceback."""

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dsinkhorn import config as cfgmod
-from dsinkhorn import otcore, protocol
+from dsinkhorn import engine, netsim, otcore, protocol
 from dsinkhorn.config import mixture_histograms
 from dsinkhorn.engine import NetworkEngine, RunRecord, consensus_trace, simulate_lanes
 from dsinkhorn.experiments import run_decentralized
@@ -1117,6 +1117,35 @@ def _quiet_rounds(eng, limit=200):
         if (eng.messages != messages).any() or eng.all_inner_converged().any() or _still(eng, z).any():
             return k
     return limit
+
+
+class TestResidualStacks:
+    """The traced residuals of single rounds come from held stacks of at
+    most ``engine._TRACE_BYTES``, one ``consensus_residual`` call per
+    stack; the bound changes no record."""
+
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(_regime(i), id=i) for i in (
+            "clean-sync-8bit", "sync-fixed-point-12bit", "lossy-stale-cap3", "padded-grid-subset")),
+        pytest.param(12, id="default-12bit"),
+    ])
+    def test_the_stack_bound_changes_no_record(self, case, monkeypatch):
+        instance, topology, lanes = _regime_case(case) if isinstance(case, dict) else _default_case(case)
+        channel, activation = (case["channel"], case["activation"]) if isinstance(case, dict) else (None, None)
+        traced = {0, len(lanes) - 1}  # in the regimes, a lane that retires early
+        calls, residual = [], netsim.consensus_residual
+        monkeypatch.setattr(netsim, "consensus_residual", lambda zs: calls.append(zs.shape) or residual(zs))
+        want = [_bits(r) for r in simulate_lanes(instance, topology, lanes, channel, activation, traced)]
+        held = len(calls)
+        one_round = 8 * topology.num_nodes * instance.histogram_matrix().shape[1]  # one lane's z
+        for rounds in (0, 1, 2, 3, 5):  # 0 and 1: no stack, each round's residuals at once
+            monkeypatch.setattr(engine, "_TRACE_BYTES", rounds * one_round)
+            calls.clear()
+            got = [_bits(r) for r in simulate_lanes(instance, topology, lanes, channel, activation, traced)]
+            assert got == want, rounds
+            if rounds == 5:  # a stack of 2 rounds of two traced lanes, or 5 of one
+                assert len(calls) > held  # full stacks were flushed
+                assert max(shape[0] for shape in calls if len(shape) == 4) >= 2
 
 
 class TestBlocks:

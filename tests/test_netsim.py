@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dsinkhorn import netsim
+from dsinkhorn.engine import NetworkEngine
 from dsinkhorn.netsim import (
     ActivationModel,
     ChannelModel,
@@ -137,6 +139,24 @@ class TestMetropolisWeights:
             assert_allclose(w, w.T, atol=1e-15)
             assert w.min() >= 0.0
 
+    @pytest.mark.parametrize("kind, params", [
+        ("path", {"n": 3}), ("ring", {"n": 7}), ("grid2d", {"rows": 4, "cols": 4}), ("complete", {"n": 6}),
+        ("random_geometric", {"n": 40, "radius": 0.3, "seed": 2}),
+    ])
+    def test_the_engine_weights_are_metropolis_weights_without_the_svd(self, kind, params, monkeypatch):
+        t = build_topology(kind, **params)
+        w = metropolis_weights(t).w
+        assert np.array_equal(netsim._metropolis_matrix(t).view(np.int64), w.view(np.int64))
+
+        def no_svd(_):
+            raise AssertionError("the engine computed a spectral gap")
+
+        monkeypatch.setattr(netsim, "spectral_gap", no_svd)
+        eng = NetworkEngine(t, [(CommsConfig(), 0)])
+        rcv, snd = eng.edges.T
+        assert np.array_equal(eng.w_edges.view(np.int64), w[rcv, snd].view(np.int64))
+        assert np.array_equal(eng.w_diag.view(np.int64), np.diag(w).view(np.int64))
+
     def test_beta_is_min_positive_entry(self):
         gw = metropolis_weights(build_topology("path", n=3))
         assert gw.beta == pytest.approx(1.0 / 3.0)
@@ -185,6 +205,24 @@ class TestConsensusResidual:
             want = np.sqrt(dev @ dev.swapaxes(-1, -2))[..., 0, 0]
             got = np.asarray(consensus_residual(z))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(66, 1, 16, 64), (200, 2, 16, 64), (30, 5, 36, 32), (50, 3, 64, 256)])
+    def test_a_stack_of_rounds_is_one_call_per_round(self, shape):
+        # the engine computes the residual traces of a held stack of rounds,
+        # (rounds, lanes, N, d), in one call; each value must be the one a
+        # call for its round alone gives
+        rng = np.random.default_rng(shape[0])
+        rounds, lanes = shape[:2]
+        scale = np.logspace(-12, 2, rounds)[:, None, None, None]
+        zs = rng.normal(size=shape[2:]) * 10 + rng.normal(size=shape) * scale
+        traced = [lanes - 1, 0] if lanes > 1 else [0]  # a traced-lane gather, out of order
+        for stack, per_round in ((zs, zs), (zs[:, traced], [z[traced] for z in zs])):
+            got = consensus_residual(stack)
+            want = np.array([consensus_residual(z) for z in per_round])
+            assert got.shape == want.shape == (rounds, len(stack[0]))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            alone = np.array([[consensus_residual(z[lane]) for lane in range(len(z))] for z in per_round])
+            assert np.array_equal(got.view(np.int64), alone.view(np.int64))
 
 
 class TestEffectiveWeights:

@@ -14,6 +14,7 @@ from dsinkhorn.protocol import (
     packet_wire_size,
     quantize,
 )
+import reference
 from reference import (
     AgentState,
     Packet,
@@ -155,6 +156,55 @@ class TestQuantize:
         assert np.array_equal(out, x)
         out[0] = 9.0
         assert x[0] == 0.123
+
+
+def _bits_equal(a, b) -> bool:
+    """Same shape, dtype and bits (NaN payloads and the sign of zero included)."""
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# clip ranges: the default, zero bounds on either side, s_min = -0.0, and a
+# 4-bit range whose step is exactly 1, so that its half steps are exact ties
+_RANGES = [(-30.0, 30.0), (0.0, 1.0), (-1.0, 0.0), (-0.0, 1.0), (-0.0, 15.0), (-5.0, 5.0)]
+
+
+def _table(s_min, s_max, step):
+    """Edge values for one clip range and quantizer step."""
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, s_min, s_max, np.nextafter(s_min, -np.inf),
+                np.nextafter(s_max, np.inf), s_min - 1.0, s_max + 1.0, 1e308, -1e308]
+    halves = s_min + (np.arange(5) + 0.5) * step
+    shaped = np.random.default_rng(7).uniform(s_min - 1.0, s_max + 1.0, (3, 8))
+    return [np.array(specials), halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf), shaped]
+
+
+class TestAgainstReferenceFormulas:
+    """``clip_log`` and ``quantize`` against the np.clip formulas in
+    ``tests/reference.py``, bit for bit."""
+
+    @pytest.mark.parametrize("s_min, s_max", _RANGES)
+    def test_clip_log(self, s_min, s_max):
+        for values in _table(s_min, s_max, (s_max - s_min) / 7) + [[1, -3, 40], np.arange(-4, 5), 3]:
+            got, want = clip_log(values, s_min, s_max), reference.clip_log(values, s_min, s_max)
+            assert _bits_equal(np.asarray(got), np.asarray(want)), values
+
+    @pytest.mark.parametrize("s_min, s_max", _RANGES)
+    @pytest.mark.parametrize("bits", [None, 1, 4, 8, 12, 16, 32])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # +-1e308 over a small step
+    def test_quantize(self, bits, s_min, s_max):
+        c = CommsConfig(bits=bits, s_min=s_min, s_max=s_max)
+        step = (s_max - s_min) / (c.num_levels - 1) if bits else 1.0
+        table = _table(s_min, s_max, step) + [[1, -3, 40], [0.5, 2.5, -0.0], np.arange(-4, 5), 3, 2.5]
+        for values in table:
+            for x in (values, clip_log(values, s_min, s_max)):
+                assert _bits_equal(quantize(x, c), reference.quantize(x, c)), (x, c)
+
+    def test_the_table_has_exact_ties(self):
+        # 2.5 lies halfway between the 4-bit levels 2 and 3 of [-0.0, 15]:
+        # a quantizer that rounds ties up differs from the formula there
+        c = CommsConfig(bits=4, s_min=-0.0, s_max=15.0)
+        assert reference.quantize([2.5], c).tolist() == [2.0]
+        # and at s_min = -0.0 the level 0 keeps its sign through np.clip
+        assert np.signbit(reference.quantize([-0.0, 0.0, 0.3], c)).tolist() == [True, True, True]
 
 
 class TestWireFormat:
