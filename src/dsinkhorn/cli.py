@@ -15,6 +15,7 @@ checks failed.
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from itertools import chain
 
@@ -68,7 +69,10 @@ def _load(args):
 
 
 def _write_resolved(outdir: str, cfg: cfgmod.RunConfig, extra: dict | None = None):
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise cfgmod.ConfigError(f"output_dir: cannot create {outdir!r}: {exc.strerror}") from exc
     resolved = cfg.resolved_dict()
     if extra:
         resolved.update(extra)
@@ -206,23 +210,32 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.jobs < 1:
-            raise cfgmod.ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
-        cfg, sweep_sec = _load(args)
-        if args.command == "centralized":
-            return cmd_centralized(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, sweep_sec, args.jobs)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (cfgmod.ConfigError, protocol.ClipRangeError, otcore.KernelUnderflowError,
-            otcore.DegenerateStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    shown = set()
+
+    def show(message, *_):  # each warning message once, as a line like the inert-delta one
+        if str(message) not in shown:
+            shown.add(str(message))
+            sys.stderr.write(f"warning: {message}\n")  # one write: pool workers share stderr
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            if args.jobs < 1:
+                raise cfgmod.ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
+            cfg, sweep_sec = _load(args)
+            if args.command == "centralized":
+                return cmd_centralized(cfg)
+            if args.command == "run":
+                return cmd_run(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, sweep_sec, args.jobs)
+            if args.command == "verify":
+                return cmd_verify(cfg)
+            raise AssertionError(f"unhandled command {args.command}")
+        except (cfgmod.ConfigError, protocol.ClipRangeError, otcore.KernelUnderflowError,
+                otcore.DegenerateStateError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 def entry_point() -> None:

@@ -34,13 +34,10 @@ frozen and z follows one monotone map, so one set of stacked checks at
 the block's two ends shows that no round in it sends or stops a lane on
 the gap test. Blocks double while they hold and never pass a lane's inner
 cap. A block ends with the first round that leaves some lane's z
-bit-for-bit unchanged: that lane is at a fixed point, every later round of
-the outer iteration would repeat the round, so it counts once for each
-round left up to the inner cap, and its copies go into the round log and,
-for a traced lane, the residual trace; a round run alone never skips. A
-lane's ``rounds_total`` is the sum of its ``inner_steps_used``. Neither a
-block nor a skip changes a record: it is bit-identical to the record of
-the same rounds run one at a time.
+bit-for-bit unchanged: that lane is at a fixed point, and every later round
+of the outer iteration would repeat the round (``simulate_lanes`` counts
+them). Neither a block nor a skip changes a record: it is bit-identical to
+the record of the same rounds run one at a time.
 """
 
 import copy
@@ -470,18 +467,22 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     """Run the full decentralized barycenter loop for every ``(comms,
     seed)`` lane as one batch; returns one RunRecord per lane, in order.
 
-    Per outer iteration: local scaling at each node (u from exp(z), then
-    s = log(K^T u)), reseed z = s, inner gossip rounds until every node's
-    stopping rule fires or the step cap ends the loop, then the shared
-    projection b_i = softmax(z_i). Between outer iterations, and once
-    before the first, each lane takes one stop decision: it finishes when
-    every node's log-v change is below tau_outer or at the outer cap, and
-    otherwise opens the next outer iteration with its local scaling. A
-    lane whose exp(z) overflows there (``ClipRangeError``) or whose
-    scaling vector annihilates the kernel (``DegenerateStateError``) gets
-    that error in place of its record; the other lanes run on unchanged.
-    Each lane leaves the batch when it finishes; its wall_clock_seconds is
-    its share of the batch's time, by rounds.
+    Per outer iteration: local scaling at each node (u from exp(z), then s =
+    log(K^T u)), reseed z = s, inner gossip rounds, then the shared
+    projection b_i = softmax(z_i). The inner rounds end at the inner cap, on
+    the gap test (``NetworkEngine.all_inner_converged``) or at a fixed
+    point, the last round of a block that leaves z unchanged, which counts
+    as every round left up to the cap: ``inner_steps_used`` is the cap, and
+    the round repeats in the round log and the residual trace. Between outer
+    iterations, and once before the first, each lane takes one stop
+    decision: it finishes when every node's log-v change is below tau_outer
+    or at the outer cap, and otherwise opens the next outer iteration with
+    its local scaling. A lane whose exp(z) overflows there
+    (``ClipRangeError``) or whose scaling vector annihilates the kernel
+    (``DegenerateStateError``) gets that error in place of its record; the
+    other lanes run on unchanged. Each lane leaves the batch when it
+    finishes; its wall_clock_seconds is its share of the batch's time, by
+    rounds.
 
     Every ``per_outer`` entry holds ``consensus_residual_last``, the
     residual after the outer iteration's last round. The per-round
@@ -518,10 +519,11 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     t0 = time.perf_counter()
     eng.bootstrap(np.zeros((len(runs) * n, d)))
     results, start = [None] * len(runs), np.zeros((n, d))
-    live = [SimpleNamespace(index=i, pos=i, traced=i in chosen, prev_log_v=start, outer=0, start=None,
+    live = [SimpleNamespace(index=i, pos=i, traced=i in chosen, prev_log_v=start, outer=0,
                             per_outer=[], round_log_v=[]) for i in range(len(runs))]  # in engine order
-    now, due = 0, {}  # the batch's round, and the lanes whose inner cap falls in a round
-    span = 0  # the rounds the next block may take; 0 takes one round
+    # the batch's round, the rounds the next block may take (0 takes one round), per
+    # live lane the round its inner iteration opened in, and the next round a cap falls in
+    now, span, opened, cap_at = 0, 0, np.zeros(len(runs), dtype=np.int64), cap
 
     def decide(lane, change: float) -> bool:
         """The lane's stop decision after an outer iteration whose log-v
@@ -529,7 +531,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         goes on opens its next outer iteration in round ``now``."""
         rows = slice(lane.pos * n, (lane.pos + 1) * n)
         z = eng.z[rows]
-        lane.start = None  # voids the lane's pending inner-cap round in ``due``
+        opened[lane.pos] = now  # its next inner steps, if any, are the rounds after this one
         if change < cm.tau_outer or lane.outer == cm.outer_iter_cap:
             results[lane.index] = RunRecord(
                 otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
@@ -555,8 +557,6 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
                 f"node {exc.row} at outer iteration {lane.outer}: {exc}"
             )
             return True
-        lane.start = now  # its inner steps are the rounds after this one
-        due.setdefault(now + cap, []).append(lane)
         return False
 
     def trace(zs):
@@ -575,25 +575,25 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     done, traced = [lane.pos for lane in live if decide(lane, np.inf)], None
     while True:
         if done:
-            gone = np.zeros(len(live), dtype=bool)
-            gone[done] = True
+            gone = np.isin(np.arange(len(live)), done)
             eng.retire(gone)
+            opened = opened[~gone]
             live = [lane for lane in live if lane.pos not in done]
             for pos, lane in enumerate(live):
                 lane.pos = pos
         if done or traced is None:
             traced = [lane for lane in live if lane.traced]
             # a gather of the traced lanes' z, unless every live lane is traced
-            traced_at = None if len(traced) == len(live) else [lane.pos for lane in traced]
+            traced_at = slice(None) if len(traced) == len(live) else [lane.pos for lane in traced]
             # single rounds' traced z, held until a lane ends its outer
-            # iteration or the stack is full; none when one round fills it
-            room = _TRACE_BYTES // (8 * max(len(traced), 1) * n * d)
-            held, hold = 0, np.empty((room, len(traced), n, d)) if traced and room > 1 else None
+            # iteration or the stack is full
+            room = max(1, _TRACE_BYTES // (8 * max(len(traced), 1) * n * d))
+            held, hold = 0, np.empty((room, len(traced), n, d))
         if not live:
             break
         # a block of quiet rounds, which never passes a lane's inner cap,
         # or else one round; zs holds z after each round taken
-        taken = eng.step_block(min(span, min(lane.start for lane in live) + cap - now)) if span else 0
+        taken = eng.step_block(min(span, cap_at - now)) if span else 0
         if taken:
             zs = eng.block.reshape(taken, eng.lanes, n, d)
             span = min(2 * span, cap) if eng.quiet else 0
@@ -602,52 +602,38 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             taken, zs = 1, eng.z.reshape(1, eng.lanes, n, d)
             span = _FIRST_SPAN if eng.quiet else 0
         now += taken
-        if traced:
-            if taken > 1 or hold is None:  # a block is a stack already
-                flush()  # the held rounds come first
-                trace(zs if traced_at is None else zs[:, traced_at])
-            else:
-                if traced_at is None:
-                    hold[held] = zs[0]
-                else:
-                    zs[0].take(traced_at, 0, hold[held])
-                held += 1
-                if held == room:
-                    flush()
-        # the lanes whose outer iteration ends this round, and the rounds it
-        # counts for: an idle round would repeat up to the inner cap, so it
-        # counts once for every round left
-        ending = {}
-        for r in range(now - taken + 1, now):  # a block's earlier rounds end no lane's inner cap
-            due.pop(r, None)
-        for lane in due.pop(now, ()):
-            if lane.start == now - cap:
-                ending[lane.pos] = 1
+        if traced and taken > 1:  # a block is a stack already
+            flush()  # the held rounds come first
+            trace(zs[:, traced_at])
+        elif traced:
+            hold[held] = zs[0, traced_at]
+            held += 1
+            if held == room:
+                flush()
+        # the lanes whose outer iteration ends this round (at the cap, on the gap
+        # test, or idle after a block), and each one's idle rounds left up to the cap
         stop = eng.all_inner_converged()
-        if True in stop.tolist():
-            ending.update(dict.fromkeys(np.flatnonzero(stop).tolist(), 1))
-        if eng.idle is not None:
-            for pos in np.flatnonzero(eng.idle).tolist():
-                ending.setdefault(pos, cap - (now - 1 - live[pos].start))
+        ends = stop if eng.idle is None else stop | eng.idle
+        if now == cap_at:
+            ends = ends | (opened == now - cap)
+        ending = ends.nonzero()[0].tolist()
+        left = np.where(ends & ~stop, cap - now + opened, 0).tolist() if ending else [0] * eng.lanes
         if collect_round_log_v:
             for lane in live:
                 lane.round_log_v += [z[lane.pos].copy() for z in zs[:-1]]
-                lane.round_log_v += [zs[-1, lane.pos].copy()] * ending.get(lane.pos, 1)
+                lane.round_log_v += [zs[-1, lane.pos].copy()] * (1 + left[lane.pos])
         done = []
         if not ending:
             continue
         span = 0  # a lane that opens its next outer iteration sends at once
         flush()
-        zs = zs[-1]
-        order = sorted(ending)
-        untraced = [pos for pos in order if not live[pos].traced]
+        untraced = [pos for pos in ending if not live[pos].traced]
         if untraced:  # a traced lane's last residual is its trace's last value
-            last = netsim.consensus_residual(zs if len(untraced) == eng.lanes else zs[untraced]).tolist()
-            last = dict(zip(untraced, last))
-        for pos in order:
+            last = dict(zip(untraced, netsim.consensus_residual(zs[-1, untraced]).tolist()))
+        for pos in ending:
             lane = live[pos]
             if lane.traced:  # an idle round repeats in the trace up to the cap
-                lane.residuals += lane.residuals[-1:] * (ending[pos] - 1)
+                lane.residuals += lane.residuals[-1:] * left[pos]
             z = eng.z[pos * n : (pos + 1) * n]
             # Remove each node's common log-v offset (a purely local step).
             # The raw shared update flips the offset's sign around its
@@ -657,7 +643,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             z -= z.mean(axis=1, keepdims=True)
             change = float(np.abs(z - lane.prev_log_v).max())
             lane.per_outer.append({
-                "outer_iter": lane.outer, "inner_steps_used": now - 1 - lane.start + ending[pos],
+                "outer_iter": lane.outer, "inner_steps_used": int(now - opened[pos]) + left[pos],
                 "log_v_change_linf": change,
                 "consensus_residual_last": lane.residuals[-1] if lane.traced else last[pos],
                 "consensus_residual_trace": lane.residuals,
@@ -665,6 +651,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             lane.prev_log_v = z.copy()
             if decide(lane, change):
                 done.append(pos)
+        cap_at = int(opened.min()) + cap  # an ended lane's entry is now, not below any live one
         del z  # a view that would keep this round's z alive through later rounds
     wall = time.perf_counter() - t0
     # a lane's first request takes the run's result, every later one a copy

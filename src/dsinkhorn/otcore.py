@@ -322,17 +322,15 @@ class TheoryConstants:
 
     ``rho`` is the square of theta = tanh(osc(log K)/4); ``rho_bound`` is the
     cost-level bound tanh^2(max|C| / (2 epsilon)). ``l_norm_bound`` is the
-    2/v_min Lipschitz bound of the simplex normalization on [v_min, v_max]^d;
-    the exact constant is never materialized, only this bound.
+    2/v_min Lipschitz bound of the simplex normalization on [v_min, v_max]^d,
+    v_min = exp(s_min) and v_max = exp(s_max); the exact constant is never
+    materialized, only this bound.
     """
 
     osc_log_k: float
     theta: float
     rho: float
     rho_bound: float
-    l_exp: float
-    v_min: float
-    v_max: float
     l_norm_bound: float
     steady_state_bias_bound: float
     bias_bound_overflowed: bool = False
@@ -342,9 +340,12 @@ def theory_constants(instance: ProblemInstance, comms) -> TheoryConstants:
     """Assemble the constants behind the steady-state tracking bound.
 
     ``comms`` must expose s_min, s_max, delta, tau_inner and delta_q. The
-    bias bound is l_exp * l_norm_bound * (tau_inner + delta + delta_q) /
-    (1 - rho); if it overflows (or rho saturates to 1 in floating point) it
-    is reported as +inf and a warning is emitted.
+    bias bound is v_max * l_norm_bound * (tau_inner + delta + delta_q) /
+    (1 - rho), with v_max = exp(s_max) the Lipschitz constant of exp on the
+    clip range. When it is not finite it is reported as +inf, and a
+    ``RuntimeWarning`` names the causes seen: an infinite perturbation (such
+    as delta = inf), exp over- or underflowing at the clip range, or rho
+    saturated at 1 in floating point.
     """
     kernel = instance.kernel()
     osc = osc_log_kernel(kernel)
@@ -353,33 +354,26 @@ def theory_constants(instance: ProblemInstance, comms) -> TheoryConstants:
     rho_bound = math.tanh(instance.cost.max_entry / (2.0 * instance.epsilon)) ** 2
     s_min, s_max = float(comms.s_min), float(comms.s_max)
     with np.errstate(over="ignore"):
-        l_exp = float(np.exp(s_max))
-        v_min = float(np.exp(s_min))
-        v_max = float(np.exp(s_max))
-        l_norm_bound = 2.0 / v_min if v_min > 0.0 else math.inf  # exp(s_min) underflows below -745
-        perturbation = float(comms.tau_inner) + float(comms.delta) + float(comms.delta_q)
-        denom = 1.0 - rho
-        if denom <= 0.0:
-            bias = math.inf
-        else:
-            bias = l_exp * l_norm_bound * perturbation / denom
+        v_min, v_max = float(np.exp(s_min)), float(np.exp(s_max))
+    l_norm_bound = 2.0 / v_min if v_min > 0.0 else math.inf  # exp(s_min) underflows below -745
+    perturbation = float(comms.tau_inner) + float(comms.delta) + float(comms.delta_q)
+    bias = v_max * l_norm_bound * perturbation / (1.0 - rho) if rho < 1.0 else math.inf
     overflowed = not math.isfinite(bias)
     if overflowed:
-        warnings.warn(
-            "steady-state bias bound overflowed to +inf (clip range too wide "
-            "or contraction factor saturated at 1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        causes = [cause for cause, seen in (
+            (f"the perturbation tau_inner + delta + delta_q is infinite (delta={comms.delta:g})",
+             math.isinf(perturbation)),
+            (f"exp over- or underflows at the clip range [{s_min:g}, {s_max:g}]", math.isinf(v_max * l_norm_bound)),
+            ("the contraction factor rho saturated at 1", rho >= 1.0),
+        ) if seen]
+        warnings.warn("steady-state bias bound is +inf: " + ("; ".join(causes) or "its product overflowed"),
+                      RuntimeWarning, stacklevel=2)
         bias = math.inf
     return TheoryConstants(
         osc_log_k=osc,
         theta=theta,
         rho=rho,
         rho_bound=rho_bound,
-        l_exp=l_exp,
-        v_min=v_min,
-        v_max=v_max,
         l_norm_bound=l_norm_bound,
         steady_state_bias_bound=bias,
         bias_bound_overflowed=overflowed,

@@ -243,6 +243,21 @@ class TestRun:
         assert "warning" not in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("comms, cause", [
+        ({"delta": float("inf")}, "the perturbation tau_inner + delta + delta_q is infinite (delta=inf)"),
+        ({"s_min": -1000.0, "s_max": 30.0}, "exp over- or underflows at the clip range [-1000, 30]"),
+    ])
+    def test_an_infinite_bias_bound_warns_once_on_one_line(self, tmp_path, capsys, command, comms, cause):
+        # the bound is +inf for the config's comms (and, at the wide clip
+        # range, for every tracking run of verify): the CLI names the cause
+        # once, with no source location
+        tree = dict(_base_tree(), seeds=[0])
+        tree["comms"].update(comms, bits=16, inner_step_cap=40, outer_iter_cap=5)
+        assert main([command, "--config", _write_cfg(tmp_path, tree), "--out", str(tmp_path / "o")]) in (0, 2, 4)
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "bias bound" in line] == [f"warning: steady-state bias bound is +inf: {cause}"]
+
     def test_run_metrics_per_outer_iter_is_bounded(self, tmp_path):
         # per-round residuals live only in trace.csv: the JSON keeps one
         # summary per outer iteration, and the trace equals the one a batch
@@ -551,6 +566,15 @@ class TestConfigErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify", "centralized"])
+    def test_uncreatable_output_dir_is_config_error(self, tmp_path, capsys, command):
+        # a path under a file cannot be a directory: every command exits 1
+        # naming output_dir, before it writes or runs anything
+        cfg = _write_cfg(tmp_path, dict(_base_tree(), sweep={"variable": "delta", "values": [1e-3]}))
+        for out, reason in ((f"{cfg}/out", "Not a directory"), (cfg, "File exists")):
+            assert main([command, "--config", cfg, "--out", out]) == 1
+            assert capsys.readouterr() == ("", f"error: output_dir: cannot create {out!r}: {reason}\n")
 
     @pytest.mark.parametrize("command", ["run", "verify", "centralized"])
     def test_missing_cost_file_is_config_error(self, tmp_path, capsys, command):

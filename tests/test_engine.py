@@ -1107,6 +1107,24 @@ def _lane_rounds(batch, results):
     return sum(r.rounds_total for r in lanes.values())
 
 
+def _ending_causes(batch, results):
+    """How the outer iterations of a batch's records end, counted per
+    request: "gap" before the inner cap (the gap test), "skip" at a fixed
+    point whose idle repeats share one round-log copy, "cap" after every
+    round up to the cap ran."""
+    causes = dict.fromkeys(("gap", "skip", "cap"), 0)
+    for (comms, _), record in zip(batch, results):
+        rounds = 0
+        for entry in [] if isinstance(record, Exception) else record.per_outer:
+            rounds += entry["inner_steps_used"]
+            last_two = record.round_log_v[rounds - 2 : rounds]
+            if entry["inner_steps_used"] < comms.inner_step_cap:
+                causes["gap"] += 1
+            else:
+                causes["skip" if len(last_two) == 2 and last_two[0] is last_two[1] else "cap"] += 1
+    return causes
+
+
 def _quiet_rounds(eng, limit=200):
     """Rounds a copy of ``eng`` runs alone before one sends, stops a lane
     or leaves a lane's z unchanged."""
@@ -1360,8 +1378,9 @@ def _differential_config(index):
 def _differential_outcome(index):
     """Run config ``index`` with the engine's shortcuts and with every
     round alone. Returns the fields that differ, as (request, field), the
-    rounds blocks took, the lane-rounds each run executed, and the
-    lane-rounds the records count (None when a lane failed)."""
+    rounds blocks took, the lane-rounds each run executed, the lane-rounds
+    the records count (None when a lane failed), and how the shortcut
+    run's outer iterations end (``_ending_causes``)."""
     instance, topology, requests = _differential_config(index)
     traced = True if index % 3 else set(range(0, len(requests), 2))
     step_round, step_block, executed = NetworkEngine.step_round, NetworkEngine.step_block, [0, 0]
@@ -1395,7 +1414,8 @@ def _differential_outcome(index):
         elif a != b:
             differ.append((i, "error"))
     failed = any(isinstance(r, Exception) for r in alone)
-    return differ, blocks, fast, executed[0], None if failed else _lane_rounds(requests, alone)
+    return (differ, blocks, fast, executed[0], None if failed else _lane_rounds(requests, alone),
+            _ending_causes(requests, shortcut))
 
 
 class TestShortcutsDifferential:
@@ -1403,11 +1423,11 @@ class TestShortcutsDifferential:
     deterministic configs: a run with them is bit-identical to the run of
     every round alone, errors included (type and message). Tier-1 checks
     40 configs; ``--differential-configs`` sets the count. Over the first
-    40 at least, blocks take rounds and some lane's fixed point is
-    skipped."""
+    40 at least, blocks take rounds, some lane's fixed point is skipped,
+    and outer iterations end in each of the three ways."""
 
     def test_shortcuts_change_no_record(self, differential_index):
-        differ, _, fast, slow, counted = _differential_outcome(differential_index)
+        differ, _, fast, slow, counted, _ = _differential_outcome(differential_index)
         assert not differ, f"config {differential_index}: (request, field) {differ}"
         assert fast <= slow
         assert counted is None or slow == counted  # alone, every counted round runs
@@ -1416,4 +1436,6 @@ class TestShortcutsDifferential:
         count = max(40, request.config.getoption("differential_configs"))
         outcomes = [_differential_outcome(i) for i in range(count)]
         assert sum(blocks for _, blocks, *_ in outcomes) > 0
-        assert sum(slow - fast for *_, fast, slow, _ in outcomes) > 0
+        assert sum(slow - fast for _, _, fast, slow, *_ in outcomes) > 0
+        causes = {cause: sum(o[-1][cause] for o in outcomes[:40]) for cause in ("gap", "skip", "cap")}
+        assert min(causes.values()) > 0, causes

@@ -419,7 +419,7 @@ class TestTheoryConstants:
             ridge=1e-16,
             histograms=(Histogram(np.array([0.5, 0.5])),),
         )
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match=r"is \+inf: the contraction factor rho saturated at 1$"):
             tc = theory_constants(inst, CommsConfig(delta=1e-3, tau_inner=1e-4, bits=None))
         assert tc.bias_bound_overflowed
         assert tc.steady_state_bias_bound == np.inf
@@ -430,10 +430,23 @@ class TestTheoryConstants:
         inst = ProblemInstance(
             cost=grid_cost(8), epsilon=0.8, ridge=1e-16, histograms=(Histogram(np.full(8, 0.125)),)
         )
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match=r"is \+inf: exp over- or underflows at the clip range \[-1000, 30\]$"):
             tc = theory_constants(inst, CommsConfig(delta=1e-3, s_min=-1000.0, s_max=30.0, bits=None))
         assert tc.l_norm_bound == np.inf
         assert tc.steady_state_bias_bound == np.inf
+
+    def test_infinite_delta_is_named_as_the_cause(self):
+        # nothing overflows: the perturbation tau_inner + delta + delta_q is
+        # infinite, and the warning says so and names no other cause
+        inst = ProblemInstance(
+            cost=grid_cost(8), epsilon=0.8, ridge=1e-16, histograms=(Histogram(np.full(8, 0.125)),)
+        )
+        with pytest.warns(RuntimeWarning) as caught:
+            tc = theory_constants(inst, CommsConfig(delta=np.inf, tau_inner=1e-4, bits=12))
+        assert [str(w.message) for w in caught] == [
+            "steady-state bias bound is +inf: the perturbation tau_inner + delta + delta_q is infinite (delta=inf)"]
+        assert tc.bias_bound_overflowed and tc.steady_state_bias_bound == np.inf
+        assert np.isfinite(tc.l_norm_bound)
 
 
 class TestCentralizedBarycenter:
