@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     def show(message, *_):  # each warning message once, as a line like the inert-delta one
         if str(message) not in shown:
             shown.add(str(message))
-            sys.stderr.write(f"warning: {message}\n")  # one write: pool workers share stderr
+            sys.stderr.write(f"warning: {message}\n")
 
     with warnings.catch_warnings():
         warnings.showwarning = show

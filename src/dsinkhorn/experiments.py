@@ -13,15 +13,18 @@ All CSV outputs carry a one-line header; each output directory gets a
 JSON sidecar of the fully resolved configuration.
 """
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import numbers
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import cycle, islice, repeat
 
 import numpy as np
 
@@ -302,28 +305,36 @@ def _t975(df: int) -> float:
 
 def _sweep_point(task):
     """Run all seeds of one sweep point's ``cfg`` as one batch; returns
-    (samples per statistic, failures). Errors are measured against ``oracle``
-    when one is given, else against one centralized solve at this value."""
+    (samples per statistic, failures, recorded warnings). Errors are measured
+    against ``oracle`` when one is given, else a centralized solve at this value."""
     variable, value, cfg, oracle = task
     *_, statistics = SWEEPS[variable]
-    samples = {stat: [] for stat in statistics}
-    try:
-        instance = cfgmod.build_instance(cfg)
-        if "error" in statistics and oracle is None:  # epsilon: each value its own problem
-            oracle = centralized_oracle(instance)
-        lanes = [(cfg.comms, seed) for seed in cfg.seeds]
-        results = run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
-                            oracle=oracle, collect_residuals=False)
-    except Exception as exc:  # noqa: BLE001 - value-level failures become rows too
-        return samples, [{"value": value, "seed": seed, "error": str(exc)} for seed in cfg.seeds]
-    failures = []
+    samples, failures = {stat: [] for stat in statistics}, []
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            instance = cfgmod.build_instance(cfg)
+            if "error" in statistics and oracle is None:  # epsilon: each value its own problem
+                oracle = centralized_oracle(instance)
+            lanes = [(cfg.comms, seed) for seed in cfg.seeds]
+            results = run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
+                                oracle=oracle, collect_residuals=False)
+        except Exception as exc:  # noqa: BLE001 - value-level failures become rows too
+            results = [exc] * len(cfg.seeds)
     for seed, result in zip(cfg.seeds, results):
         if isinstance(result, Exception):  # failures become table rows
             failures.append({"value": value, "seed": seed, "error": str(result)})
             continue
         for stat in statistics:
             samples[stat].append(getattr(result[0], STATISTICS[stat]))
-    return samples, failures
+    return samples, failures, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _place(cpus, queue):
+    """Pool initializer: start this worker on the CPU ``queue`` hands it, then
+    release it to ``cpus``; where a call fails the worker runs unplaced."""
+    for mask in ({queue.get()}, cpus):
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, mask)
 
 
 def downsample_reference(reference: np.ndarray, d: int) -> np.ndarray:
@@ -358,7 +369,13 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
         # first, so that no long one starts last; rows keep value order
         size = [cfg.network.topology.num_nodes * cfg.problem.d for cfg in spec.configs]
         order = sorted(range(len(tasks)), key=lambda i: -size[i])
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        workers, place = min(jobs, len(tasks)), {}
+        if hasattr(os, "sched_setaffinity"):  # each worker starts on a CPU of its own
+            cpus, queue = os.sched_getaffinity(0), multiprocessing.SimpleQueue()
+            for cpu in islice(cycle(sorted(cpus)), workers):
+                queue.put(cpu)
+            place = {"initializer": _place, "initargs": (cpus, queue)}
+        with ProcessPoolExecutor(max_workers=workers, **place) as pool:
             done = dict(zip(order, pool.map(_sweep_point, [tasks[i] for i in order])))
         results = [done[i] for i in range(len(tasks))]
     else:
@@ -367,9 +384,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     for stat in statistics:
         fieldnames += [f"{stat}_mean"] if stat == "runtime" else [f"{stat}_mean", f"{stat}_ci"]
     fieldnames.append("n_failed")
-    rows, failures = [], []
-    for value, (samples, fails) in zip(spec.values, results):
+    rows, failures, registry = [], [], {}
+    for value, (samples, fails, caught) in zip(spec.values, results):
         failures.extend(fails)
+        for warning in caught:  # issued here, so each shows once at any number of jobs
+            warnings.warn_explicit(*warning, registry=registry)
         row = {label: "unquantized" if value is None else value, "n_failed": len(fails)}
         for stat in statistics:
             row[f"{stat}_mean"], row[f"{stat}_ci"] = _mean_ci(samples[stat])

@@ -498,6 +498,21 @@ class TestSweep:
         assert len(tables[0]) == len(values)
         assert tables[0] == tables[1]
 
+    def test_each_warning_shows_once_at_any_jobs(self, tmp_path, capfd):
+        # every point warns that its bias bound is +inf and the first value
+        # is inert at 12 bits; the pool's workers record their warnings and
+        # the parent prints each once (fd capture sees worker writes too)
+        tree = self._sweep_tree("delta", [1e-4, 0.5, 1.0])
+        tree["comms"].update(bits=12, s_min=-1000.0, s_max=30.0, inner_step_cap=20, outer_iter_cap=2)
+        tree["seeds"] = [0]
+        cfg = _write_cfg(tmp_path, tree)
+        lines = []
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+            lines.append([line for line in capfd.readouterr().err.splitlines() if line.startswith("warning:")])
+        assert lines[0] == lines[1] and len(set(lines[0])) == len(lines[0]) == 2
+        assert "warning: steady-state bias bound is +inf: exp over- or underflows at the clip range [-1000, 30]" in lines[0]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
         cfg = _write_cfg(tmp_path, self._sweep_tree("delta", [1e-3, 1e-2]))

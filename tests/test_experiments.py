@@ -4,8 +4,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pickle
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
@@ -600,7 +604,7 @@ class TestScalingSweep:
         monkeypatch.setattr(netsim, "build_topology", lambda *a, **k: builds.append(a) or build(*a, **k))
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 self.max_workers, self.values = max_workers, []
                 pools.append(self)
 
@@ -632,6 +636,62 @@ class TestScalingSweep:
         xp.run_sweep(spec, jobs=2)
         assert [(p.max_workers, p.values) for p in pools[1:]] == [(2, [8, 4])]
         assert [p.built for p in pools] == [0, 0]
+
+
+def _affinity(_):
+    time.sleep(0.2)  # long enough that the other worker takes the next task
+    return os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
+class TestWorkerPlacement:
+    # run_sweep starts each pool worker on a CPU of its own, round-robin over
+    # the parent's CPUs, and then releases it to all of them
+    @staticmethod
+    def spec(values=(4, 9)):
+        return xp.SweepSpec("N", values, _small_cfg(**{"problem.d": 8, "comms.outer_iter_cap": 2, "seeds": [0]}))
+
+    def test_workers_are_released_to_the_parent_mask(self, monkeypatch):
+        masks = []
+
+        class ProbedPool(ProcessPoolExecutor):
+            def map(self, fn, tasks):
+                masks.extend(super().map(_affinity, range(2)))
+                return super().map(fn, tasks)
+
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", ProbedPool)
+        xp.run_sweep(self.spec(), jobs=2)
+        assert masks == [os.sched_getaffinity(0)] * 2
+
+    def test_workers_start_round_robin_over_the_cpus(self, monkeypatch, tmp_path):
+        # three workers: on two CPUs the third starts where the first does.
+        # The workers log their affinity calls to a file (forked copies of
+        # this patch), one line per call
+        log, setaffinity = tmp_path / "calls", os.sched_setaffinity
+
+        def logged(pid, mask):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([os.getpid(), sorted(mask)]) + "\n")
+            setaffinity(pid, mask)
+
+        monkeypatch.setattr(os, "sched_setaffinity", logged)
+        xp.run_sweep(self.spec((1, 4, 9)), jobs=3)
+        calls = {}
+        for pid, mask in map(json.loads, log.read_text().splitlines()):
+            calls.setdefault(pid, []).append(mask)
+        cpus = sorted(os.sched_getaffinity(0))
+        assert len(calls) == 3
+        assert all(len(masks) == 2 and len(masks[0]) == 1 and masks[1] == cpus for masks in calls.values())
+        assert sorted(masks[0][0] for masks in calls.values()) == sorted(islice(cycle(cpus), len(calls)))
+
+    def test_a_failed_placement_leaves_the_rows_unchanged(self, monkeypatch):
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        rows, serial = xp.run_sweep(self.spec(), jobs=2)[2], xp.run_sweep(self.spec())[2]
+        drop_runtime = lambda rows: [{k: v for k, v in r.items() if k != "runtime_mean"} for r in rows]
+        assert drop_runtime(rows) == drop_runtime(serial) and len(rows) == 2
 
 
 class TestSupportSweep:
