@@ -11,9 +11,15 @@ payload go out, per-edge drops, a send store for delayed packets,
 freshest-wins cache delivery, then cached gossip with the round's
 weights on the receivers that have an active in-edge. The edge caches
 sit in a slot-major grid (ELLPACK-style): slot s of receiver r is row
-s*n + r, so the gossip sum is one multiply-add per slot, kept under
-synchronous weights until a cache row changes, and the inner stop test
-checks one witness edge per lane before it scans every edge. Only four
+s*n + r, so the gossip sum is one multiply-add per slot with the
+synchronous weights stored in full, kept until a cache row changes, and
+the inner stop test checks one witness edge per lane before it scans
+every edge. A round in which every node sends over a lossless, undelayed
+channel refills the grid in one take from ref through a cell-to-sender
+index whose pads read a zero row kept after ref. Every per-node sup norm
+is one segmented reduction over the flat array (``_rowmax``) rather
+than one numpy inner loop per row, and the random draws are taken in
+round-major blocks, so a round's draws are a view. Only four
 things stay per lane: its activation/drop/delay streams, its delta, its
 stop decision between outer iterations, and its retirement from the
 union once it finishes. A lane is keyed by what it runs: its seed and
@@ -57,6 +63,23 @@ _FIRST_SPAN = 16  # rounds of the first block after a round that sent nothing
 _TRACE_BYTES = 1 << 17  # the traced z of the single rounds whose residuals wait for one call, at most
 
 
+_STARTS = {}  # per row width, the flat index of each row's first entry, for the most rows asked yet
+
+
+def _rowmax(x: np.ndarray, out=None) -> np.ndarray:
+    """``np.maximum.reduce(x, axis=-1)``, bit for bit (NaN and signed zeros
+    included), as one segmented reduction (``reduceat``) over the flat
+    array, where ``reduce`` runs one inner loop per row; ``out`` is flat.
+    Boolean any and all along rows stay numpy reductions, which are faster
+    than ``reduceat`` for them."""
+    flat, width = x.reshape(-1), x.shape[-1]
+    rows, starts = flat.size // width, _STARTS.get(width)
+    if starts is None or len(starts) < rows:
+        starts = _STARTS[width] = np.arange(0, rows * width, width)
+        starts.flags.writeable = False
+    return np.maximum.reduceat(flat, starts[:rows], out=out).reshape(x.shape[:-1])
+
+
 @dataclass
 class RunRecord:
     """Raw outcome of one decentralized run (pre-metrics)."""
@@ -83,8 +106,10 @@ class NetworkEngine:
     directed edge (receiver, sender) of the union, sorted by receiver. The
     caches ``ce`` live in ``slots`` (the largest in-degree) blocks of n
     rows: the k-th in-edge of receiver r is row ``cell = k*n + r``, and the
-    rows no edge fills are zero with weight 0; ``_sum``, their weighted sum,
-    is kept under synchronous weights until a cache row is written. Delayed
+    rows no edge fills (``pad``) are zero with weight 0; ``_sum``, their
+    weighted sum, is kept under synchronous weights until a cache row is
+    written. ``cell_src`` maps each cell to its row of ``_src``: its
+    sender's ref, or for a pad the zero row stored after ref. Delayed
     packets wait in ``store[send round % depth, sender]``, and
     ``arrival[slot, edge]`` is the round they land; each round every edge
     takes its freshest packet due in one gather, fresher than its
@@ -92,7 +117,9 @@ class NetworkEngine:
     otherwise). ``marks`` stacks each node's ``anchor`` (the state its
     variation is measured from) and ``ref`` (its last payload), so the
     trigger's two distances take one subtraction and a send one scatter.
-    The views of these arrays a round reads are built once per layout. Lanes may differ only in
+    The views of these arrays a round reads, and under synchronous
+    activation the weights in full, shaped as the caches and z they
+    multiply, are built once per layout. Lanes may differ only in
     seed and delta. ``idle`` is None, or flags per lane whether the last
     round of a block left z bit-for-bit unchanged; a round run alone sets
     it to None. ``quiet`` is True after a deterministic round that sent
@@ -130,25 +157,33 @@ class NetworkEngine:
         self.rcv = (self.edges[:, 0] + shift).ravel()
         self.snd = (self.edges[:, 1] + shift).ravel()
         self.cell = np.tile(self.rank, lanes) * self.n + self.rcv
-        self.pad = np.ones(self.slots * self.n, dtype=bool)
-        self.pad[self.cell] = False
-        w_sync = np.zeros(self.slots * self.n)
-        w_sync[self.cell] = np.tile(self.w_edges, lanes)
-        # shaped as they multiply the (slots, n, d) caches and the (n, d) z
-        self.w_sync = w_sync.reshape(self.slots, self.n, 1)
-        self.w_sync_diag = np.tile(self.w_diag, lanes)[:, None]
+        # each cell's sender, a row of ``_src``: ref, then a zero row (row n) for the pads
+        self.cell_src = np.full(self.slots * self.n, self.n)
+        self.cell_src[self.cell] = self.snd
+        self.pad = self.cell_src == self.n
 
     def _views(self) -> None:
-        """Views of the caches and the scratch buffer for the current layout:
-        the (slots, n, d) caches, the gossip products and each slot's row of
-        them in summation order, and the trigger's (2, n, d) diffs."""
-        self._ce3 = self.ce.reshape(self.slots, self.n, self.ce.shape[1])
+        """Views and weights for the current layout: the (2, n, d) marks,
+        anchor, ref and ``_src`` (ref and the zero row), the (slots, n, d)
+        caches, the gossip products and each slot's row of them in
+        summation order, the trigger's (2, n, d) diffs, and under
+        synchronous activation the weights in full, shaped as the caches
+        and z they multiply."""
+        n, d = self.n, self.ce.shape[1]
+        self.marks, self._src = self._marks[:-1].reshape(2, n, d), self._marks[n:]
+        self.anchor, self.ref = self.marks
+        self._ce3 = self.ce.reshape(self.slots, n, d)
         self._prod = self._scratch[: self.ce.size].reshape(self._ce3.shape)
         self._terms = [self._prod[s] for s in self._order]
         self._diff = self._scratch[: 2 * self.z.size].reshape(2, *self.z.shape)
-        self.anchor, self.ref = self.marks
+        if self.activation.mode == "synchronous":
+            w_sync = np.zeros(self.slots * n)
+            w_sync[self.cell] = np.tile(self.w_edges, self.lanes)
+            self.w_sync = np.repeat(w_sync, d).reshape(self._ce3.shape)
+            self.w_sync_diag = np.repeat(np.tile(self.w_diag, self.lanes), d).reshape(n, d)
 
-    _VIEWS = ("_ce3", "_prod", "_terms", "_diff", "anchor", "ref")
+    # built by _views, not copied with the engine
+    _VIEWS = ("marks", "_src", "anchor", "ref", "_ce3", "_prod", "_terms", "_diff", "w_sync", "w_sync_diag")
 
     def __getstate__(self):  # a copy builds its views of its own arrays
         return {k: v for k, v in self.__dict__.items() if k not in self._VIEWS}
@@ -166,10 +201,15 @@ class NetworkEngine:
         ``z0`` stacks the lanes' (N, d) states."""
         cm, d = self.comms, z0.shape[1]
         self.z = z0.astype(np.float64)
-        self.marks = np.empty((2, *self.z.shape))  # the anchor and ref rows of every node
+        self._marks = np.zeros((2 * self.n + 1, d))  # the anchor and ref rows of every node, then a zero row
+        self.ce = np.empty((self.slots * self.n, d))
+        # the trigger's diffs, the gossip products and the gaps; under random
+        # activation also the z each of the first two gathers
+        spare = self.activation.mode != "synchronous"
+        self._scratch = np.empty((max(self.slots, 2) + spare) * self.z.size)
+        self._views()
         self.marks[:] = protocol.quantize(protocol.clip_log(self.z, cm.s_min, cm.s_max), cm)
-        self.ce = np.zeros((self.slots * self.n, d))
-        self.ce[self.cell] = self.marks[1, self.snd]
+        self._refill()
         self.ce_time = np.zeros(self.n_edges, dtype=np.int64)
         self.messages = np.ones(self.n, dtype=np.int64)
         self.variation = np.zeros(self.n)
@@ -181,8 +221,6 @@ class NetworkEngine:
         depth = self.channel.max_staleness + 1 if self.channel.max_staleness else 0
         self.store = np.zeros((depth, self.n, d))
         self.arrival = np.zeros((depth, self.n_edges), dtype=np.int64)
-        self._scratch = np.empty(max(self.slots, 2) * self.z.size)  # trigger diffs, gossip products, gaps
-        self._views()
         self._sum = None
         # per lane: the largest cache gap, or a lower bound exact below tau_inner, and its cell and node
         self._lane_gap, self._witness = np.full(self.lanes, -np.inf), None
@@ -195,14 +233,14 @@ class NetworkEngine:
         nodes, edges = np.repeat(keep, self.size), np.repeat(keep, len(self.edges))
         for name in ("z", "messages", "variation", "delta"):
             setattr(self, name, getattr(self, name)[nodes])
-        self.marks = self.marks[:, nodes]
+        self._marks = np.concatenate((self.anchor[nodes], self.ref[nodes], self._marks[-1:]))
         d = self.ce.shape[1]
         self.ce = self.ce.reshape(self.slots, self.lanes, self.size * d)[:, keep].reshape(-1, d)
         self.ce_time, self.arrival, self.store = self.ce_time[edges], self.arrival[:, edges], self.store[:, nodes]
         self.clip_active, self._lane_gap = self.clip_active[keep], self._lane_gap[keep]
         self._witness = self._sum = self._stack = None
         self.rngs = [r for r, k in zip(self.rngs, keep) if k]
-        self._block = [None if b is None else b[keep] for b in self._block]
+        self._block = [None if b is None else b[:, keep] for b in self._block]
         self._layout(len(self.rngs))
         self._views()
 
@@ -212,23 +250,25 @@ class NetworkEngine:
         """This round's active mask, kept (not dropped) links and delays
         over the union of a round that is not deterministic; None where it
         draws nothing (a synchronous one activates all). Each lane's streams
-        are read _BLOCK rounds at a time, as one-round draws would."""
+        are read _BLOCK rounds at a time, as one-round draws would, into
+        round-major (_BLOCK, lanes, ...) blocks, so a round's draws are a view."""
         if (now - 1) % _BLOCK == 0:
             rngs, e, ch, depth = self.rngs, len(self.edges), self.channel, len(self.store)
             self._block = [None, None, None]  # the spent block goes before the next is drawn
             act = kept = delays = None  # filled lane by lane, without a list of per-lane copies
             if self.activation.mode != "synchronous":
-                act = np.stack([netsim.draw_active(a, self.activation, self.topology, _BLOCK) for a, _, _ in rngs])
+                act = np.stack([netsim.draw_active(a, self.activation, self.topology, _BLOCK) for a, _, _ in rngs],
+                               axis=1)
             if ch.drop_prob > 0:
-                kept = np.empty((self.lanes, _BLOCK, e), dtype=bool)
-                for row, (_, d, _) in zip(kept, rngs):
-                    np.greater_equal(d.random((_BLOCK, e)), ch.drop_prob, out=row)
+                kept = np.empty((_BLOCK, self.lanes, e), dtype=bool)
+                for lane, (_, d, _) in zip(kept.swapaxes(0, 1), rngs):
+                    np.greater_equal(d.random((_BLOCK, e)), ch.drop_prob, out=lane)
             if depth:
-                delays = np.empty((self.lanes, _BLOCK, e), dtype=np.int32)
-                for row, (*_, t) in zip(delays, rngs):
-                    row[:] = t.integers(0, depth, (_BLOCK, e))
+                delays = np.empty((_BLOCK, self.lanes, e), dtype=np.int32)
+                for lane, (*_, t) in zip(delays.swapaxes(0, 1), rngs):
+                    lane[:] = t.integers(0, depth, (_BLOCK, e))
             self._block = [act, kept, delays]
-        return [None if b is None else b[:, (now - 1) % _BLOCK].ravel() for b in self._block]
+        return [None if b is None else b[(now - 1) % _BLOCK].ravel() for b in self._block]
 
     def step_round(self) -> None:
         """One round of every lane; rounds are numbered 1, 2, ... after the
@@ -243,20 +283,23 @@ class NetworkEngine:
         if active is None:
             z_act, marks, delta, diff = self.z, self.marks, self.delta, self._diff
         else:
+            # the active rows of z and marks, gathered into the scratch buffer
             rows = active.nonzero()[0]
-            z_act, marks, delta = self.z.take(rows, 0), self.marks.take(rows, 1), self.delta[rows]
-            diff = self._scratch[: 2 * z_act.size].reshape(2, *z_act.shape)
+            k, d = len(rows), self.z.shape[1]
+            marks = diff = self.marks.take(rows, 1, self._scratch[: 2 * k * d].reshape(2, k, d), "clip")
+            z_act = self.z.take(rows, 0, self._scratch[2 * k * d : 3 * k * d].reshape(k, d), "clip")
+            delta = self.delta[rows]
         np.subtract(z_act, marks, out=diff)
-        step, gap = np.maximum.reduce(np.abs(diff, out=diff), axis=2)
-        hot = gap > delta
+        step, gap = _rowmax(np.abs(diff, out=diff))
+        hot = (gap > delta).nonzero()[0]  # of the active rows
         if active is None:
             self.variation += step
             self.anchor[...] = z_act
-            fired = hot.nonzero()[0]
+            fired = hot
         else:
             self.variation[rows] += step
             self.anchor[rows] = z_act
-            fired = rows[hot]
+            fired = rows.take(hot)
         # the clip range is in use when an active node's z leaves it, fired
         # or not; entries inside [s_min, s_max] are their own clip (NaN is
         # never outside)
@@ -264,9 +307,9 @@ class NetworkEngine:
         if z_act.size and (np.fmin.reduce(z_act, None) < cm.s_min or np.fmax.reduce(z_act, None) > cm.s_max):
             outside = np.logical_or.reduce((z_act < cm.s_min) | (z_act > cm.s_max), axis=1)
             self.clip_active[(outside.nonzero()[0] if active is None else rows[outside]) // self.size] = True
-            clipped = np.logical_or.reduce(outside[hot])
-        raw = z_act if len(fired) == len(hot) else z_act[hot]  # read only: clip and quantize copy
-        del z_act, marks, diff, step, gap  # z_act is a gathered copy on random activation
+            clipped = np.logical_or.reduce(outside.take(hot))
+        raw = z_act if len(hot) == len(z_act) else z_act.take(hot, 0)  # read only: clip and quantize copy
+        del z_act, marks, diff, step, gap  # z_act is in the scratch buffer on random activation
         if clipped:
             raw = protocol.clip_log(raw, cm.s_min, cm.s_max)
         payload = protocol.quantize(raw, cm)
@@ -276,9 +319,10 @@ class NetworkEngine:
         # while every node sends, whole arrays are written
         everyone = len(fired) == self.n
         if clipped or cm.bits is not None:
-            new = np.logical_or.reduce(payload != (self.ref if everyone else self.ref[fired]), axis=1)
+            new = np.logical_or.reduce(payload != (self.ref if everyone else self.ref.take(fired, 0)), axis=1)
             if not np.logical_and.reduce(new):
-                fired, payload, everyone = fired[new], payload[new], False
+                new = new.nonzero()[0]
+                fired, payload, everyone = fired.take(new), payload.take(new, 0), False
         if everyone:
             self.marks[...] = payload
             self.messages += 1
@@ -292,22 +336,23 @@ class NetworkEngine:
         # ``ce_time``, so an undelayed channel leaves it at 0
         if everyone and kept is None and not depth:
             # every node sent and every edge is lossless and undelayed
-            self.ce[self.cell] = self.ref.take(self.snd, 0)
+            self._refill()
             self._sum = None
         elif len(fired) or depth:
             if len(fired):
                 sent = np.zeros(self.n, dtype=bool)
                 sent[fired] = True
-                sent = sent[self.snd] if kept is None else sent[self.snd] & kept
+                sent = sent.take(self.snd) if kept is None else sent.take(self.snd) & kept
             if not depth:  # undelayed: every kept packet lands now, and ref holds its payload
                 upd = sent.nonzero()[0]
                 landed = self.ref.take(self.snd[upd], 0)
             else:
                 if len(fired):
                     self.store[now % depth, fired] = payload
-                    self.arrival[now % depth, sent] = now + delays[sent]
+                    sent = sent.nonzero()[0]
+                    self.arrival[now % depth, sent] = delays.take(sent) + now
                 sent_at = now - (now - np.arange(depth)) % depth
-                due = np.maximum.reduce(np.where(self.arrival == now, sent_at[:, None], 0), axis=0)
+                due = np.maximum.reduce((self.arrival == now) * sent_at[:, None], axis=0)
                 upd = (due > self.ce_time).nonzero()[0]
                 due = due[upd]
                 landed = self.store.reshape(-1, self.z.shape[1]).take(due % depth * self.n + self.snd[upd], 0)
@@ -381,14 +426,14 @@ class NetworkEngine:
         steps, moves = np.empty((taken + 1, self.n)), moves[:taken]
         steps[0] = self.variation
         np.subtract(stack[1 : taken + 1], stack[:taken], out=moves)
-        np.maximum.reduce(np.abs(moves, out=moves), axis=2, out=steps[1:])
+        _rowmax(np.abs(moves, out=moves), out=steps[1:].reshape(-1))
         self.variation = np.add.accumulate(steps, axis=0)[-1]  # round by round
         ends = stack[[1, taken]]  # the states the block's first and last rounds evaluate
         if np.fmin.reduce(ends, None) < cm.s_min or np.fmax.reduce(ends, None) > cm.s_max:
             outside = ((ends < cm.s_min) | (ends > cm.s_max)).any(axis=(0, 2))
             self.clip_active[outside.nonzero()[0] // self.size] = True
         self.anchor[...], self.z = stack[taken], stack[taken + 1].copy()
-        self._lane_gap = np.maximum.reduce(np.abs(self.z.take(nodes, 0) - caches), axis=1)
+        self._lane_gap = _rowmax(np.abs(self.z.take(nodes, 0) - caches))
         self.send_counter += taken
         self.idle, self.block = None if moved is None else ~moved[taken - 1], stack[2 : taken + 2]
         return taken
@@ -398,9 +443,13 @@ class NetworkEngine:
         delta of ref, so the trigger does not fire, and whether its payload
         is ref, so a fired trigger sends nothing; False for NaN."""
         cm = self.comms
-        within = np.maximum.reduce(np.abs(z - self.ref), axis=1) <= self.delta
+        within = _rowmax(np.abs(z - self.ref)) <= self.delta
         payload = protocol.quantize(protocol.clip_log(z, cm.s_min, cm.s_max), cm)
         return within, (payload == self.ref).all(axis=1)
+
+    def _refill(self) -> None:
+        """Every cache row from its sender's ref, and every pad from the zero row."""
+        np.take(self._src, self.cell_src, 0, out=self.ce, mode="clip")
 
     def _gossip(self, active: np.ndarray | None) -> None:
         if not self.n_edges:
@@ -436,16 +485,17 @@ class NetworkEngine:
             total, *rest = (prod[s] for s in self._order)
             for term in rest:
                 np.add(total, term, out=total)
-            z = self.z.take(rows, 0) * diag[:, None]
+            z = self.z.take(rows, 0, self._scratch[self.slots * k * d : (self.slots + 1) * k * d].reshape(k, d), "clip")
+            z *= diag[:, None]
             z += total
             self.z[rows] = z
         if self._witness is not None:
             cells, nodes = self._witness
-            gap = np.maximum.reduce(np.abs(self.z.take(nodes, 0) - self.ce.take(cells, 0)), axis=1)
+            gap = _rowmax(np.abs(self.z.take(nodes, 0) - self.ce.take(cells, 0)))
             if np.minimum.reduce(gap) >= self.comms.tau_inner:  # no lane can stop: skip the scan
                 self._lane_gap = gap
                 return
-        gaps = np.maximum.reduce(np.abs(np.subtract(ce, self.z, out=buf), out=buf), axis=2).ravel()
+        gaps = _rowmax(np.abs(np.subtract(ce, self.z, out=buf), out=buf)).ravel()
         gaps[self.pad] = -np.inf
         per_lane = gaps.reshape(self.slots, self.lanes, self.size).transpose(1, 0, 2).reshape(self.lanes, -1)
         best = per_lane.argmax(axis=1)

@@ -1329,6 +1329,95 @@ class TestBlocks:
         assert eng.idle.tolist() == [True]
 
 
+class TestRowmax:
+    """The engine's per-node sup norms are one segmented reduction over the
+    flat array; each must equal ``np.maximum.reduce`` along the rows bit
+    for bit, NaN (of either sign), infinities and signed zeros included."""
+
+    VALUES = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0, 5e-324])
+
+    @pytest.mark.parametrize("shape", [(40, 7), (3, 5, 4), (2, 64), (11, 1), (0, 6), (2, 0, 3)])
+    def test_equals_reduce_along_rows(self, shape):
+        x = np.random.default_rng(len(shape) * 100 + shape[-1]).choice(self.VALUES, size=shape)
+        expected = np.maximum.reduce(x, axis=-1)
+        got = engine._rowmax(x)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_rows_of_one_value(self):
+        # rows that are all NaN, all -0.0 or all +0.0, or mix the two zeros, keep their exact bits
+        x = np.array([[np.nan] * 3, [-0.0] * 3, [0.0] * 3, [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]])
+        assert engine._rowmax(x).tobytes() == np.maximum.reduce(x, axis=1).tobytes()
+
+    def test_row_counts_that_grow_and_shrink(self):
+        # the row starts kept per width serve shorter and longer calls alike
+        rng = np.random.default_rng(1)
+        for shape in [(3, 50), (200, 3), (7, 50), (2, 3), (400, 50)]:
+            x = rng.normal(size=shape)
+            assert engine._rowmax(x).tobytes() == np.maximum.reduce(x, axis=1).tobytes()
+
+    def test_into_a_flat_output(self):
+        x = np.abs(np.random.default_rng(0).normal(size=(3, 4, 5)))
+        out = np.full((4, 4), np.nan)
+        engine._rowmax(x, out=out[1:].reshape(-1))
+        assert np.isnan(out[0]).all()
+        assert out[1:].tobytes() == np.maximum.reduce(x, axis=2).tobytes()
+
+
+PADDED = build_topology("grid2d", rows=3, cols=3)  # in-degrees 2 to 4: every slot below 4 has pads
+
+
+def _assert_zero_rows(eng):
+    """Every pad row of the cache grid and the zero row after ref are +0.0."""
+    assert eng._src.shape == (eng.n + 1, eng.ce.shape[1])
+    assert eng.pad.sum() == eng.slots * eng.n - eng.n_edges
+    assert not eng.ce[eng.pad].view(np.int64).any()
+    assert not eng._src[-1].view(np.int64).any()
+
+
+class TestGridZeros:
+    """On a padded topology the pad rows of ``ce`` stay exactly +0.0 and the
+    zero row after ``ref`` stays zero, through every kind of round and a
+    lane's retirement. A pad read under weight 0 changes at most the sign
+    of a zero, so the parity tests alone would not see a wrong cell-to-
+    sender index."""
+
+    @pytest.mark.parametrize("channel, activation, refills", [
+        pytest.param(None, None, True, id="sync-lossless"),
+        pytest.param(ChannelModel(drop_prob=0.3), None, False, id="drops"),
+        pytest.param(ChannelModel(max_staleness=2), ActivationModel(mode="randomized_subset", p_active=0.5),
+                     False, id="delayed-async"),
+    ])
+    def test_pads_stay_zero(self, channel, activation, refills, monkeypatch):
+        refill, calls = NetworkEngine._refill, []
+
+        def checked(eng):
+            # a full refill writes every cell from its own sender's ref
+            refill(eng)
+            calls.append(eng.lanes)
+            assert eng.ce[eng.cell].tobytes() == eng.ref[eng.snd].tobytes()
+            _assert_zero_rows(eng)
+
+        monkeypatch.setattr(NetworkEngine, "_refill", checked)
+        comms = CommsConfig(delta=0.0, bits=None, inner_step_cap=50)
+        eng = NetworkEngine(PADDED, [(comms, seed) for seed in range(3)], channel, activation)
+        eng.bootstrap(np.random.default_rng(5).normal(size=(3 * PADDED.num_nodes, 6)))
+        assert eng.slots == 4 and calls == [3]
+        delivered = 0
+        for k in range(36):
+            if k == 18:
+                eng.retire(np.array([False, True, False]))
+                _assert_zero_rows(eng)
+            cached = eng.ce.copy()
+            eng.step_round()
+            delivered += bool((eng.ce != cached).any())
+            _assert_zero_rows(eng)
+        assert eng.lanes == 2 and delivered >= 30
+        # after round 1, in which z is still ref, every round of a synchronous
+        # lossless channel refills the whole grid; no other round does
+        assert calls == [3] + ([3] * 17 + [2] * 18 if refills else [])
+
+
 def pytest_generate_tests(metafunc):
     if "differential_index" in metafunc.fixturenames:
         metafunc.parametrize("differential_index", range(metafunc.config.getoption("differential_configs")))

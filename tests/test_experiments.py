@@ -753,27 +753,36 @@ class TestVerifyTheory:
     def test_adversarial_clip_window_excludes_tracking(self, small_setup):
         instance, topology, _ = small_setup
         # a clip window this tight distorts every transmission; the runs get
-        # flagged and the tracking claim is not exercised
+        # flagged, the tracking claim is not exercised, and the check fails
+        # with the exclusions as its witness
         comms = CommsConfig(delta=1e-3, bits=16, tau_inner=1e-4, tau_outer=1e-6,
                             s_min=-0.05, s_max=0.05,
                             inner_step_cap=20, outer_iter_cap=40)
         report = xp.verify_theory(instance, comms, topology, seed=0)
-        assert report.passed
+        assert not report.passed
         assert any("excluded" in w for w in report.warnings)
         tracking = next(c for c in report.checks if c.name == "tracking_bound")
-        assert tracking.details["included"] == 0
+        assert not tracking.passed and tracking.details["included"] == 0
+        excluded = tracking.details["excluded"]
+        assert len(excluded) == tracking.details["grid_runs"] == 9
+        assert tracking.witness == {"reason": "every grid run excluded", "excluded": excluded}
+        assert all(c.passed for c in report.checks if c.name != "tracking_bound")
         budget = next(c for c in report.checks if c.name == "broadcast_budget")
         assert budget.details["runs_checked"] > 0
 
     def test_tiny_epsilon_warns_and_still_passes(self):
         instance = _small_instance(d=16, n=4, epsilon=0.01)
         topology = build_topology("grid2d", rows=2, cols=2)
-        comms = CommsConfig(delta=1e-3, bits=16, tau_inner=1e-4, tau_outer=1e-6,
-                            inner_step_cap=3, outer_iter_cap=10)
+        # caps and a tau_outer at which some grid runs converge, so that the
+        # tracking check has runs to test
+        comms = CommsConfig(delta=1e-3, bits=16, tau_inner=1e-4, tau_outer=1e-2,
+                            inner_step_cap=20, outer_iter_cap=40)
         with pytest.warns(RuntimeWarning):
             report = xp.verify_theory(instance, comms, topology, seed=0)
         assert report.passed
         assert any("close to 1" in w for w in report.warnings)
+        tracking = next(c for c in report.checks if c.name == "tracking_bound")
+        assert tracking.details["included"] > 0
 
     def test_report_serialization(self, small_setup):
         instance, topology, comms = small_setup
