@@ -20,7 +20,6 @@ from .config import (
 )
 from .engine import RunRecord, consensus_trace, simulate_lanes
 from .experiments import (
-    RunMetrics,
     SweepSpec,
     VerificationReport,
     centralized_oracle,
@@ -73,7 +72,7 @@ __all__ = [
     "ChannelModel", "ActivationModel",
     "RunRecord", "simulate_lanes", "consensus_trace",
     # experiments & config
-    "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",
+    "SweepSpec", "VerificationReport", "centralized_oracle",
     "run_decentralized", "run_sweep", "verify_theory",
     "RunConfig", "ProblemSpec", "NetworkSpec",
     "ConfigError", "build_instance", "build_topology_from_spec",

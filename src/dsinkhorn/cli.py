@@ -110,6 +110,21 @@ def cmd_centralized(cfg: cfgmod.RunConfig) -> int:
     return EXIT_OK if result.converged else EXIT_CAP
 
 
+# run_metrics.json's fields per run, in file order: RunRecord fields, where
+# per_outer_iter is per_outer without the per-round residual traces, which
+# trace.csv holds
+_RUN_KEYS = ("seed", "converged", "outer_iters", "rounds_total", "per_outer_iter", "l1_error_per_node",
+             "l1_error_max", "l1_error_mean", "broadcasts_per_agent", "variation_per_agent",
+             "messages_per_agent", "messages_total", "bytes_total", "wall_clock_seconds", "bias_bound",
+             "clip_active")
+
+
+def _run_entry(record) -> dict:
+    """One run of run_metrics.json: the record's _RUN_KEYS."""
+    per_outer_iter = [{k: v for k, v in p.items() if k != "consensus_residual_trace"} for p in record.per_outer]
+    return {key: per_outer_iter if key == "per_outer_iter" else getattr(record, key) for key in _RUN_KEYS}
+
+
 def cmd_run(cfg: cfgmod.RunConfig) -> int:
     outdir = cfg.output_dir
     _write_resolved(outdir, cfg)
@@ -124,27 +139,26 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     if cfg.comms.delta > 0:
         lanes.append((replace(cfg.comms, delta=0.0), cfg.seeds[0]))
     twin = len(lanes) - 1 if cfg.comms.delta > 0 else 0
-    results = experiments.run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
+    records = experiments.run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
                                     oracle=oracle, collect_residuals={0, twin})
-    failed = [r for r in results if isinstance(r, Exception)]
+    failed = [r for r in records if isinstance(r, Exception)]
     if failed:
         raise failed[0]
-    all_metrics = [m for m, _ in results[: len(cfg.seeds)]]
-    records = [r for _, r in results]
+    runs = records[: len(cfg.seeds)]
 
-    error_max = max(m.l1_error_max for m in all_metrics)
-    messages_mean = float(np.mean([m.messages_total for m in all_metrics]))
-    bias = all_metrics[0].bias_bound
+    error_max = max(r.l1_error_max for r in runs)
+    messages_mean = float(np.mean([r.messages_total for r in runs]))
+    bias = runs[0].bias_bound
     experiments.write_json(
         os.path.join(outdir, "run_metrics.json"),
         {
-            "runs": all_metrics,
+            "runs": [_run_entry(r) for r in runs],
             "aggregate": {
                 "error_max": error_max,
-                "error_mean": float(np.mean([m.l1_error_mean for m in all_metrics])),
+                "error_mean": float(np.mean([r.l1_error_mean for r in runs])),
                 "messages_total_mean": messages_mean,
                 "bias_bound": bias,
-                "all_converged": all(m.converged for m in all_metrics),
+                "all_converged": all(r.converged for r in runs),
             },
         },
     )
@@ -163,7 +177,7 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
         f"run: error_max={error_max:.6e} messages_total={messages_mean:.0f} "
         f"bias_bound={bias:.6e}"
     )
-    return EXIT_OK if all(m.converged for m in all_metrics) else EXIT_CAP
+    return EXIT_OK if all(r.converged for r in runs) else EXIT_CAP
 
 
 def cmd_sweep(cfg: cfgmod.RunConfig, sweep_sec, jobs: int) -> int:

@@ -29,8 +29,8 @@ since it sends exactly what delta = 0 sends. Requests with the same key
 run as one lane of the union, and each request gets its own copy of its
 outcome.
 The test suite pins every lane, step for step, to a deliberately literal
-per-agent oracle. One lane alone is the one-lane batch; with metrics, it
-is ``experiments.run_decentralized``.
+per-agent oracle. One lane alone is the one-lane batch; measured against
+the centralized barycenter, it is ``experiments.run_decentralized``.
 
 A deterministic round (synchronous activation, no drops, no delays) draws
 no random numbers and leaves nothing in flight. After such a round sends
@@ -47,6 +47,7 @@ the record of the same rounds run one at a time.
 """
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -82,8 +83,12 @@ def _rowmax(x: np.ndarray, out=None) -> np.ndarray:
 
 @dataclass
 class RunRecord:
-    """Raw outcome of one decentralized run (pre-metrics)."""
+    """Outcome of one decentralized run, the one result type per run. The
+    engine fills every field but the last four, which
+    ``experiments.run_lanes`` fills: the errors against its oracle (NaN,
+    None per node, without one) and the comms' steady-state bias bound."""
 
+    seed: int
     barycenters: np.ndarray  # (N, d) per-node softmax(log v)
     log_v: np.ndarray  # (N, d) final per-node log v
     converged: bool
@@ -91,12 +96,19 @@ class RunRecord:
     rounds_total: int
     broadcasts_per_agent: np.ndarray
     variation_per_agent: np.ndarray
+    messages_per_agent: np.ndarray  # link messages: broadcasts times the agent's degree
+    messages_total: int
+    bytes_total: int  # messages_total times the packet's wire size
     clip_active: bool  # some active node's z left [s_min, s_max] in some round, bootstrap included
     # dicts: outer_iter, inner_steps_used, log_v_change_linf, consensus_residual_last, consensus_residual_trace
     per_outer: list
     wall_clock_seconds: float  # the run's share of its batch's time, by rounds
     # optional per-round Z copies, a block's rounds included; idle repeats share one
     round_log_v: list = field(default_factory=list)
+    l1_error_per_node: np.ndarray | None = None
+    l1_error_max: float = math.nan
+    l1_error_mean: float = math.nan
+    bias_bound: float = math.nan
 
 
 class NetworkEngine:
@@ -532,7 +544,8 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     (``DegenerateStateError``) gets that error in place of its record; the
     other lanes run on unchanged. Each lane leaves the batch when it
     finishes; its wall_clock_seconds is its share of the batch's time, by
-    rounds.
+    rounds. Its link messages are its broadcasts times the topology's
+    degrees, and its bytes those messages times the packet's wire size.
 
     Every ``per_outer`` entry holds ``consensus_residual_last``, the
     residual after the outer iteration's last round. The per-round
@@ -566,6 +579,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     eng = NetworkEngine(topology, runs, channel, activation)
     cm, (n, d) = eng.comms, mu.shape
     cap = cm.inner_step_cap
+    degrees, wire = topology.degrees(), protocol.packet_wire_size(d, cm.bits)
     t0 = time.perf_counter()
     eng.bootstrap(np.zeros((len(runs) * n, d)))
     results, start = [None] * len(runs), np.zeros((n, d))
@@ -583,11 +597,13 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         z = eng.z[rows]
         opened[lane.pos] = now  # its next inner steps, if any, are the rounds after this one
         if change < cm.tau_outer or lane.outer == cm.outer_iter_cap:
+            broadcasts = eng.messages[rows].copy()
+            links = broadcasts * degrees
             results[lane.index] = RunRecord(
-                otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
-                sum(p["inner_steps_used"] for p in lane.per_outer), eng.messages[rows].copy(),
-                eng.variation[rows].copy(), bool(eng.clip_active[lane.pos]), lane.per_outer, 0.0,
-                lane.round_log_v,
+                runs[lane.index][1], otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
+                sum(p["inner_steps_used"] for p in lane.per_outer), broadcasts, eng.variation[rows].copy(),
+                links, int(links.sum()), int(links.sum()) * wire, bool(eng.clip_active[lane.pos]),
+                lane.per_outer, 0.0, lane.round_log_v,
             )
             return True
         lane.outer, lane.residuals = lane.outer + 1, []

@@ -29,12 +29,11 @@ from itertools import cycle, islice, repeat
 import numpy as np
 
 from . import config as cfgmod
-from . import engine, netsim, otcore, protocol
+from . import engine, netsim, otcore
 
 __all__ = [
     "ORACLE_TOL",
     "ORACLE_MAX_ITER",
-    "RunMetrics",
     "SweepSpec",
     "centralized_oracle",
     "run_lanes",
@@ -58,29 +57,6 @@ ORACLE_TOL = 1e-12
 ORACLE_MAX_ITER = 100_000
 
 
-@dataclass
-class RunMetrics:
-    """Accuracy/bandwidth summary of one decentralized run; wall_clock_seconds
-    is the run's share of its batch's engine time, in proportion to rounds."""
-
-    seed: int
-    converged: bool
-    outer_iters: int
-    rounds_total: int
-    per_outer_iter: list
-    l1_error_per_node: np.ndarray | None
-    l1_error_max: float
-    l1_error_mean: float
-    broadcasts_per_agent: np.ndarray
-    variation_per_agent: np.ndarray
-    messages_per_agent: np.ndarray
-    messages_total: int
-    bytes_total: int
-    wall_clock_seconds: float
-    bias_bound: float
-    clip_active: bool
-
-
 def centralized_oracle(instance) -> np.ndarray:
     """Reference barycenter at oracle tolerance; returns the mass vector."""
     result = otcore.centralized_barycenter(instance, tol=ORACLE_TOL, max_iter=ORACLE_MAX_ITER)
@@ -89,58 +65,41 @@ def centralized_oracle(instance) -> np.ndarray:
 
 def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracle=None,
               collect_residuals=True) -> list:
-    """Every ``(comms, seed)`` lane as one engine batch, plus its metrics.
+    """Every ``(comms, seed)`` lane as one engine batch, measured.
 
-    Returns one ``(RunMetrics, RunRecord)`` per lane, in order, or the
-    ``ClipRangeError``/``DegenerateStateError`` that ended the lane. Errors
-    are measured against ``oracle``, a reference mass vector such as
-    :func:`centralized_oracle` returns, and are NaN (``l1_error_per_node``
-    None) without one. ``collect_residuals`` picks the records that keep
-    per-round residual traces (True, False, or indices into ``lanes``);
-    ``RunMetrics.per_outer_iter`` never holds them.
+    Returns one ``RunRecord`` per lane, in order, or the
+    ``ClipRangeError``/``DegenerateStateError`` that ended the lane. Each
+    record gets here its errors, measured against ``oracle``, a reference
+    mass vector such as :func:`centralized_oracle` returns (NaN, and
+    ``l1_error_per_node`` None, without one), and its comms' steady-state
+    bias bound. ``collect_residuals`` picks the records that keep per-round
+    residual traces (True, False, or indices into ``lanes``).
     """
     records = engine.simulate_lanes(instance, topology, lanes, channel, activation, collect_residuals)
-    degrees = topology.degrees()
-    results, bias = [], {}
-    for (comms, seed), record in zip(lanes, records):
+    bias = {}
+    for (comms, _), record in zip(lanes, records):
         if isinstance(record, Exception):
-            results.append(record)
             continue
-        errors = None if oracle is None else np.abs(record.barycenters - np.asarray(oracle)).sum(axis=1)
+        if oracle is not None:
+            errors = record.l1_error_per_node = np.abs(record.barycenters - np.asarray(oracle)).sum(axis=1)
+            record.l1_error_max, record.l1_error_mean = float(errors.max()), float(errors.mean())
         if comms not in bias:  # the bias bound depends on the comms alone
             bias[comms] = otcore.theory_constants(instance, comms).steady_state_bias_bound
-        link_messages = record.broadcasts_per_agent * degrees
-        wire = protocol.packet_wire_size(instance.support_size, comms.bits)
-        metrics = RunMetrics(
-            seed=seed, converged=record.converged, outer_iters=record.outer_iters,
-            rounds_total=record.rounds_total,
-            per_outer_iter=[{k: v for k, v in p.items() if k != "consensus_residual_trace"}
-                            for p in record.per_outer],
-            l1_error_per_node=errors,
-            l1_error_max=math.nan if errors is None else float(errors.max()),
-            l1_error_mean=math.nan if errors is None else float(errors.mean()),
-            broadcasts_per_agent=record.broadcasts_per_agent.copy(),
-            variation_per_agent=record.variation_per_agent.copy(),
-            messages_per_agent=link_messages, messages_total=int(link_messages.sum()),
-            bytes_total=int(link_messages.sum()) * wire,
-            wall_clock_seconds=record.wall_clock_seconds,
-            bias_bound=bias[comms],
-            clip_active=record.clip_active,
-        )
-        results.append((metrics, record))
-    return results
+        record.bias_bound = bias[comms]
+    return records
 
 
 def run_decentralized(instance, topology, comms, channel=None, activation=None, seed: int = 0, *,
                       oracle=None, collect_residuals: bool = True):
-    """One full decentralized run plus its metrics, ``(RunMetrics,
-    RunRecord)``: the one-lane :func:`run_lanes`, raising the error that
-    ended a failed run."""
-    (result,) = run_lanes(instance, topology, [(comms, seed)], channel, activation, oracle=oracle,
+    """One full decentralized run, the one-lane :func:`run_lanes`, raising
+    the error that ended a failed run. Returns the record twice,
+    ``(record, record)``, because callers unpack two values: perfbench's
+    reference replay reads the first."""
+    (record,) = run_lanes(instance, topology, [(comms, seed)], channel, activation, oracle=oracle,
                           collect_residuals=collect_residuals)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    if isinstance(record, Exception):
+        raise record
+    return record, record
 
 
 TRACE_FIELDS = ("variant", "round", "outer_iter", "inner_step", "residual")
@@ -177,7 +136,7 @@ def overlap_rows(oracle, barycenters) -> list:
 # Swept variable -> (config section that owns the field, table file, label
 # column, statistics); the field is the variable's namesake, but N sets the
 # network's params. Each statistic becomes a <stat>_mean and a <stat>_ci
-# column over the seeds, taken from the RunMetrics field in STATISTICS.
+# column over the seeds, taken from the RunRecord field in STATISTICS.
 # Runtime gets no _ci: the seeds of a point run as one batch whose time is
 # shared out by rounds, so their runtimes carry no seed-to-seed spread.
 SWEEPS = {
@@ -325,7 +284,7 @@ def _sweep_point(task):
             failures.append({"value": value, "seed": seed, "error": str(result)})
             continue
         for stat in statistics:
-            samples[stat].append(getattr(result[0], STATISTICS[stat]))
+            samples[stat].append(getattr(result, STATISTICS[stat]))
     return samples, failures, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -536,7 +495,7 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
         for dv, (variant, _), result in zip(deltas, lanes, results):
             if isinstance(result, Exception):
                 raise result
-            grid[dv, bv] = {"delta": dv, "bits": bv, "metrics": result[0],
+            grid[dv, bv] = {"delta": dv, "bits": bv, "record": result,
                             "perturbation": variant.tau_inner + dv + variant.delta_q}
     runs = [grid[dv, bv] for dv in deltas for bv in bits_grid]
     excluded = []
@@ -544,7 +503,7 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
     worst = None
     track_ok = True
     for run in runs:
-        m = run["metrics"]
+        m = run["record"]
         if not m.converged or m.clip_active:
             excluded.append(
                 {"delta": run["delta"], "bits": run["bits"],
@@ -557,7 +516,7 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
             worst = {"delta": run["delta"], "bits": run["bits"],
                      "error": m.l1_error_max, "bias_bound": m.bias_bound}
     xs = np.array([r["perturbation"] for r in runs])
-    ys = np.array([r["metrics"].l1_error_max for r in runs])
+    ys = np.array([r["record"].l1_error_max for r in runs])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(runs) >= 2 else math.nan
     slope_ok = slope >= -1e-12
     passed = bool(tracked) and track_ok and slope_ok
@@ -584,7 +543,7 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
         dv = run["delta"]
         if not (dv > 0) or math.isinf(dv):
             continue
-        m = run["metrics"]
+        m = run["record"]
         limit = 1 + np.ceil(m.variation_per_agent / dv)
         checked += 1
         if np.any(m.broadcasts_per_agent > limit):
@@ -676,8 +635,6 @@ def _json_safe(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _json_safe(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 

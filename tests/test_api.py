@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dsinkhorn
-from dsinkhorn import engine, experiments, otcore
+from dsinkhorn import cli, config, engine, experiments, otcore
 
 PACKAGE_DIR = Path(dsinkhorn.__file__).resolve().parent
 MODULES = ["dsinkhorn"] + [
@@ -37,7 +37,7 @@ EXPORTED = {
     "ChannelModel", "ActivationModel",
     "RunRecord", "simulate_lanes", "consensus_trace",
     # experiments & config
-    "RunMetrics", "SweepSpec", "VerificationReport", "centralized_oracle",
+    "SweepSpec", "VerificationReport", "centralized_oracle",
     "run_decentralized", "run_sweep", "verify_theory",
     "RunConfig", "ProblemSpec", "NetworkSpec",
     "ConfigError", "build_instance", "build_topology_from_spec",
@@ -134,17 +134,33 @@ class TestBenchmarkContract:
             assert record.outer_iters == len(record.per_outer) >= 1
             assert all("inner_steps_used" in p for p in record.per_outer)
 
-    def test_run_decentralized_returns_metrics_and_record(self):
-        instance, topology = _small_problem()
-        comms = dsinkhorn.CommsConfig(inner_step_cap=5, outer_iter_cap=2)
+    def test_run_decentralized_matches_run_metrics_json(self, tmp_path):
+        # the replay unpacks two values and reads three fields of the first,
+        # which must be what `run` writes for the same seed
+        tree = {
+            "problem": {"d": 8, "epsilon": 0.5},
+            "network": {"topology_kind": "ring", "params": {"n": 4}},
+            "comms": {"bits": 12, "inner_step_cap": 5, "outer_iter_cap": 2},
+            "activation": {"mode": "randomized_subset", "p_active": 0.5},
+            "seeds": [1, 2],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tree))
+        assert cli.main(["run", "--config", str(path)]) in (0, 2)
+        runs = json.loads((tmp_path / "out" / "run_metrics.json").read_text())["runs"]
+        cfg = config.run_config_from_dict(tree)
+        instance = config.build_instance(cfg)
         oracle = experiments.centralized_oracle(instance)
-        result = experiments.run_decentralized(
-            instance, topology, comms, channel=None, activation=None, seed=2,
-            oracle=oracle, collect_residuals=False,
-        )
-        metrics, record = result
-        assert isinstance(metrics, experiments.RunMetrics) and metrics.seed == 2
-        assert isinstance(record, engine.RunRecord)
+        for seed, run in zip(cfg.seeds, runs):
+            metrics, _ = experiments.run_decentralized(
+                instance, cfg.network.topology, cfg.comms, channel=cfg.channel,
+                activation=cfg.activation, seed=seed, oracle=oracle, collect_residuals=False,
+            )
+            assert run["seed"] == seed
+            assert metrics.messages_total == run["messages_total"]
+            assert metrics.rounds_total == run["rounds_total"]
+            assert metrics.l1_error_max == run["l1_error_max"]
 
     @pytest.mark.parametrize("lanes", [1, 3])
     def test_round_state_is_per_node_and_per_edge(self, lanes):

@@ -11,7 +11,7 @@ import yaml
 
 from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments, netsim, otcore
-from dsinkhorn.cli import main
+from dsinkhorn.cli import _run_entry, main
 from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.experiments import CheckResult, VerificationReport
 from reference import trace_rows
@@ -215,7 +215,7 @@ class TestRun:
         alone = [experiments.run_decentralized(instance, topology, resolved.comms, resolved.channel,
                                                resolved.activation, seed=seed, oracle=oracle)[0]
                  for seed in tree["seeds"]]
-        experiments.write_json(str(tmp_path / "alone.json"), alone)
+        experiments.write_json(str(tmp_path / "alone.json"), [_run_entry(record) for record in alone])
 
         def timeless(runs):
             return [{k: v for k, v in run.items() if k != "wall_clock_seconds"} for run in runs]

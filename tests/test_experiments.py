@@ -1,7 +1,6 @@
 """Tests for run metrics, sweeps, the verification checks, and artifact writers."""
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -20,6 +19,7 @@ from scipy.special import stdtrit
 from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments as xp
 from dsinkhorn import netsim, otcore
+from dsinkhorn.cli import main
 from dsinkhorn.config import ConfigError, run_config_from_dict
 from dsinkhorn.engine import simulate_lanes
 from dsinkhorn.netsim import build_topology, metropolis_weights
@@ -32,6 +32,14 @@ def _small_instance(d=16, n=4, epsilon=0.5):
     return otcore.ProblemInstance(
         cost=otcore.grid_cost(d), epsilon=epsilon, ridge=1e-16, histograms=tuple(hists)
     )
+
+
+# run_metrics.json's fields per run, and per outer iteration, in file order
+RUN_KEYS = ["seed", "converged", "outer_iters", "rounds_total", "per_outer_iter", "l1_error_per_node",
+            "l1_error_max", "l1_error_mean", "broadcasts_per_agent", "variation_per_agent",
+            "messages_per_agent", "messages_total", "bytes_total", "wall_clock_seconds", "bias_bound",
+            "clip_active"]
+PER_OUTER_KEYS = ["outer_iter", "inner_steps_used", "log_v_change_linf", "consensus_residual_last"]
 
 
 def _small_cfg(**overrides):
@@ -95,26 +103,31 @@ class TestRunMetrics:
         monkeypatch.setattr(otcore, "theory_constants", lambda *args: calls.append(args) or real(*args))
         results = xp.run_lanes(instance, topology, lanes)
         assert [c for _, c in calls] == [comms, replace(comms, delta=0.0)]
-        for (lane_comms, _), (metrics, _) in zip(lanes, results):
-            assert metrics.bias_bound == real(instance, lane_comms).steady_state_bias_bound
+        for (lane_comms, _), record in zip(lanes, results):
+            assert record.bias_bound == real(instance, lane_comms).steady_state_bias_bound
 
-    @pytest.mark.parametrize("with_oracle", [True, False])
-    def test_metrics_are_json_ready(self, with_oracle):
-        instance = _small_instance()
-        topology = build_topology("complete", n=4)
-        metrics, _ = xp.run_decentralized(
-            instance, topology, CommsConfig(inner_step_cap=10, outer_iter_cap=5), seed=0,
-            oracle=xp.centralized_oracle(instance) if with_oracle else None,
-        )
-        tree = json.loads(json.dumps(xp._json_safe(metrics)))
-        assert list(tree) == [f.name for f in dataclasses.fields(xp.RunMetrics)]
-        assert tree["seed"] == 0
-        assert tree["broadcasts_per_agent"] == metrics.broadcasts_per_agent.tolist()
-        if with_oracle:
-            assert tree["l1_error_per_node"] == metrics.l1_error_per_node.tolist()
-        else:
-            assert tree["l1_error_per_node"] is None
-            assert tree["l1_error_max"] == "nan"
+    def test_metrics_are_json_ready(self, tmp_path):
+        # every run of run_metrics.json has exactly the schema's keys, in
+        # file order, so no other array of the run's record leaks into it
+        tree = {
+            "problem": {"d": 16, "epsilon": 0.5},
+            "network": {"topology_kind": "complete", "params": {"n": 4}},
+            "comms": {"inner_step_cap": 10, "outer_iter_cap": 5},
+            "seeds": [0, 3],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tree))
+        assert main(["run", "--config", str(path)]) in (0, 2)
+        runs = json.loads((tmp_path / "out" / "run_metrics.json").read_text())["runs"]
+        assert [run["seed"] for run in runs] == [0, 3]
+        for run in runs:
+            assert list(run) == RUN_KEYS
+            assert all(list(entry) == PER_OUTER_KEYS for entry in run["per_outer_iter"])
+            assert len(run["per_outer_iter"]) == run["outer_iters"]
+            for key in ("l1_error_per_node", "broadcasts_per_agent", "variation_per_agent",
+                        "messages_per_agent"):
+                assert len(run[key]) == 4, key
 
 
 class TestTraceAndOverlapRows:
@@ -784,6 +797,55 @@ class TestVerifyTheory:
         tracking = next(c for c in report.checks if c.name == "tracking_bound")
         assert tracking.details["included"] > 0
 
+    @staticmethod
+    def _mutated(monkeypatch, mutate):
+        """run_lanes with ``mutate(comms, record)`` applied to each record
+        until it returns a truthy value; returns the list of those values."""
+        real, hits = xp.run_lanes, []
+
+        def run_lanes(instance, topology, lanes, *args, **kwargs):
+            records = real(instance, topology, lanes, *args, **kwargs)
+            for (comms, _), record in zip(lanes, records):
+                if not hits and (hit := mutate(comms, record)):
+                    hits.append(hit)
+            return records
+
+        monkeypatch.setattr(xp, "run_lanes", run_lanes)
+        return hits
+
+    def test_tracking_bound_fails_on_an_error_past_the_bound(self, small_setup, monkeypatch):
+        instance, topology, comms = small_setup
+
+        def mutate(lane_comms, record):
+            if record.converged and not record.clip_active:
+                record.l1_error_max = 2.0 * record.bias_bound
+                return {"delta": lane_comms.delta, "bits": lane_comms.bits,
+                        "error": record.l1_error_max, "bias_bound": record.bias_bound}
+
+        hits = self._mutated(monkeypatch, mutate)
+        report = xp.verify_theory(instance, comms, topology, seed=0)
+        assert len(hits) == 1 and math.isfinite(hits[0]["bias_bound"])
+        assert report.failing == ["tracking_bound"]
+        tracking = report.checks[3]
+        assert tracking.details["included"] > 0
+        assert tracking.witness == hits[0]
+
+    def test_broadcast_budget_fails_on_an_agent_past_its_budget(self, small_setup, monkeypatch):
+        instance, topology, comms = small_setup
+
+        def mutate(lane_comms, record):
+            if 0 < lane_comms.delta < math.inf:
+                budget = 1 + math.ceil(record.variation_per_agent[2] / lane_comms.delta)
+                record.broadcasts_per_agent[2] = budget + 1
+                return {"delta": lane_comms.delta, "bits": lane_comms.bits, "agent": 2,
+                        "broadcasts": budget + 1, "budget": float(budget)}
+
+        hits = self._mutated(monkeypatch, mutate)
+        report = xp.verify_theory(instance, comms, topology, seed=0)
+        assert len(hits) == 1
+        assert report.failing == ["broadcast_budget"]
+        assert report.checks[4].witness == hits[0]
+
     def test_report_serialization(self, small_setup):
         instance, topology, comms = small_setup
         report = xp.verify_theory(instance, comms, topology, seed=1,
@@ -802,11 +864,6 @@ class TestArtifactWriters:
                              "f": np.array([1.0, 2.0])})
         assert out == {"a": "inf", "b": "-inf", "c": "nan",
                        "d": 1.5, "e": 3, "f": [1.0, 2.0]}
-
-    def test_json_safe_handles_dataclasses(self):
-        check = xp.CheckResult(name="x", passed=True, details={"v": np.inf})
-        out = xp._json_safe(check)
-        assert out["details"]["v"] == "inf"
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "t.csv"
