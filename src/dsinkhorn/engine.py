@@ -22,12 +22,12 @@ than one numpy inner loop per row, and the random draws are taken in
 round-major blocks, so a round's draws are a view. Only four
 things stay per lane: its activation/drop/delay streams, its delta, its
 stop decision between outer iterations, and its retirement from the
-union once it finishes. A lane is keyed by what it runs: its seed and
-its comms, where an inert quantized threshold
-(``CommsConfig.inert_delta``: 0 < delta <= delta_q/2) runs as delta = 0,
-since it sends exactly what delta = 0 sends. Requests with the same key
-run as one lane of the union, and each request gets its own copy of its
-outcome.
+union once it finishes. A lane is keyed by what it runs: its comms, where
+an inert quantized threshold (``CommsConfig.inert_delta``: 0 < delta <=
+delta_q/2) runs as delta = 0, since it sends exactly what delta = 0
+sends, and its seed unless the channel is deterministic (below). Requests
+with the same key run as one lane of the union, and each request gets its
+own copy of its outcome, with its own seed.
 The test suite pins every lane, step for step, to a deliberately literal
 per-agent oracle. One lane alone is the one-lane batch; measured against
 the centralized barycenter, it is ``experiments.run_decentralized``.
@@ -131,13 +131,14 @@ class NetworkEngine:
     trigger's two distances take one subtraction and a send one scatter.
     The views of these arrays a round reads, and under synchronous
     activation the weights in full, shaped as the caches and z they
-    multiply, are built once per layout. Lanes may differ only in
-    seed and delta. ``idle`` is None, or flags per lane whether the last
-    round of a block left z bit-for-bit unchanged; a round run alone sets
-    it to None. ``quiet`` is True after a deterministic round that sent
-    nothing in any lane, or after a block that ran its full length:
-    ``step_block`` may then take the next rounds as one block and leave
-    the z each of them reaches in ``block``.
+    multiply, are built once per layout. Lanes may differ only in seed
+    and delta; on a deterministic channel a lane has no random streams
+    and its seed is unused. ``idle`` is None, or flags per lane whether
+    the last round of a block left z bit-for-bit unchanged; a round run
+    alone sets it to None. ``quiet`` is True after a deterministic round
+    that sent nothing in any lane, or after a block that ran its full
+    length: ``step_block`` may then take the next rounds as one block and
+    leave the z each of them reaches in ``block``.
     """
 
     def __init__(self, topology, lanes, channel=None, activation=None):
@@ -147,6 +148,7 @@ class NetworkEngine:
         self.topology, self.comms = topology, comms
         self.channel = channel or netsim.ChannelModel()
         self.activation = activation or netsim.ActivationModel()
+        self.deterministic = _deterministic(self.channel, self.activation)
         self.size, self.edges = topology.num_nodes, topology.directed_edges()
         w_sync = netsim._metropolis_matrix(topology)
         self.w_edges, self.w_diag = w_sync[self.edges[:, 0], self.edges[:, 1]], np.diag(w_sync)
@@ -154,12 +156,8 @@ class NetworkEngine:
         self.rank = np.arange(len(self.edges)) - np.searchsorted(self.edges[:, 0], self.edges[:, 0])
         self.slots = int(self.rank.max(initial=-1)) + 1
         self._order = [*range(1, self.slots), 0][: self.slots]  # in-edges add as (k1 + k2 + ...) + k0
-        self.rngs = [netsim._rng_streams(seed) for _, seed in lanes]
+        self.rngs = [None if self.deterministic else netsim._rng_streams(seed) for _, seed in lanes]
         self.delta = np.repeat([c.delta for c, _ in lanes], self.size)
-        # synchronous, lossless and undelayed: a round draws no random
-        # numbers and leaves nothing in flight
-        self.deterministic = (self.activation.mode == "synchronous" and self.channel.drop_prob == 0
-                              and self.channel.max_staleness == 0)
         self._layout(len(lanes))
 
     def _layout(self, lanes: int) -> None:
@@ -524,6 +522,11 @@ class NetworkEngine:
         return self._lane_gap < self.comms.tau_inner
 
 
+def _deterministic(channel, activation) -> bool:
+    """Synchronous, lossless and undelayed: no round draws, so the seed drives nothing."""
+    return activation.mode == "synchronous" and channel.drop_prob == 0 and channel.max_staleness == 0
+
+
 def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=None, activation=None,
                    collect_residuals=True, collect_round_log_v: bool = False) -> list:
     """Run the full decentralized barycenter loop for every ``(comms,
@@ -558,15 +561,19 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     round, bit for bit). A round visits only the lanes that are traced or
     end their outer iteration in it.
 
-    Requests run by the lane they key to: their seed and comms, with an
-    inert quantized delta (``CommsConfig.inert_delta``) replaced by 0,
-    which sends exactly the same packets. Requests with one key run once;
-    the first takes that run's result, and every later one a deep copy of
-    the record, or an error of the same type and message.
+    Requests run by the lane they key to: their comms, with an inert
+    quantized delta (``CommsConfig.inert_delta``) replaced by 0, which
+    sends exactly the same packets, and their seed unless the channel is
+    deterministic. Requests with one key run once, traced if any of them
+    is; the first takes that run's result and every later one a deep copy
+    (of an error: one of the same type and message), each record with its
+    own request's seed.
     """
     if topology.num_nodes != instance.num_agents:
         raise ValueError("topology size must match the number of agents")
-    keys = [(replace(c, delta=0.0) if c.inert_delta else c, seed) for c, seed in lanes]  # the lane each runs
+    channel, activation = channel or netsim.ChannelModel(), activation or netsim.ActivationModel()
+    seeded = not _deterministic(channel, activation)  # else no lane's key holds its seed
+    keys = [(replace(c, delta=0.0) if c.inert_delta else c, seed if seeded else None) for c, seed in lanes]
     slot = {}
     index = [slot.setdefault(key, len(slot)) for key in keys]  # each request's distinct lane
     first = [index.index(j) for j in range(len(slot))]  # each distinct lane's first request
@@ -600,7 +607,7 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             broadcasts = eng.messages[rows].copy()
             links = broadcasts * degrees
             results[lane.index] = RunRecord(
-                runs[lane.index][1], otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
+                None, otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
                 sum(p["inner_steps_used"] for p in lane.per_outer), broadcasts, eng.variation[rows].copy(),
                 links, int(links.sum()), int(links.sum()) * wire, bool(eng.clip_active[lane.pos]),
                 lane.per_outer, 0.0, lane.round_log_v,
@@ -722,9 +729,9 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     wall = time.perf_counter() - t0
     # a lane's first request takes the run's result, every later one a copy
     results = [results[j] if first[j] == i else copy.deepcopy(results[j]) for i, j in enumerate(index)]
-    records = [r for r in results if isinstance(r, RunRecord)]
-    for r in records:
-        r.wall_clock_seconds = wall * r.rounds_total / sum(q.rounds_total for q in records)
+    records = [(r, seed) for r, (_, seed) in zip(results, lanes) if isinstance(r, RunRecord)]
+    for r, seed in records:  # each record carries its own request's seed
+        r.seed, r.wall_clock_seconds = seed, wall * r.rounds_total / sum(q.rounds_total for q, _ in records)
     return results
 
 

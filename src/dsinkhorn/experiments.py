@@ -511,8 +511,9 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
             )
             continue
         tracked.append(run)
-        if m.l1_error_max > m.bias_bound:
-            track_ok = False
+        # the witness is the run furthest past its bound, by ratio
+        if m.l1_error_max > m.bias_bound and (track_ok or m.l1_error_max / m.bias_bound > worst_ratio):
+            track_ok, worst_ratio = False, m.l1_error_max / m.bias_bound
             worst = {"delta": run["delta"], "bits": run["bits"],
                      "error": m.l1_error_max, "bias_bound": m.bias_bound}
     xs = np.array([r["perturbation"] for r in runs])
@@ -546,9 +547,10 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
         m = run["record"]
         limit = 1 + np.ceil(m.variation_per_agent / dv)
         checked += 1
-        if np.any(m.broadcasts_per_agent > limit):
-            budget_ok = False
-            i = int(np.argmax(m.broadcasts_per_agent - limit))
+        i = int(np.argmax(m.broadcasts_per_agent - limit))
+        # the witness is the agent furthest past its budget, over all runs
+        if m.broadcasts_per_agent[i] > limit[i] and (budget_ok or m.broadcasts_per_agent[i] - limit[i] > excess):
+            budget_ok, excess = False, m.broadcasts_per_agent[i] - limit[i]
             budget_witness = {
                 "delta": dv,
                 "bits": run["bits"],

@@ -613,6 +613,18 @@ def _regime_setup(regime):
 
 
 QUANTIZED = [p for p in REGIMES if p.values[0]["comms"].bits is not None]
+DETERMINISTIC = [p for p in REGIMES if _is_deterministic(p.values[0])]
+
+
+def _apart(regime, lanes):
+    """``lanes`` made to run as lanes of their own. On a random channel they
+    are as given. On a deterministic one, where requests that differ only in
+    seed share a lane, the k-th request's delta is raised by k quantizer
+    steps (k * 1e-3 unquantized), past any inert threshold."""
+    if not _is_deterministic(regime):
+        return lanes
+    step = regime["comms"].delta_q or 1e-3
+    return [(dataclasses.replace(c, delta=c.delta + k * step), seed) for k, (c, seed) in enumerate(lanes)]
 
 
 def _assert_same_record(a, b):
@@ -692,12 +704,11 @@ class TestLanes:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_lane_position_does_not_matter(self, regime):
-        instance, topology = _regime_setup(regime)
-        comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
-        others = self._companions(comms)
-        alone = simulate_lanes(instance, topology, [(comms, 5)], channel, activation)[0]
-        first = simulate_lanes(instance, topology, [(comms, 5)] + others, channel, activation)
-        last = simulate_lanes(instance, topology, others + [(comms, 5)], channel, activation)
+        instance, topology, (lane, *others) = _regime_case(regime)
+        channel, activation = regime["channel"], regime["activation"]
+        alone = simulate_lanes(instance, topology, [lane], channel, activation)[0]
+        first = simulate_lanes(instance, topology, [lane] + others, channel, activation)
+        last = simulate_lanes(instance, topology, others + [lane], channel, activation)
         _assert_same_record(first[0], alone)
         _assert_same_record(last[-1], alone)
         for (lane_comms, seed), record in zip(others, last):
@@ -767,9 +778,8 @@ class TestLanes:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_repeated_lanes_run_once(self, regime, monkeypatch):
-        instance, topology = _regime_setup(regime)
-        comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
-        distinct = [(comms, 5)] + self._companions(comms)
+        instance, topology, distinct = _regime_case(regime)
+        channel, activation = regime["channel"], regime["activation"]
         lanes = distinct + [distinct[0], distinct[3], distinct[0], distinct[1]]
         calls = _count_rounds_run(monkeypatch)
         batch = simulate_lanes(instance, topology, lanes, channel, activation)
@@ -777,6 +787,38 @@ class TestLanes:
         for (lane_comms, seed), record in zip(lanes, batch):
             _assert_same_record(record, _one_lane(
                 instance, topology, lane_comms, channel, activation, seed=seed))
+            assert record.seed == seed
+
+    @pytest.mark.parametrize("regime", DETERMINISTIC)
+    def test_deterministic_seeds_share_one_lane(self, regime, monkeypatch):
+        # the seed drives nothing on a deterministic channel, so the seeds of
+        # one comms run as one lane and each request gets its own seed back
+        instance, topology = _regime_setup(regime)
+        comms = regime["comms"]
+        calls = _count_rounds_run(monkeypatch)
+        batch = simulate_lanes(instance, topology, [(comms, s) for s in self.SEEDS])
+        assert max(calls) == 1
+        for seed, record in zip(self.SEEDS, batch):
+            _assert_same_record(record, _one_lane(instance, topology, comms, seed=seed))
+            assert record.seed == seed
+
+    @pytest.mark.parametrize("channel, activation", [
+        pytest.param(None, ActivationModel(mode="randomized_subset", p_active=0.5), id="subset"),
+        pytest.param(None, ActivationModel(mode="randomized_pairwise"), id="pairwise"),
+        pytest.param(ChannelModel(drop_prob=0.2), None, id="drops"),
+        pytest.param(ChannelModel(max_staleness=2), None, id="delays"),
+    ])
+    def test_random_seeds_run_as_lanes_of_their_own(self, channel, activation, monkeypatch):
+        # one random ingredient is enough for the seed to drive the run
+        regime = _regime("sync-fixed-point-12bit")
+        instance, topology = _regime_setup(regime)
+        comms = regime["comms"]
+        calls = _count_rounds_run(monkeypatch)
+        batch = simulate_lanes(instance, topology, [(comms, s) for s in self.SEEDS], channel, activation)
+        assert max(calls) == len(self.SEEDS)
+        for seed, record in zip(self.SEEDS, batch):
+            _assert_same_record(record, _one_lane(instance, topology, comms, channel, activation, seed=seed))
+            assert record.seed == seed
 
     def test_copies_share_no_state(self):
         regime = _regime("sync-fixed-point-12bit")
@@ -814,16 +856,17 @@ class TestLanes:
     @pytest.mark.parametrize("regime", QUANTIZED)
     def test_inert_deltas_share_the_zero_delta_lane(self, regime, monkeypatch):
         # delta <= delta_q/2 sends exactly what delta=0 sends, so each seed
-        # runs one lane; seeds stay lanes of their own even where the
-        # channel is deterministic
+        # runs one lane on a random channel, and on a deterministic one,
+        # where the seed drives nothing, all six requests run one lane
         instance, topology = _regime_setup(regime)
         comms, channel, activation = regime["comms"], regime["channel"], regime["activation"]
+        seeds = 1 if _is_deterministic(regime) else 2  # the lanes each delta's two seeds run
         deltas = (0.0, comms.delta_q / 4, comms.delta_q / 2)
         lanes = [(dataclasses.replace(comms, delta=dv), s) for dv in deltas for s in (5, 6)]
         assert [c.inert_delta for c, _ in lanes] == [False, False, True, True, True, True]
         calls = _count_rounds_run(monkeypatch)
         batch = simulate_lanes(instance, topology, lanes, channel, activation)
-        assert max(calls) == 2
+        assert max(calls) == seeds
         for (lane_comms, seed), record in zip(lanes, batch):
             _assert_same_record(record, _one_lane(
                 instance, topology, lane_comms, channel, activation, seed=seed))
@@ -831,7 +874,7 @@ class TestLanes:
         monkeypatch.setattr(CommsConfig, "inert_delta", property(lambda c: False))
         calls.clear()
         apart = simulate_lanes(instance, topology, lanes, channel, activation)
-        assert max(calls) == len(lanes)
+        assert max(calls) == len(deltas) * seeds
         for record, alone in zip(batch, apart):
             _assert_same_record(record, alone)
 
@@ -932,8 +975,7 @@ class TestSelectedTraces:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_every_regime(self, regime):
         # lanes that retire at different rounds, and a repeated request
-        instance, topology = _regime_setup(regime)
-        lanes = [(regime["comms"], 5)] + TestLanes._companions(regime["comms"])
+        instance, topology, lanes = _regime_case(regime)
         self._check(instance, topology, lanes + [lanes[1]], regime["channel"], regime["activation"])
 
     def test_failing_lanes(self):
@@ -944,11 +986,14 @@ class TestSelectedTraces:
     def test_untraced_lanes_keep_empty_traces(self):
         regime = _regime("sync-fixed-point-12bit")
         instance, topology = _regime_setup(regime)
-        lanes = [(regime["comms"], s) for s in (5, 6, 5)]
-        batch = simulate_lanes(instance, topology, lanes, collect_residuals={2})
-        # request 2 repeats request 0, so both carry the trace of their one lane
-        assert all(p["consensus_residual_trace"] for r in (batch[0], batch[2]) for p in r.per_outer)
+        comms = regime["comms"]
+        lanes = [(comms, 5), (dataclasses.replace(comms, delta=1.0), 6), (comms, 5), (comms, 7)]
+        batch = simulate_lanes(instance, topology, lanes, collect_residuals={3})
+        # requests 2 and 3 run request 0's lane, a repeat and another seed on
+        # a deterministic channel, so all three carry the trace of that lane
+        assert all(p["consensus_residual_trace"] for r in (batch[0], batch[2], batch[3]) for p in r.per_outer)
         assert not any(p["consensus_residual_trace"] for p in batch[1].per_outer)
+        assert [r.seed for r in batch] == [5, 6, 5, 7]
 
 
 class TestLaneFailures:
@@ -974,16 +1019,19 @@ class TestLaneFailures:
         _assert_round_counts(batch)
 
     def test_degenerate_lane_names_node_and_outer(self, monkeypatch):
+        # three deltas past delta_q/2, so three lanes on a deterministic channel
         instance, topology = _instance(), build_topology("complete", n=4)
-        comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=30, outer_iter_cap=4)
+        lanes = [(CommsConfig(delta=dv, bits=16, inner_step_cap=30, outer_iter_cap=4), s)
+                 for dv, s in ((1e-3, 0), (2e-3, 1), (4e-3, 2))]
         real = otcore._local_scaling
         monkeypatch.setattr(otcore, "_local_scaling", _annihilating(2))  # the second lane's first
-        batch = simulate_lanes(instance, topology, [(comms, s) for s in (0, 1, 2)])
+        batch = simulate_lanes(instance, topology, lanes)
         monkeypatch.setattr(otcore, "_local_scaling", real)
         assert isinstance(batch[1], otcore.DegenerateStateError)
         assert str(batch[1]).startswith("node 2 at outer iteration 1: K^T u has zero entries")
         for pos in (0, 2):
-            _assert_same_record(batch[pos], _one_lane(instance, topology, comms, seed=pos))
+            comms, seed = lanes[pos]
+            _assert_same_record(batch[pos], _one_lane(instance, topology, comms, seed=seed))
 
     def test_one_lane_call_raises(self):
         # run_decentralized is the one-lane entry point, and it raises the
@@ -1001,8 +1049,7 @@ class TestRoundCount:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_every_regime(self, regime):
-        instance, topology = _regime_setup(regime)
-        lanes = [(regime["comms"], 5)] + TestLanes._companions(regime["comms"])
+        instance, topology, lanes = _regime_case(regime)
         _assert_round_counts(simulate_lanes(instance, topology, lanes, regime["channel"], regime["activation"]))
 
     def test_lanes_leaving_at_different_outer_iterations(self, monkeypatch):
@@ -1043,8 +1090,10 @@ def _default_case(bits):
 
 
 def _regime_case(regime):
+    """The regime's instance and topology, and five requests that run as
+    five lanes: seed 5 of its comms and ``TestLanes._companions``."""
     instance, topology = _regime_setup(regime)
-    return instance, topology, [(regime["comms"], 5)] + TestLanes._companions(regime["comms"])
+    return instance, topology, _apart(regime, [(regime["comms"], 5)] + TestLanes._companions(regime["comms"]))
 
 
 BLOCK_CASES = [
@@ -1100,10 +1149,10 @@ def _block_against_rounds(eng, rounds):
 
 
 def _lane_rounds(batch, results):
-    """The lane-rounds a batch counts: the rounds_total of each lane it
-    runs, once for all the requests that share the lane."""
-    lanes = {(dataclasses.replace(c, delta=0.0) if c.inert_delta else c, seed): r
-             for (c, seed), r in zip(batch, results)}
+    """The lane-rounds a deterministic batch counts: the rounds_total of
+    each lane it runs, once for all the requests that share the lane, which
+    is keyed by comms alone (an inert delta read as 0)."""
+    lanes = {dataclasses.replace(c, delta=0.0) if c.inert_delta else c: r for (c, _), r in zip(batch, results)}
     return sum(r.rounds_total for r in lanes.values())
 
 

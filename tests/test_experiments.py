@@ -798,15 +798,16 @@ class TestVerifyTheory:
         assert tracking.details["included"] > 0
 
     @staticmethod
-    def _mutated(monkeypatch, mutate):
+    def _mutated(monkeypatch, mutate, times=1):
         """run_lanes with ``mutate(comms, record)`` applied to each record
-        until it returns a truthy value; returns the list of those values."""
+        until it has returned a truthy value ``times`` times; returns the
+        list of those values."""
         real, hits = xp.run_lanes, []
 
         def run_lanes(instance, topology, lanes, *args, **kwargs):
             records = real(instance, topology, lanes, *args, **kwargs)
             for (comms, _), record in zip(lanes, records):
-                if not hits and (hit := mutate(comms, record)):
+                if len(hits) < times and (hit := mutate(comms, record)):
                     hits.append(hit)
             return records
 
@@ -843,6 +844,40 @@ class TestVerifyTheory:
         hits = self._mutated(monkeypatch, mutate)
         report = xp.verify_theory(instance, comms, topology, seed=0)
         assert len(hits) == 1
+        assert report.failing == ["broadcast_budget"]
+        assert report.checks[4].witness == hits[0]
+
+    def test_tracking_bound_names_the_run_furthest_past_its_bound(self, small_setup, monkeypatch):
+        instance, topology, comms = small_setup
+        factors = iter((100.0, 2.0))  # the later run is past its bound by less
+
+        def mutate(lane_comms, record):
+            if record.converged and not record.clip_active:
+                record.l1_error_max = next(factors) * record.bias_bound
+                return {"delta": lane_comms.delta, "bits": lane_comms.bits,
+                        "error": record.l1_error_max, "bias_bound": record.bias_bound}
+
+        hits = self._mutated(monkeypatch, mutate, times=2)
+        report = xp.verify_theory(instance, comms, topology, seed=0)
+        assert len(hits) == 2 and hits[0] != hits[1]
+        assert report.failing == ["tracking_bound"]
+        assert report.checks[3].witness == hits[0]
+
+    def test_broadcast_budget_names_the_agent_furthest_past_its_budget(self, small_setup, monkeypatch):
+        instance, topology, comms = small_setup
+        excess = iter(((2, 50), (1, 1)))  # (agent, broadcasts past its budget): the later agent is past by less
+
+        def mutate(lane_comms, record):
+            if 0 < lane_comms.delta < math.inf:
+                agent, over = next(excess)
+                budget = 1 + math.ceil(record.variation_per_agent[agent] / lane_comms.delta)
+                record.broadcasts_per_agent[agent] = budget + over
+                return {"delta": lane_comms.delta, "bits": lane_comms.bits, "agent": agent,
+                        "broadcasts": budget + over, "budget": float(budget)}
+
+        hits = self._mutated(monkeypatch, mutate, times=2)
+        report = xp.verify_theory(instance, comms, topology, seed=0)
+        assert len(hits) == 2
         assert report.failing == ["broadcast_budget"]
         assert report.checks[4].witness == hits[0]
 
