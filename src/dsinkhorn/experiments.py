@@ -500,8 +500,6 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
     runs = [grid[dv, bv] for dv in deltas for bv in bits_grid]
     excluded = []
     tracked = []
-    worst = None
-    track_ok = True
     for run in runs:
         m = run["record"]
         if not m.converged or m.clip_active:
@@ -511,16 +509,17 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
             )
             continue
         tracked.append(run)
-        # the witness is the run furthest past its bound, by ratio
-        if m.l1_error_max > m.bias_bound and (track_ok or m.l1_error_max / m.bias_bound > worst_ratio):
-            track_ok, worst_ratio = False, m.l1_error_max / m.bias_bound
-            worst = {"delta": run["delta"], "bits": run["bits"],
-                     "error": m.l1_error_max, "bias_bound": m.bias_bound}
+    violations = [run for run in tracked if run["record"].l1_error_max > run["record"].bias_bound]
+    worst = None
+    if violations:  # the witness is the run furthest past its bound, by ratio
+        run = max(violations, key=lambda r: r["record"].l1_error_max / r["record"].bias_bound)
+        worst = {"delta": run["delta"], "bits": run["bits"],
+                 "error": run["record"].l1_error_max, "bias_bound": run["record"].bias_bound}
     xs = np.array([r["perturbation"] for r in runs])
     ys = np.array([r["record"].l1_error_max for r in runs])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(runs) >= 2 else math.nan
     slope_ok = slope >= -1e-12
-    passed = bool(tracked) and track_ok and slope_ok
+    passed = bool(tracked) and not violations and slope_ok
     if not tracked:
         # every run was excluded (not converged or clipped): the bound was
         # never put to the test, which fails the check
@@ -537,8 +536,7 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
         witness=worst,
     )
 
-    budget_ok = True
-    budget_witness = None
+    over = []  # per run past the budget: its largest excess, and the agent's witness
     checked = 0
     for run in runs:
         dv = run["delta"]
@@ -548,21 +546,20 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
         limit = 1 + np.ceil(m.variation_per_agent / dv)
         checked += 1
         i = int(np.argmax(m.broadcasts_per_agent - limit))
-        # the witness is the agent furthest past its budget, over all runs
-        if m.broadcasts_per_agent[i] > limit[i] and (budget_ok or m.broadcasts_per_agent[i] - limit[i] > excess):
-            budget_ok, excess = False, m.broadcasts_per_agent[i] - limit[i]
-            budget_witness = {
+        if m.broadcasts_per_agent[i] > limit[i]:
+            over.append((m.broadcasts_per_agent[i] - limit[i], {
                 "delta": dv,
                 "bits": run["bits"],
                 "agent": i,
                 "broadcasts": int(m.broadcasts_per_agent[i]),
                 "budget": float(limit[i]),
-            }
+            }))
     budget = CheckResult(
         name="broadcast_budget",
-        passed=budget_ok and checked > 0,
+        passed=not over and checked > 0,
         details={"runs_checked": checked},
-        witness=budget_witness,
+        # the witness is the agent furthest past its budget, over all runs
+        witness=max(over, key=lambda o: o[0])[1] if over else None,
     )
     return tracking, budget, excluded
 
