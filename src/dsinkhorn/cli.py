@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from . import config as cfgmod
-from . import experiments, otcore, protocol
+from . import engine, experiments, otcore, protocol
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -139,8 +139,8 @@ def cmd_run(cfg: cfgmod.RunConfig) -> int:
     if cfg.comms.delta > 0:
         lanes.append((replace(cfg.comms, delta=0.0), cfg.seeds[0]))
     twin = len(lanes) - 1 if cfg.comms.delta > 0 else 0
-    records = experiments.run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
-                                    oracle=oracle, collect_residuals={0, twin})
+    records = engine.simulate_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
+                                    collect_residuals={0, twin}, oracle=oracle)
     failed = [r for r in records if isinstance(r, Exception)]
     if failed:
         raise failed[0]

@@ -38,12 +38,13 @@ nothing in any lane, the loop takes the rounds that follow as one block
 (``NetworkEngine.step_block``): while nothing is sent the caches stay
 frozen and z follows one monotone map, so one set of stacked checks at
 the block's two ends shows that no round in it sends or stops a lane on
-the gap test. Blocks double while they hold and never pass a lane's inner
-cap. A block ends with the first round that leaves some lane's z
-bit-for-bit unchanged: that lane is at a fixed point, and every later round
-of the outer iteration would repeat the round (``simulate_lanes`` counts
-them). Neither a block nor a skip changes a record: it is bit-identical to
-the record of the same rounds run one at a time.
+the gap test. A block asks for every round up to the nearest inner cap,
+as many as ``_STACK_BYTES`` holds, and ends with the first round that
+leaves some lane's z bit-for-bit unchanged: that lane is at a fixed point,
+and every later round of the outer iteration would repeat the round
+(``simulate_lanes`` counts them). Neither a block nor a skip changes a
+record: it is bit-identical to the record of the same rounds run one at a
+time.
 """
 
 import copy
@@ -60,7 +61,6 @@ __all__ = ["NetworkEngine", "RunRecord", "simulate_lanes", "consensus_trace"]
 
 _BLOCK = 64  # rounds of random draws taken per lane and stream in one call
 _STACK_BYTES = 1 << 20  # the z states of one block of quiet rounds, at most
-_FIRST_SPAN = 16  # rounds of the first block after a round that sent nothing
 _TRACE_BYTES = 1 << 17  # the traced z of the single rounds whose residuals wait for one call, at most
 
 
@@ -83,10 +83,9 @@ def _rowmax(x: np.ndarray, out=None) -> np.ndarray:
 
 @dataclass
 class RunRecord:
-    """Outcome of one decentralized run, the one result type per run. The
-    engine fills every field but the last four, which
-    ``experiments.run_lanes`` fills: the errors against its oracle (NaN,
-    None per node, without one) and the comms' steady-state bias bound."""
+    """Outcome of one decentralized run, the one result type per run; all of
+    it comes from ``simulate_lanes``, the errors against its oracle (NaN, None
+    per node, without one) and its comms' steady-state bias bound included."""
 
     seed: int
     barycenters: np.ndarray  # (N, d) per-node softmax(log v)
@@ -528,9 +527,13 @@ def _deterministic(channel, activation) -> bool:
 
 
 def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=None, activation=None,
-                   collect_residuals=True, collect_round_log_v: bool = False) -> list:
+                   collect_residuals=True, collect_round_log_v: bool = False, *, oracle=None) -> list:
     """Run the full decentralized barycenter loop for every ``(comms,
     seed)`` lane as one batch; returns one RunRecord per lane, in order.
+    Each record's errors are measured against ``oracle``, a reference mass
+    vector such as ``experiments.centralized_oracle`` returns (NaN, and
+    ``l1_error_per_node`` None, without one), and its bias bound is its
+    request's comms' steady-state bound, computed once per distinct comms.
 
     Per outer iteration: local scaling at each node (u from exp(z), then s =
     log(K^T u)), reseed z = s, inner gossip rounds, then the shared
@@ -567,11 +570,12 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     deterministic. Requests with one key run once, traced if any of them
     is; the first takes that run's result and every later one a deep copy
     (of an error: one of the same type and message), each record with its
-    own request's seed.
+    own request's seed, bias bound and errors.
     """
     if topology.num_nodes != instance.num_agents:
         raise ValueError("topology size must match the number of agents")
     channel, activation = channel or netsim.ChannelModel(), activation or netsim.ActivationModel()
+    oracle = None if oracle is None else np.asarray(oracle)
     seeded = not _deterministic(channel, activation)  # else no lane's key holds its seed
     keys = [(replace(c, delta=0.0) if c.inert_delta else c, seed if seeded else None) for c, seed in lanes]
     slot = {}
@@ -592,9 +596,9 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     results, start = [None] * len(runs), np.zeros((n, d))
     live = [SimpleNamespace(index=i, pos=i, traced=i in chosen, prev_log_v=start, outer=0,
                             per_outer=[], round_log_v=[]) for i in range(len(runs))]  # in engine order
-    # the batch's round, the rounds the next block may take (0 takes one round), per
-    # live lane the round its inner iteration opened in, and the next round a cap falls in
-    now, span, opened, cap_at = 0, 0, np.zeros(len(runs), dtype=np.int64), cap
+    # the batch's round, per live lane the round its inner iteration opened
+    # in, and the next round a cap falls in
+    now, opened, cap_at = 0, np.zeros(len(runs), dtype=np.int64), cap
 
     def decide(lane, change: float) -> bool:
         """The lane's stop decision after an outer iteration whose log-v
@@ -606,12 +610,15 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         if change < cm.tau_outer or lane.outer == cm.outer_iter_cap:
             broadcasts = eng.messages[rows].copy()
             links = broadcasts * degrees
-            results[lane.index] = RunRecord(
+            record = results[lane.index] = RunRecord(
                 None, otcore._softmax(z), lane.prev_log_v, change < cm.tau_outer, lane.outer,
                 sum(p["inner_steps_used"] for p in lane.per_outer), broadcasts, eng.variation[rows].copy(),
                 links, int(links.sum()), int(links.sum()) * wire, bool(eng.clip_active[lane.pos]),
                 lane.per_outer, 0.0, lane.round_log_v,
             )
+            if oracle is not None:
+                errors = record.l1_error_per_node = np.abs(record.barycenters - oracle).sum(axis=1)
+                record.l1_error_max, record.l1_error_mean = float(errors.max()), float(errors.mean())
             return True
         lane.outer, lane.residuals = lane.outer + 1, []
         with np.errstate(over="ignore"):
@@ -664,16 +671,14 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
             held, hold = 0, np.empty((room, len(traced), n, d))
         if not live:
             break
-        # a block of quiet rounds, which never passes a lane's inner cap,
-        # or else one round; zs holds z after each round taken
-        taken = eng.step_block(min(span, cap_at - now)) if span else 0
+        # after a quiet step, a block of quiet rounds up to the nearest
+        # inner cap, or else one round; zs holds z after each round taken
+        taken = eng.step_block(cap_at - now) if eng.quiet else 0
         if taken:
             zs = eng.block.reshape(taken, eng.lanes, n, d)
-            span = min(2 * span, cap) if eng.quiet else 0
         else:
             eng.step_round()
             taken, zs = 1, eng.z.reshape(1, eng.lanes, n, d)
-            span = _FIRST_SPAN if eng.quiet else 0
         now += taken
         if traced and taken > 1:  # a block is a stack already
             flush()  # the held rounds come first
@@ -698,7 +703,6 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
         done = []
         if not ending:
             continue
-        span = 0  # a lane that opens its next outer iteration sends at once
         flush()
         untraced = [pos for pos in ending if not live[pos].traced]
         if untraced:  # a traced lane's last residual is its trace's last value
@@ -729,9 +733,12 @@ def simulate_lanes(instance: otcore.ProblemInstance, topology, lanes, channel=No
     wall = time.perf_counter() - t0
     # a lane's first request takes the run's result, every later one a copy
     results = [results[j] if first[j] == i else copy.deepcopy(results[j]) for i, j in enumerate(index)]
-    records = [(r, seed) for r, (_, seed) in zip(results, lanes) if isinstance(r, RunRecord)]
-    for r, seed in records:  # each record carries its own request's seed
-        r.seed, r.wall_clock_seconds = seed, wall * r.rounds_total / sum(q.rounds_total for q, _ in records)
+    records = [(r, *lane) for r, lane in zip(results, lanes) if isinstance(r, RunRecord)]
+    rounds, bias = sum(r.rounds_total for r, *_ in records), {}
+    for r, comms, seed in records:  # each record carries its own request's seed and comms' bias bound
+        if comms not in bias:
+            bias[comms] = otcore.theory_constants(instance, comms).steady_state_bias_bound
+        r.seed, r.wall_clock_seconds, r.bias_bound = seed, wall * r.rounds_total / rounds, bias[comms]
     return results
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "ORACLE_MAX_ITER",
     "SweepSpec",
     "centralized_oracle",
-    "run_lanes",
     "run_decentralized",
     "TRACE_FIELDS",
     "trace_lines",
@@ -63,40 +62,14 @@ def centralized_oracle(instance) -> np.ndarray:
     return result.barycenter.weights
 
 
-def run_lanes(instance, topology, lanes, channel=None, activation=None, *, oracle=None,
-              collect_residuals=True) -> list:
-    """Every ``(comms, seed)`` lane as one engine batch, measured.
-
-    Returns one ``RunRecord`` per lane, in order, or the
-    ``ClipRangeError``/``DegenerateStateError`` that ended the lane. Each
-    record gets here its errors, measured against ``oracle``, a reference
-    mass vector such as :func:`centralized_oracle` returns (NaN, and
-    ``l1_error_per_node`` None, without one), and its comms' steady-state
-    bias bound. ``collect_residuals`` picks the records that keep per-round
-    residual traces (True, False, or indices into ``lanes``).
-    """
-    records = engine.simulate_lanes(instance, topology, lanes, channel, activation, collect_residuals)
-    bias = {}
-    for (comms, _), record in zip(lanes, records):
-        if isinstance(record, Exception):
-            continue
-        if oracle is not None:
-            errors = record.l1_error_per_node = np.abs(record.barycenters - np.asarray(oracle)).sum(axis=1)
-            record.l1_error_max, record.l1_error_mean = float(errors.max()), float(errors.mean())
-        if comms not in bias:  # the bias bound depends on the comms alone
-            bias[comms] = otcore.theory_constants(instance, comms).steady_state_bias_bound
-        record.bias_bound = bias[comms]
-    return records
-
-
 def run_decentralized(instance, topology, comms, channel=None, activation=None, seed: int = 0, *,
                       oracle=None, collect_residuals: bool = True):
-    """One full decentralized run, the one-lane :func:`run_lanes`, raising
-    the error that ended a failed run. Returns the record twice,
-    ``(record, record)``, because callers unpack two values: perfbench's
-    reference replay reads the first."""
-    (record,) = run_lanes(instance, topology, [(comms, seed)], channel, activation, oracle=oracle,
-                          collect_residuals=collect_residuals)
+    """One full decentralized run, the one-lane ``engine.simulate_lanes``
+    scored against ``oracle``, raising the error that ended a failed run.
+    Returns the record twice, ``(record, record)``, because callers unpack
+    two values: perfbench's reference replay reads the first."""
+    (record,) = engine.simulate_lanes(instance, topology, [(comms, seed)], channel, activation,
+                                      collect_residuals=collect_residuals, oracle=oracle)
     if isinstance(record, Exception):
         raise record
     return record, record
@@ -275,8 +248,8 @@ def _sweep_point(task):
             if "error" in statistics and oracle is None:  # epsilon: each value its own problem
                 oracle = centralized_oracle(instance)
             lanes = [(cfg.comms, seed) for seed in cfg.seeds]
-            results = run_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
-                                oracle=oracle, collect_residuals=False)
+            results = engine.simulate_lanes(instance, cfg.network.topology, lanes, cfg.channel, cfg.activation,
+                                            collect_residuals=False, oracle=oracle)
         except Exception as exc:  # noqa: BLE001 - value-level failures become rows too
             results = [exc] * len(cfg.seeds)
     for seed, result in zip(cfg.seeds, results):
@@ -491,7 +464,7 @@ def _check_tracking_and_budget(instance, topology, comms, deltas, bits_grid, see
     grid = {}
     for bv in bits_grid:
         lanes = [(replace(comms, delta=dv, bits=bv), seed) for dv in deltas]
-        results = run_lanes(instance, topology, lanes, oracle=oracle, collect_residuals=False)
+        results = engine.simulate_lanes(instance, topology, lanes, collect_residuals=False, oracle=oracle)
         for dv, (variant, _), result in zip(deltas, lanes, results):
             if isinstance(result, Exception):
                 raise result

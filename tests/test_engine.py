@@ -39,6 +39,11 @@ from reference import (
     reseed_inner,
 )
 
+# simulate_lanes gives each record its comms' bias bound, which is +inf, with
+# a RuntimeWarning naming the cause, at delta=inf or a clip range wide enough
+# to overflow exp; these tests compare runs, not bounds
+pytestmark = pytest.mark.filterwarnings("ignore:steady-state bias bound is \\+inf:RuntimeWarning")
+
 
 def _instance(d=16, n=4, epsilon=0.5):
     hists = mixture_histograms(d, n, density_seed=7)
@@ -1032,6 +1037,19 @@ class TestLaneFailures:
         for pos in (0, 2):
             comms, seed = lanes[pos]
             _assert_same_record(batch[pos], _one_lane(instance, topology, comms, seed=seed))
+
+    def test_a_failed_lane_gets_no_bias_bound(self, monkeypatch):
+        # the second of three lanes fails at its first local scaling: the
+        # other two records get their comms' bias bound, the failure none
+        instance, topology = _instance(), build_topology("complete", n=4)
+        lanes = [(CommsConfig(delta=dv, bits=16, inner_step_cap=30, outer_iter_cap=4), s)
+                 for dv, s in ((1e-3, 0), (2e-3, 1), (4e-3, 2))]
+        real, calls = otcore.theory_constants, []
+        monkeypatch.setattr(otcore, "_local_scaling", _annihilating(2))
+        monkeypatch.setattr(otcore, "theory_constants", lambda *args: calls.append(args[1]) or real(*args))
+        batch = simulate_lanes(instance, topology, lanes)
+        assert isinstance(batch[1], otcore.DegenerateStateError)
+        assert calls == [lanes[0][0], lanes[2][0]]
 
     def test_one_lane_call_raises(self):
         # run_decentralized is the one-lane entry point, and it raises the

@@ -18,7 +18,7 @@ from scipy.special import stdtrit
 
 from dsinkhorn import config as cfgmod
 from dsinkhorn import experiments as xp
-from dsinkhorn import netsim, otcore
+from dsinkhorn import engine, netsim, otcore
 from dsinkhorn.cli import main
 from dsinkhorn.config import ConfigError, run_config_from_dict
 from dsinkhorn.engine import simulate_lanes
@@ -98,13 +98,32 @@ class TestRunMetrics:
         instance = _small_instance()
         topology = build_topology("complete", n=4)
         comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=10, outer_iter_cap=3)
-        lanes = [(comms, s) for s in range(4)] + [(replace(comms, delta=0.0), 0)]
+        # at 12 bits delta=1e-3 is inert: that request shares the 12-bit delta=0 lane
+        inert = replace(comms, bits=12)
+        assert inert.inert_delta
+        batches = [[(comms, s) for s in range(4)] + [(replace(comms, delta=0.0), 0)],
+                   [(replace(inert, delta=0.0), 0), (inert, 0)]]
         real, calls = otcore.theory_constants, []
         monkeypatch.setattr(otcore, "theory_constants", lambda *args: calls.append(args) or real(*args))
-        results = xp.run_lanes(instance, topology, lanes)
-        assert [c for _, c in calls] == [comms, replace(comms, delta=0.0)]
-        for (lane_comms, _), record in zip(lanes, results):
-            assert record.bias_bound == real(instance, lane_comms).steady_state_bias_bound
+        for lanes in batches:
+            results = simulate_lanes(instance, topology, lanes)
+            for (lane_comms, _), record in zip(lanes, results):
+                assert record.bias_bound == real(instance, lane_comms).steady_state_bias_bound
+        assert [c for _, c in calls] == [comms, replace(comms, delta=0.0), replace(inert, delta=0.0), inert]
+        assert results[1].bias_bound != results[0].bias_bound  # its own delta's, not its lane's
+
+    def test_errors_are_the_l1_distance_to_the_oracle(self):
+        instance = _small_instance()
+        topology = build_topology("complete", n=4)
+        comms = CommsConfig(delta=1e-3, bits=16, inner_step_cap=10, outer_iter_cap=3)
+        oracle = xp.centralized_oracle(instance)
+        # seed 1 shares seed 0's lane on this deterministic channel and gets a copy
+        lanes = [(comms, 0), (comms, 1), (replace(comms, delta=0.0), 0)]
+        for record in simulate_lanes(instance, topology, lanes, oracle=oracle):
+            errors = np.abs(record.barycenters - oracle).sum(axis=1)
+            assert record.l1_error_per_node.tobytes() == errors.tobytes()
+            assert record.l1_error_max == float(errors.max())
+            assert record.l1_error_mean == float(errors.mean())
 
     def test_metrics_are_json_ready(self, tmp_path):
         # every run of run_metrics.json has exactly the schema's keys, in
@@ -799,20 +818,82 @@ class TestVerifyTheory:
 
     @staticmethod
     def _mutated(monkeypatch, mutate, times=1):
-        """run_lanes with ``mutate(comms, record)`` applied to each record
-        until it has returned a truthy value ``times`` times; returns the
-        list of those values."""
-        real, hits = xp.run_lanes, []
+        """simulate_lanes with ``mutate(comms, record)`` applied to each
+        record until it has returned a truthy value ``times`` times; returns
+        the list of those values."""
+        real, hits = engine.simulate_lanes, []
 
-        def run_lanes(instance, topology, lanes, *args, **kwargs):
+        def simulate_lanes(instance, topology, lanes, *args, **kwargs):
             records = real(instance, topology, lanes, *args, **kwargs)
             for (comms, _), record in zip(lanes, records):
                 if len(hits) < times and (hit := mutate(comms, record)):
                     hits.append(hit)
             return records
 
-        monkeypatch.setattr(xp, "run_lanes", run_lanes)
+        monkeypatch.setattr(engine, "simulate_lanes", simulate_lanes)
         return hits
+
+    def test_hilbert_contraction_fails_on_a_cycle_that_squares_its_output(self, small_setup, monkeypatch):
+        _, topology, comms = small_setup
+        # at d=2 the sampled ratios reach past half the bound, so a cycle
+        # that doubles every Hilbert distance passes it
+        instance = _small_instance(d=2, n=4, epsilon=0.5)
+        real = otcore.ibp_cycle
+
+        def squared(*args):
+            b = real(*args) ** 2
+            return b / b.sum()
+
+        monkeypatch.setattr(otcore, "ibp_cycle", squared)
+        report = xp.verify_theory(instance, comms, topology, seed=0)
+        assert report.failing == ["hilbert_contraction"]
+        check, kernel = report.checks[0], instance.kernel()
+        b, b_prime = np.array(check.witness["b"]), np.array(check.witness["b_prime"])
+        ratio = (otcore.hilbert_distance(squared(instance, kernel, b), squared(instance, kernel, b_prime))
+                 / otcore.hilbert_distance(b, b_prime))
+        assert check.witness["ratio"] == ratio == check.details["max_ratio"] > check.details["rho_bound"]
+
+    def test_normalization_bridge_fails_on_entries_below_the_range(self, small_setup):
+        instance, *_ = small_setup
+
+        class Below:
+            """Uniform draws a thousandfold below the range asked for."""
+
+            def __init__(self):
+                self.rng, self.pairs = np.random.default_rng(0), []
+
+            def uniform(self, low, high, size):
+                self.pairs.append(self.rng.uniform(low, high, size) * 1e-3)
+                return self.pairs[-1]
+
+        rng = Below()
+        check = xp._check_normalization_bridge(instance, rng, 30)
+        assert not check.passed and check.details["entry_range"] == [0.5, 2.0]
+        x, y = np.array(check.witness["x"]), np.array(check.witness["y"])
+        assert any(np.array_equal(x, a) and np.array_equal(y, b) for a, b in zip(rng.pairs[::2], rng.pairs[1::2]))
+        assert max(x.max(), y.max()) < 0.5  # below the range's lower end
+        lhs, rhs = np.abs(x / x.sum() - y / y.sum()).sum(), 4.0 * np.abs(x - y).sum()
+        assert (check.witness["lhs"], check.witness["rhs"]) == (lhs, rhs) and lhs > rhs + 1e-12
+
+    def test_consensus_decay_fails_on_an_understated_sigma2(self, small_setup, monkeypatch):
+        instance, topology, comms = small_setup
+        real, real_trace, traces = netsim.metropolis_weights, engine.consensus_trace, []
+
+        def halved(topo):
+            weights = real(topo)
+            return replace(weights, sigma2=weights.sigma2 / 2)
+
+        monkeypatch.setattr(netsim, "metropolis_weights", halved)
+        monkeypatch.setattr(engine, "consensus_trace", lambda *a, **k: traces.append(real_trace(*a, **k)) or traces[-1])
+        report = xp.verify_theory(instance, comms, topology, seed=0)
+        assert report.failing == ["consensus_decay"]
+        check = report.checks[2]
+        assert check.details["sigma2"] == real(topology).sigma2 / 2
+        ((residuals, _),) = traces
+        envelope = check.details["sigma2"] ** np.arange(len(residuals)) * residuals[0] + 1e-9
+        step = int(np.argmax(residuals > envelope))
+        assert step > 0
+        assert check.witness == {"step": step, "residual": float(residuals[step]), "bound": float(envelope[step])}
 
     def test_tracking_bound_fails_on_an_error_past_the_bound(self, small_setup, monkeypatch):
         instance, topology, comms = small_setup
